@@ -26,11 +26,12 @@
 //!   See the decision rules in `incdes_sched::engine`;
 //! * the slack profiles are `Arc`-backed, so untouched resources alias
 //!   the frozen base's (or the previous evaluation's) gap lists, and
-//!   the per-resource C2 terms ([`incdes_metrics::C2Cache`]) plus the
-//!   C1 bin-packing multiset ([`incdes_metrics::C1Cache`]) are cached
-//!   **by storage identity**: an aliased gap list is never re-measured
-//!   or re-packed — and a gap list that *did* change re-measures only
-//!   the `t_min` windows its diff span intersects;
+//!   the per-resource C2 terms ([`incdes_metrics::C2Cache`]) are cached
+//!   **by storage identity**: an aliased gap list is never re-measured,
+//!   and a gap list that *did* change re-measures only the `t_min`
+//!   windows its diff span intersects. C1 ([`incdes_metrics::C1Cache`])
+//!   keeps the future items as `(size, count)` runs and batch-packs
+//!   them into the containers, gathered afresh on every call;
 //! * a solution-fingerprint memo returns previously evaluated design
 //!   alternatives without re-scheduling, so SA's revisited states and
 //!   MH's widening rounds skip duplicate schedules.
@@ -608,7 +609,7 @@ struct EvalEngine {
     /// aliased gap lists hit by storage identity, changed lists
     /// re-measure only the `t_min` windows their diff span intersects.
     c2: C2Cache,
-    /// Incremental C1 bin-packing state, patched by storage identity.
+    /// C1 item runs and container scratch for the batched packer.
     c1: C1Cache,
     /// Scratch for the collected solution diff (no per-eval allocation).
     vars_scratch: Vec<ChangedVar>,
@@ -707,10 +708,10 @@ struct SchedDiag {
 }
 
 /// The objective terms of a freshly scheduled slack profile, through the
-/// given engine's identity-keyed C2/C1 caches. Shared by the main
-/// evaluation path and the parallel batch workers — the caches are
-/// behavior-transparent, so whichever engine scores a solution produces
-/// bit-identical costs.
+/// given engine's identity-keyed C2 cache and its C1 item runs. Shared
+/// by the main evaluation path and the parallel batch workers — both
+/// caches are behavior-transparent, so whichever engine scores a
+/// solution produces bit-identical costs.
 fn score_slack(
     scene: &Scene<'_>,
     c2: &mut C2Cache,

@@ -37,12 +37,19 @@ impl PackOutcome {
     /// Fraction (in percent) of total item size left unpacked; 0 if there
     /// were no items.
     pub fn unpacked_percent(&self) -> f64 {
-        let total = self.packed + self.unpacked;
-        if total.is_zero() {
-            0.0
-        } else {
-            100.0 * self.unpacked.as_f64() / total.as_f64()
-        }
+        unpacked_percent(self.packed, self.unpacked)
+    }
+}
+
+/// Percentage of total item size left unpacked (0 if there were none),
+/// shared by [`PackOutcome`] and the C1 cache so that equal integer
+/// totals give bit-equal floats.
+pub(crate) fn unpacked_percent(packed: Time, unpacked: Time) -> f64 {
+    let total = packed + unpacked;
+    if total.is_zero() {
+        0.0
+    } else {
+        100.0 * unpacked.as_f64() / total.as_f64()
     }
 }
 
@@ -108,154 +115,105 @@ pub fn pack(items: &[Time], containers: &[Time], policy: FitPolicy) -> PackOutco
     }
 }
 
-/// A multiset of container capacities, flattened into one sorted `Vec`
-/// (ascending, duplicates adjacent).
-///
-/// The previous layout was a `BTreeMap<Time, u32>` of capacity →
-/// count: every packing step chased tree nodes scattered across the
-/// heap. The flat `Vec` keeps the whole multiset in one contiguous
-/// allocation — the best-fit lookup is a branch-free binary search, a
-/// packing step is one bounded `rotate_right` over adjacent memory, and
-/// the multiset stays small (one entry per slack container), so the
-/// O(n) shifts of `insert`/`remove` are cheap memmoves.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CapMultiset {
-    /// Capacities in ascending order, one entry per container.
-    caps: Vec<Time>,
-}
-
-impl CapMultiset {
-    /// An empty multiset.
-    pub fn new() -> Self {
-        CapMultiset::default()
-    }
-
-    /// Removes every container.
-    pub fn clear(&mut self) {
-        self.caps.clear();
-    }
-
-    /// Number of containers (duplicates counted).
-    pub fn len(&self) -> usize {
-        self.caps.len()
-    }
-
-    /// Whether the multiset holds no containers.
-    pub fn is_empty(&self) -> bool {
-        self.caps.is_empty()
-    }
-
-    /// Inserts one container of capacity `cap`.
-    pub fn insert(&mut self, cap: Time) {
-        let p = self.caps.partition_point(|&c| c < cap);
-        self.caps.insert(p, cap);
-    }
-
-    /// Removes one container of capacity `cap`.
-    ///
-    /// Returns `false` — leaving the multiset untouched — when no
-    /// container of that capacity is present. Callers that provably
-    /// inserted the capacity assert on the result; callers maintaining
-    /// a long-lived multiset (the incremental C1 cache) treat `false`
-    /// as proof of a stale/desynced cache and fall back to a full
-    /// repack instead of killing the campaign worker.
-    #[must_use]
-    pub fn remove(&mut self, cap: Time) -> bool {
-        let p = self.caps.partition_point(|&c| c < cap);
-        if p < self.caps.len() && self.caps[p] == cap {
-            self.caps.remove(p);
-            true
-        } else {
-            false
+/// `items` as `(size, count)` runs in decreasing size order: the item
+/// form [`pack_totals`] takes. Expected future applications are drawn
+/// from a few-point WCET histogram, so thousands of items collapse into
+/// a handful of runs.
+pub fn item_runs(items: &[Time]) -> Vec<(Time, u64)> {
+    let mut sorted = items.to_vec();
+    sorted.sort_unstable_by(|a, b| b.cmp(a));
+    let mut runs: Vec<(Time, u64)> = Vec::new();
+    for size in sorted {
+        match runs.last_mut() {
+            Some((s, n)) if *s == size => *n += 1,
+            _ => runs.push((size, 1)),
         }
     }
+    runs
 }
 
-/// Packing totals of [`pack`] computed against a capacity *multiset*
-/// instead of an indexed container list — `O(items · log bins)` instead
-/// of `O(items · bins)`, and the multiset can be patched incrementally
-/// when only a few containers change between calls (the delta
-/// evaluation path of `incdes-mapping`).
+/// Packing totals of [`pack`] for items given as [`item_runs`], computed
+/// against the capacity *multiset* `caps`. The call sorts `caps` and
+/// packs into it destructively: on return it holds the remaining
+/// capacities.
 ///
 /// Returns `(packed, unpacked)`, exactly the totals [`pack`] reports
-/// for the same item sizes and the container capacities in `bins`:
-/// best-fit picks the smallest capacity ≥ size and worst-fit the
-/// largest, so the multiset of remaining capacities evolves identically
-/// to [`pack`]'s — index-order tie-breaks select *which* equal-capacity
-/// container receives an item, never the totals. First-fit totals *do*
-/// depend on container order, which a multiset cannot represent: the
-/// call returns `None` and the caller must fall back to [`pack`].
+/// for the same items and containers: best-fit picks the smallest
+/// capacity ≥ size and worst-fit the largest, so the multiset of
+/// remaining capacities evolves identically to [`pack`]'s — index-order
+/// tie-breaks select *which* equal-capacity container receives an item,
+/// never the totals. First-fit totals *do* depend on container order,
+/// which a multiset cannot represent: the call returns `None` and the
+/// caller must fall back to [`pack`].
 ///
-/// `items_desc` must be sorted in decreasing order ([`pack`] considers
-/// items that way); zero-sized items are skipped (they consume
-/// nothing). The multiset is mutated during packing and restored before
-/// returning.
-pub fn pack_totals_multiset(
-    items_desc: &[Time],
-    bins: &mut CapMultiset,
+/// Best-fit is batched. Once an item of size `s` lands in capacity `c`
+/// (the smallest that fits), the residual `c − s` is smaller than `c`,
+/// so it is the best fit for the next item of the run whenever it fits
+/// at all: per-item best-fit gives `c` exactly `q = min(count, ⌊c/s⌋)`
+/// items in a row, then moves on to the next larger capacity. One step
+/// per container touched, each re-sorting the residual into the smaller
+/// capacities with one `rotate`, costs `O(runs × containers touched)`
+/// instead of `O(items × log bins)`. Worst-fit stays per item.
+///
+/// `runs` must be sorted by decreasing size ([`pack`] considers items
+/// that way); zero-sized items pack trivially and consume nothing.
+pub fn pack_totals(
+    runs: &[(Time, u64)],
+    caps: &mut [Time],
     policy: FitPolicy,
 ) -> Option<(Time, Time)> {
     if matches!(policy, FitPolicy::FirstFit) {
         return None;
     }
     debug_assert!(
-        items_desc.windows(2).all(|w| w[0] >= w[1]),
-        "items must be sorted decreasing"
+        runs.windows(2).all(|w| w[0].0 >= w[1].0),
+        "runs must be sorted decreasing"
     );
+    caps.sort_unstable();
     let mut packed = Time::ZERO;
     let mut unpacked = Time::ZERO;
-    // Mutations to revert: `(taken, residual)` in application order.
-    let mut ops: Vec<(Time, Time)> = Vec::new();
-    let caps = &mut bins.caps;
-    for &size in items_desc {
+    for &(size, count) in runs {
         if size.is_zero() {
-            // Zero-sized items pack trivially and consume nothing.
             continue;
         }
+        let mut left = count;
         match policy {
             FitPolicy::BestFit => {
-                // Best fit = smallest capacity ≥ size: one branch-free
-                // binary search on the sorted flat array.
-                let p = caps.partition_point(|&c| c < size);
-                if p == caps.len() {
-                    unpacked += size;
-                    continue;
+                // `caps[..p]` are all smaller than `size` throughout:
+                // the residual of a filled container drops below `size`
+                // unless the run ends inside it.
+                let mut p = caps.partition_point(|&c| c < size);
+                while left > 0 && p < caps.len() {
+                    let c = caps[p];
+                    let q = left.min(c.ticks() / size.ticks());
+                    left -= q;
+                    let rem = c - size * q;
+                    let at = caps[..p].partition_point(|&x| x < rem);
+                    caps[at..=p].rotate_right(1);
+                    caps[at] = rem;
+                    p += 1;
                 }
-                let c = caps[p];
-                let rem = c - size;
-                // Replace `c` by its residual, re-sorting with a single
-                // bounded memmove: `rem < c`, so its slot is at or left
-                // of `p` and everything beyond `p` is untouched.
-                let q = caps[..p].partition_point(|&x| x < rem);
-                caps[q..=p].rotate_right(1);
-                caps[q] = rem;
-                ops.push((c, rem));
-                packed += size;
             }
             FitPolicy::WorstFit => {
-                // Worst fit = largest capacity: the last element.
-                match caps.last().copied() {
-                    Some(c) if c >= size => {
-                        caps.pop();
-                        let rem = c - size;
-                        let q = caps.partition_point(|&x| x < rem);
-                        caps.insert(q, rem);
-                        ops.push((c, rem));
-                        packed += size;
+                // Worst fit = the largest capacity, the last element.
+                while left > 0 {
+                    let Some((&c, rest)) = caps.split_last() else {
+                        break;
+                    };
+                    if c < size {
+                        break;
                     }
-                    _ => unpacked += size,
+                    let rem = c - size;
+                    let at = rest.partition_point(|&x| x < rem);
+                    caps[at..].rotate_right(1);
+                    caps[at] = rem;
+                    left -= 1;
                 }
             }
             FitPolicy::FirstFit => unreachable!("rejected above"),
         }
-    }
-    // Restore: undo each residual swap in reverse order.
-    for &(taken, rem) in ops.iter().rev() {
-        let q = caps.partition_point(|&x| x < rem);
-        debug_assert!(caps[q] == rem, "residual {rem} came from this call");
-        let p = caps[q + 1..].partition_point(|&x| x < taken) + q + 1;
-        caps[q..p].rotate_left(1);
-        caps[p - 1] = taken;
+        packed += size * (count - left);
+        unpacked += size * left;
     }
     Some((packed, unpacked))
 }
@@ -356,6 +314,43 @@ mod tests {
         assert_eq!(worst.unpacked, t(3));
     }
 
+    /// [`pack_totals`] on `items` / `bins` must report [`pack`]'s
+    /// totals and leave its remaining capacities (as a multiset).
+    fn assert_batched_matches(items: &[u64], bins: &[u64], policy: FitPolicy) {
+        let items = ts(items);
+        let mut caps = ts(bins);
+        let reference = pack(&items, &caps, policy);
+        let (packed, unpacked) =
+            pack_totals(&item_runs(&items), &mut caps, policy).expect("multiset policy");
+        assert_eq!((packed, unpacked), (reference.packed, reference.unpacked));
+        let mut remaining = reference.remaining;
+        remaining.sort_unstable();
+        caps.sort_unstable();
+        assert_eq!(caps, remaining, "remaining capacities diverged");
+    }
+
+    #[test]
+    fn batched_edge_cases_match_pack() {
+        let cases: [(&[u64], &[u64]); 7] = [
+            // Capacities that are exact multiples of the item size.
+            (&[4; 9], &[8, 12, 16]),
+            // A run longer than all remaining capacity.
+            (&[5; 20], &[10, 7, 12]),
+            // A run that ends mid-container, then a smaller run that
+            // must find the residual before any fresh container.
+            (&[6, 6, 6, 2, 2, 2, 2, 2], &[20, 9]),
+            (&[7, 7, 3, 3, 3], &[15, 15]),
+            // Zero-sized items and zero-capacity containers.
+            (&[0, 0, 3, 3, 0], &[0, 3, 0, 4]),
+            (&[0, 0], &[0]),
+            (&[0, 5], &[]),
+        ];
+        for (items, bins) in cases {
+            assert_batched_matches(items, bins, FitPolicy::BestFit);
+            assert_batched_matches(items, bins, FitPolicy::WorstFit);
+        }
+    }
+
     proptest! {
         /// Conservation: packed + unpacked equals the item total, and
         /// remaining capacities never go negative or exceed originals.
@@ -391,11 +386,11 @@ mod tests {
             }
         }
 
-        /// The multiset totals are *exactly* the indexed packer's totals
+        /// The batched totals are *exactly* the indexed packer's totals
         /// for best-fit and worst-fit (the policies whose totals are a
-        /// pure function of the capacity multiset), and the multiset is
-        /// restored afterwards — the contract the incremental C1 bound
-        /// is built on.
+        /// pure function of the capacity multiset), and the consumed
+        /// capacities are the packer's remainders — the contract the
+        /// C1 cache is built on.
         #[test]
         fn prop_multiset_totals_match_pack(
             items in proptest::collection::vec(0u64..50, 0..30),
@@ -403,63 +398,36 @@ mod tests {
             best in 0u8..2,
         ) {
             let policy = if best == 0 { FitPolicy::BestFit } else { FitPolicy::WorstFit };
-            let items_t = ts(&items);
-            let bins_t = ts(&bins);
-            let reference = pack(&items_t, &bins_t, policy);
-
-            let mut sorted = items_t.clone();
-            sorted.sort_by(|a, b| b.cmp(a));
-            let mut multiset = CapMultiset::new();
-            for &b in &bins_t {
-                multiset.insert(b);
-            }
-            let snapshot = multiset.clone();
-            let (packed, unpacked) =
-                pack_totals_multiset(&sorted, &mut multiset, policy).expect("policy supported");
-            prop_assert_eq!(packed, reference.packed);
-            prop_assert_eq!(unpacked, reference.unpacked);
-            prop_assert_eq!(&multiset, &snapshot, "multiset must be restored");
+            assert_batched_matches(&items, &bins, policy);
         }
 
-        /// Long runs of equal-sized items (the synthetic future
-        /// profiles' shape, which triggers the batched best-fit arm)
-        /// still produce exactly the indexed packer's totals.
+        /// Long runs of equal-sized items (the shape of the expanded
+        /// future profiles, where one best-fit step fills a container
+        /// with many items) still produce exactly the indexed packer's
+        /// totals — also into capacities that are exact multiples of
+        /// the run's size, which a batched step fills to exactly zero.
         #[test]
         fn prop_multiset_batching_matches_pack(
             size in 1u64..12,
             run in 1usize..60,
             extra in proptest::collection::vec(0u64..50, 0..8),
             bins in proptest::collection::vec(0u64..80, 0..12),
+            multiples in proptest::collection::vec(0u64..6, 0..6),
+            best in 0u8..2,
         ) {
+            let policy = if best == 0 { FitPolicy::BestFit } else { FitPolicy::WorstFit };
             let mut items: Vec<u64> = vec![size; run];
             items.extend(extra);
-            let items_t = ts(&items);
-            let bins_t = ts(&bins);
-            let reference = pack(&items_t, &bins_t, FitPolicy::BestFit);
-
-            let mut sorted = items_t.clone();
-            sorted.sort_by(|a, b| b.cmp(a));
-            let mut multiset = CapMultiset::new();
-            for &b in &bins_t {
-                multiset.insert(b);
-            }
-            let snapshot = multiset.clone();
-            let (packed, unpacked) =
-                pack_totals_multiset(&sorted, &mut multiset, FitPolicy::BestFit).unwrap();
-            prop_assert_eq!(packed, reference.packed);
-            prop_assert_eq!(unpacked, reference.unpacked);
-            prop_assert_eq!(&multiset, &snapshot);
+            let mut bins = bins;
+            bins.extend(multiples.iter().map(|m| m * size));
+            assert_batched_matches(&items, &bins, policy);
         }
 
         /// First-fit is order-dependent: the multiset path refuses it.
         #[test]
         fn prop_multiset_rejects_first_fit(bins in proptest::collection::vec(1u64..10, 0..5)) {
-            let mut multiset = CapMultiset::new();
-            for &b in &ts(&bins) {
-                multiset.insert(b);
-            }
             prop_assert!(
-                pack_totals_multiset(&[Time::new(1)], &mut multiset, FitPolicy::FirstFit).is_none()
+                pack_totals(&[(t(1), 1)], &mut ts(&bins), FitPolicy::FirstFit).is_none()
             );
         }
 

@@ -1,74 +1,50 @@
-//! The incremental C1 bin-packing bound.
+//! The C1 bin-packing bound of the evaluation engine.
 //!
 //! The C1 metrics pack the largest expected future application into the
 //! slack containers of the current design alternative — every gap of
 //! every PE for `C1P`, every free bus window for `C1m`. The plain
 //! [`crate::criteria::c1_processes`] / [`crate::criteria::c1_messages`]
-//! path re-collects all container sizes and re-runs the `O(items ·
-//! bins)` packer on each evaluation, which scales with the *frozen*
-//! system size even though a design move changes only a handful of
-//! containers.
+//! path expands the future application into one item per process or
+//! message and re-runs the `O(items · bins)` indexed packer on each call.
 //!
-//! [`C1Cache`] keeps the container capacities in a sorted multiset and
-//! patches only the gap-list segments the delta invalidated: the
-//! `Arc`-backed [`SlackProfile`] storage makes "unchanged" detectable by
-//! pointer identity (`Arc::ptr_eq`), so a single-move neighbor updates
-//! the few PEs (and possibly the bus) whose lists were rebuilt and
-//! repacks in `O(items · log bins)`. The totals are **exactly** the
-//! packer's — see [`crate::binpack::pack_totals_multiset`] for why the
-//! multiset evolution is equivalent for best-fit and worst-fit — and
-//! the order-dependent first-fit policy reports itself unsupported so
-//! callers fall back to the full packer.
+//! [`C1Cache`] keeps only what every evaluation of a context shares:
+//! the future items as `(size, count)` runs — an application drawn from
+//! a few-point WCET histogram is thousands of items but a handful of
+//! runs. Each call gathers every container size into a reused scratch
+//! vector and runs the batched packer [`crate::binpack::pack_totals`],
+//! whose best-fit costs `O(runs × containers touched)`. Nothing is keyed
+//! on gap-list storage identity: a delta evaluation re-derives nearly
+//! every list, so patching the containers by `Arc` identity could not
+//! pay. The totals are **exactly** the indexed packer's (see
+//! [`crate::binpack::pack_totals`] for why, for best-fit and
+//! worst-fit), and the order-dependent first-fit policy reports itself
+//! unsupported so callers fall back to the full packer.
 
-use crate::binpack::{pack_totals_multiset, CapMultiset, FitPolicy};
-use incdes_model::{Architecture, FutureProfile, Time};
+use crate::binpack::{item_runs, pack_totals, unpacked_percent, FitPolicy};
+use incdes_model::{Architecture, FutureProfile, PeId, Time};
 use incdes_obs::counters::{self, Counter};
-use incdes_sched::slack::GapList;
 use incdes_sched::SlackProfile;
-use std::sync::Arc;
 
-/// Percentage of total item size left unpacked (0 if there were none) —
-/// the same arithmetic as [`crate::binpack::PackOutcome::unpacked_percent`],
-/// on identical integer totals, so the floats are bit-equal.
-fn unpacked_percent(packed: Time, unpacked: Time) -> f64 {
-    let total = packed + unpacked;
-    if total.is_zero() {
-        0.0
-    } else {
-        100.0 * unpacked.as_f64() / total.as_f64()
-    }
-}
-
-/// Incrementally maintained C1 packing state for one evaluation context
-/// (one architecture, one future profile, one horizon — the cache
-/// rebuilds itself whenever any of those change, so reuse across
-/// contexts is safe, just not profitable).
+/// C1 packing state for one evaluation context: the future item runs,
+/// rebuilt (bumping `c1_repacked`) whenever the future profile, the
+/// horizon or the bus rate change — so reuse across contexts is safe,
+/// just not profitable — plus two reused capacity scratch vectors.
 #[derive(Debug, Default)]
 pub struct C1Cache {
-    /// Cache generation: what the items and multisets were built for.
-    /// The items depend on the future profile, the horizon and the
-    /// bus's bytes-per-tick rate (nothing else of the architecture), so
-    /// those three plus the policy and the PE count are the guard.
+    /// What the runs were built for: the items depend on the future
+    /// profile, the horizon and the bus's bytes-per-tick rate (nothing
+    /// else of the architecture, and not the policy).
     future: Option<FutureProfile>,
     bytes_per_tick: u32,
     horizon: Time,
-    policy: Option<FitPolicy>,
-    /// Future process items, sorted decreasing.
-    proc_items: Vec<Time>,
-    /// Future message items (already converted to bus time), sorted
-    /// decreasing.
-    msg_items: Vec<Time>,
-    /// Last-seen gap storage per PE. Holding the `Arc` keeps the
-    /// allocation alive, which is what makes `Arc::ptr_eq` a sound
-    /// unchanged-detector (no ABA through reuse of a freed address).
-    pe_seen: Vec<GapList>,
-    bus_seen: Option<GapList>,
-    /// Capacity multisets of all PE gaps and all bus windows.
-    pe_bins: CapMultiset,
-    bus_bins: CapMultiset,
-    /// Diagnostics: resources patched (vs. aliased) since construction.
-    patched_resources: usize,
-    evaluations: usize,
+    /// Future process items as `(size, count)` runs, sizes decreasing.
+    proc_runs: Vec<(Time, u64)>,
+    /// Future message items (already converted to bus time) as runs.
+    msg_runs: Vec<(Time, u64)>,
+    /// Scratch: every PE gap size, then the remaining capacities.
+    pe_caps: Vec<Time>,
+    /// Scratch: every bus window size, then the remaining capacities.
+    bus_caps: Vec<Time>,
 }
 
 impl C1Cache {
@@ -77,22 +53,9 @@ impl C1Cache {
         C1Cache::default()
     }
 
-    /// Number of per-resource multiset patches performed so far —
-    /// resources whose gap storage was *not* aliased from the previous
-    /// evaluation. Diagnostics for tests and benches.
-    pub fn patched_resource_count(&self) -> usize {
-        self.patched_resources
-    }
-
-    /// Number of evaluations served.
-    pub fn evaluation_count(&self) -> usize {
-        self.evaluations
-    }
-
-    /// The `(C1P, C1m)` terms of `slack`, patching only the containers
-    /// whose storage changed since the previous call. Returns `None`
-    /// for [`FitPolicy::FirstFit`] (order-dependent totals — callers
-    /// fall back to the full packer).
+    /// The `(C1P, C1m)` terms of `slack`. Returns `None` for
+    /// [`FitPolicy::FirstFit`] (order-dependent totals — callers fall
+    /// back to the full packer).
     pub fn c1_terms(
         &mut self,
         arch: &Architecture,
@@ -103,112 +66,32 @@ impl C1Cache {
         if matches!(policy, FitPolicy::FirstFit) {
             return None;
         }
-        self.evaluations += 1;
         let horizon = slack.horizon();
-        let fresh = self.policy != Some(policy)
-            || self.horizon != horizon
-            || self.pe_seen.len() != slack.pe_count()
-            || self.bytes_per_tick != arch.bus().bytes_per_tick
-            || self.future.as_ref() != Some(future);
-        if fresh || !self.patch(slack) {
-            // A failed patch means a seen-list/multiset mismatch (stale
-            // or raced cache state — e.g. a seen `Arc` that was swapped
-            // out from under the cache): the multisets can no longer be
-            // trusted, so repack everything from the slack profile.
+        let bus = arch.bus();
+        if self.horizon != horizon
+            || self.bytes_per_tick != bus.bytes_per_tick
+            || self.future.as_ref() != Some(future)
+        {
             counters::bump(Counter::C1Repacked);
-            self.rebuild(arch, slack, future, policy);
+            self.horizon = horizon;
+            self.bytes_per_tick = bus.bytes_per_tick;
+            self.future = Some(future.clone());
+            self.proc_runs = item_runs(&future.expected_process_items(horizon));
+            self.msg_runs = item_runs(
+                &future.expected_message_items(horizon, |bytes| bus.transmission_time(bytes)),
+            );
         }
-        let proc = pack_totals_multiset(&self.proc_items, &mut self.pe_bins, policy)
-            .expect("policy checked above");
-        let msg = pack_totals_multiset(&self.msg_items, &mut self.bus_bins, policy)
-            .expect("policy checked above");
-        Some((
-            unpacked_percent(proc.0, proc.1),
-            unpacked_percent(msg.0, msg.1),
-        ))
-    }
-
-    /// Full rebuild: items, multisets and seen-storage snapshots.
-    fn rebuild(
-        &mut self,
-        arch: &Architecture,
-        slack: &SlackProfile,
-        future: &FutureProfile,
-        policy: FitPolicy,
-    ) {
-        let horizon = slack.horizon();
-        self.horizon = horizon;
-        self.policy = Some(policy);
-        self.future = Some(future.clone());
-        self.bytes_per_tick = arch.bus().bytes_per_tick;
-        self.proc_items = future.expected_process_items(horizon);
-        self.proc_items.sort_by(|a, b| b.cmp(a));
-        self.msg_items =
-            future.expected_message_items(horizon, |bytes| arch.bus().transmission_time(bytes));
-        self.msg_items.sort_by(|a, b| b.cmp(a));
-
-        self.pe_bins.clear();
-        self.pe_seen.clear();
+        self.pe_caps.clear();
         for i in 0..slack.pe_count() {
-            let shared = slack.gaps_shared(incdes_model::PeId(i as u32));
-            for &(s, e) in shared.iter() {
-                self.pe_bins.insert(e - s);
-            }
-            self.pe_seen.push(Arc::clone(shared));
+            let gaps = slack.gaps_of(PeId(i as u32));
+            self.pe_caps.extend(gaps.iter().map(|&(s, e)| e - s));
         }
-        self.bus_bins.clear();
-        let shared = slack.bus_windows_shared();
-        for &(s, e) in shared.iter() {
-            self.bus_bins.insert(e - s);
-        }
-        self.bus_seen = Some(Arc::clone(shared));
-    }
-
-    /// Patch pass: swap out only the resources whose storage changed.
-    ///
-    /// Returns `false` when a seen gap is missing from its multiset —
-    /// the cache state is inconsistent with what was actually inserted
-    /// (stale or raced), the multisets are left partially modified, and
-    /// the caller must [`rebuild`](Self::rebuild).
-    fn patch(&mut self, slack: &SlackProfile) -> bool {
-        for i in 0..self.pe_seen.len() {
-            let shared = slack.gaps_shared(incdes_model::PeId(i as u32));
-            if Arc::ptr_eq(&self.pe_seen[i], shared) {
-                continue;
-            }
-            self.patched_resources += 1;
-            counters::bump(Counter::C1Patched);
-            for &(s, e) in self.pe_seen[i].iter() {
-                if !self.pe_bins.remove(e - s) {
-                    return false;
-                }
-            }
-            for &(s, e) in shared.iter() {
-                self.pe_bins.insert(e - s);
-            }
-            self.pe_seen[i] = Arc::clone(shared);
-        }
-        let shared = slack.bus_windows_shared();
-        let stale = match &self.bus_seen {
-            Some(seen) => !Arc::ptr_eq(seen, shared),
-            None => true,
-        };
-        if stale {
-            self.patched_resources += 1;
-            counters::bump(Counter::C1Patched);
-            if let Some(seen) = &self.bus_seen {
-                for &(s, e) in seen.iter() {
-                    if !self.bus_bins.remove(e - s) {
-                        return false;
-                    }
-                }
-            }
-            for &(s, e) in shared.iter() {
-                self.bus_bins.insert(e - s);
-            }
-            self.bus_seen = Some(Arc::clone(shared));
-        }
-        true
+        self.bus_caps.clear();
+        self.bus_caps
+            .extend(slack.bus_windows().iter().map(|&(s, e)| e - s));
+        let (pp, pu) = pack_totals(&self.proc_runs, &mut self.pe_caps, policy)?;
+        let (mp, mu) = pack_totals(&self.msg_runs, &mut self.bus_caps, policy)?;
+        Some((unpacked_percent(pp, pu), unpacked_percent(mp, mu)))
     }
 }
 
@@ -217,7 +100,8 @@ mod tests {
     use super::*;
     use crate::criteria::{c1_messages, c1_processes};
     use incdes_model::{BusConfig, Histogram};
-    use incdes_sched::SlackProfile;
+    use incdes_sched::slack::GapList;
+    use std::sync::Arc;
 
     fn t(v: u64) -> Time {
         Time::new(v)
@@ -242,38 +126,52 @@ mod tests {
         )
     }
 
-    /// Hand-rolled profiles with evolving shared storage: the cache must
-    /// track exactly the full recomputation at every step.
+    /// Hand-rolled profiles whose PE gaps, PE count and bus windows
+    /// evolve: the cache must track exactly the full recomputation at
+    /// every step, and rebuild its item runs only once.
     #[test]
     fn cache_tracks_full_recomputation() {
         let arch = arch2();
         let future = profile();
         let mut cache = C1Cache::new();
 
-        let shared_pe1: GapList = vec![(t(0), t(100))].into();
+        let pe1: GapList = vec![(t(0), t(100))].into();
         let bus: GapList = vec![(t(0), t(10)), (t(20), t(30))].into();
-        let steps: Vec<Vec<(Time, Time)>> = vec![
+        let mut steps: Vec<(Vec<GapList>, GapList)> = [
             vec![(t(0), t(480))],
             vec![(t(0), t(30)), (t(60), t(480))],
             vec![(t(0), t(30)), (t(60), t(400))],
             vec![(t(0), t(30)), (t(60), t(400))],
-        ];
-        for pe0 in steps {
-            let slack = SlackProfile::from_shared(
-                t(480),
-                vec![pe0.into(), Arc::clone(&shared_pe1)].into(),
-                Arc::clone(&bus),
-            );
+        ]
+        .into_iter()
+        .map(|pe0| (vec![pe0.into(), Arc::clone(&pe1)], Arc::clone(&bus)))
+        .collect();
+        // A PE-count change, then a bus-window change.
+        steps.push((
+            vec![
+                vec![(t(0), t(45))].into(),
+                Arc::clone(&pe1),
+                vec![(t(5), t(25))].into(),
+            ],
+            Arc::clone(&bus),
+        ));
+        steps.push((
+            vec![vec![(t(0), t(45))].into(), Arc::clone(&pe1)],
+            vec![(t(0), t(4)), (t(40), t(50)), (t(60), t(62))].into(),
+        ));
+        let before = counters::snapshot();
+        for (pes, bus) in steps {
+            let slack = SlackProfile::from_shared(t(480), pes.into(), bus);
             let (c1p, c1m) = cache
                 .c1_terms(&arch, &slack, &future, FitPolicy::BestFit)
                 .unwrap();
             assert_eq!(c1p, c1_processes(&slack, &future, FitPolicy::BestFit));
             assert_eq!(c1m, c1_messages(&arch, &slack, &future, FitPolicy::BestFit));
         }
-        // PE1 and the bus never changed storage → only PE0 was patched
-        // (3 patch passes after the initial rebuild).
-        assert_eq!(cache.patched_resource_count(), 3);
-        assert_eq!(cache.evaluation_count(), 4);
+        let repacked = counters::snapshot()
+            .delta_since(&before)
+            .get(Counter::C1Repacked);
+        assert_eq!(repacked, 1, "the item runs depend on none of the changes");
     }
 
     #[test]
@@ -303,54 +201,6 @@ mod tests {
             c1m,
             c1_messages(&arch, &slack, &future, FitPolicy::WorstFit)
         );
-    }
-
-    /// A cache whose seen-storage lineage no longer matches what was
-    /// inserted (a stale/raced patch — the seen `Arc` names gaps that
-    /// were never added to the multiset) must detect the inconsistency
-    /// and fall back to a full repack instead of panicking inside
-    /// `multiset_remove`.
-    #[test]
-    fn mismatched_lineage_falls_back_to_rebuild() {
-        let arch = arch2();
-        let future = profile();
-        let mut cache = C1Cache::new();
-        let pe1: GapList = vec![(t(0), t(100))].into();
-        let bus: GapList = vec![(t(0), t(10))].into();
-        let first = SlackProfile::from_shared(
-            t(480),
-            vec![vec![(t(0), t(30))].into(), Arc::clone(&pe1)].into(),
-            Arc::clone(&bus),
-        );
-        cache
-            .c1_terms(&arch, &first, &future, FitPolicy::BestFit)
-            .unwrap();
-        // Simulate the raced state: PE0's seen storage is swapped for an
-        // Arc whose gaps were never inserted into `pe_bins`.
-        cache.pe_seen[0] = vec![(t(0), t(77))].into();
-        let second = SlackProfile::from_shared(
-            t(480),
-            vec![vec![(t(0), t(60))].into(), Arc::clone(&pe1)].into(),
-            Arc::clone(&bus),
-        );
-        let (c1p, c1m) = cache
-            .c1_terms(&arch, &second, &future, FitPolicy::BestFit)
-            .unwrap();
-        assert_eq!(c1p, c1_processes(&second, &future, FitPolicy::BestFit));
-        assert_eq!(
-            c1m,
-            c1_messages(&arch, &second, &future, FitPolicy::BestFit)
-        );
-        // And the repaired cache keeps patching correctly afterwards.
-        let third = SlackProfile::from_shared(
-            t(480),
-            vec![vec![(t(10), t(25))].into(), Arc::clone(&pe1)].into(),
-            Arc::clone(&bus),
-        );
-        let (c1p, _) = cache
-            .c1_terms(&arch, &third, &future, FitPolicy::BestFit)
-            .unwrap();
-        assert_eq!(c1p, c1_processes(&third, &future, FitPolicy::BestFit));
     }
 
     /// A future-profile change (new context reusing a cache) forces a
@@ -384,8 +234,8 @@ mod tests {
         assert_ne!(c1p_small, c1p_big, "the demand change must be visible");
     }
 
-    /// A PE-count change (new context reusing a cache) forces a rebuild
-    /// instead of a bogus patch.
+    /// A PE-count change (new context reusing a cache) is served from
+    /// the new profile's containers.
     #[test]
     fn pe_count_change_rebuilds() {
         let arch = arch2();

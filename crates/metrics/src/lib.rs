@@ -53,7 +53,7 @@ pub mod c2cache;
 pub mod criteria;
 pub mod objective;
 
-pub use binpack::{pack, pack_totals_multiset, CapMultiset, FitPolicy, PackOutcome};
+pub use binpack::{item_runs, pack, pack_totals, FitPolicy, PackOutcome};
 pub use c1cache::C1Cache;
 pub use c2cache::C2Cache;
 pub use criteria::{

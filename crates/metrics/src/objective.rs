@@ -120,15 +120,14 @@ pub fn evaluate_with_c2(
     combine(future, weights, c1p, c1m, c2p, c2m)
 }
 
-/// [`evaluate_with_c2`] with the C1 terms additionally served by the
-/// incremental bin-packing bound: `cache` keeps the slack containers in
-/// a patched capacity multiset (see [`C1Cache`]) and repacks only the
-/// gap-list segments the delta invalidated, detected by `Arc` identity
-/// of the profile's shared storage. The order-dependent
+/// [`evaluate_with_c2`] with the C1 terms served by the batched packer:
+/// `cache` keeps the future items as `(size, count)` runs (see
+/// [`C1Cache`]) and packs them into this profile's container sizes,
+/// gathered and sorted afresh on every call. The order-dependent
 /// [`FitPolicy::FirstFit`] falls back to the full packer inside, so the
 /// result is identical to [`evaluate_with_c2`] for every policy — the
-/// weighting arithmetic is shared, and the debug assertion pins the C1
-/// equality on every call of a debug build.
+/// weighting arithmetic is shared, and the debug assertions check the
+/// C1 terms against the naive packer on every call of a debug build.
 pub fn evaluate_with_c1_delta(
     arch: &Architecture,
     slack: &SlackProfile,

@@ -66,9 +66,10 @@ counters! {
     MemoInserts => "memo_inserts",
     /// Solution-memo entries evicted by the stamp-median retain.
     MemoEvictions => "memo_evictions",
-    /// C1 container multisets patched in place (changed lists only).
+    /// Retired, never bumped (reads 0): C1 no longer patches containers
+    /// by `Arc` identity. Kept registered for existing readers.
     C1Patched => "c1_patched",
-    /// C1 container multisets rebuilt from scratch.
+    /// C1 future-item runs rebuilt (new future profile, horizon or bus rate).
     C1Repacked => "c1_repacked",
     /// C2 terms answered by `Arc` pointer identity without recomputing.
     C2IdentityHits => "c2_identity_hits",

@@ -338,8 +338,8 @@ fn sa_best_snapshot_is_consistent() {
 /// The satellite contract of the differential fuzz suite, lifted to the
 /// cost level: along random single-move chains, the delta path's C1/C2
 /// terms and final cost are bit-equal to the naive oracle at every
-/// step (the incremental C1 multiset and the identity-keyed C2 caches
-/// sit only on the delta context).
+/// step (the batched C1 packer and the identity-keyed C2 cache sit only
+/// on the delta context).
 #[test]
 fn delta_costs_bit_equal_along_single_move_chains() {
     for (seed, existing, current) in [(2u64, 25usize, 8usize), (11, 35, 11)] {
