@@ -498,3 +498,26 @@ pub fn run_mh_ablation(preset: &PaperPreset, size: usize) -> Vec<(u64, f64, usiz
     }
     rows
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use incdes_synth::paper::{dac2001, dac2001_small};
+
+    /// The figure campaigns load back unchanged under the strict spec
+    /// parser (every spec type denies unknown fields).
+    #[test]
+    fn figure_campaign_specs_round_trip() {
+        for preset in [dac2001(), dac2001_small()] {
+            let mh = MhConfig::default();
+            for spec in [
+                quality_campaign_spec(&preset, &mh, &SaConfig::default()),
+                future_campaign_spec(&preset, &mh, 4),
+            ] {
+                let json = serde_json::to_string(&spec).unwrap();
+                let back: CampaignSpec = serde_json::from_str(&json).unwrap();
+                assert_eq!(back, spec);
+            }
+        }
+    }
+}

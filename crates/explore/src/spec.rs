@@ -20,6 +20,7 @@ use std::fmt;
 
 /// Where the campaign's generator configuration comes from.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub enum BaseSpec {
     /// An inline generator configuration.
     Config(SynthConfig),
@@ -40,6 +41,7 @@ pub enum Count {
 
 /// One step of the incremental lifecycle script.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub enum ScriptStep {
     /// Generate an application and commit it with
     /// [`incdes_core::System::add_application`].
@@ -95,6 +97,7 @@ pub enum ScriptStep {
 
 /// A labelled objective-weight setting (one point on the weights axis).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct WeightSetting {
     /// Short label used in reports.
     pub label: String,
@@ -114,6 +117,7 @@ impl Default for WeightSetting {
 /// A deterministic scenario campaign: the full grid plus the lifecycle
 /// script every scenario executes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct CampaignSpec {
     /// Campaign name (recorded in the report).
     pub name: String,
@@ -389,6 +393,29 @@ mod tests {
         let json = serde_json::to_string_pretty(&spec).unwrap();
         let back: CampaignSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(back, spec);
+    }
+
+    /// Misspelled fields are errors that name the field and its type,
+    /// at the top level and inside the nested spec types alike.
+    #[test]
+    fn misspelled_spec_fields_are_rejected() {
+        let mut spec = CampaignSpec::small_demo();
+        spec.weight_settings = vec![WeightSetting::default()];
+        let json = serde_json::to_string(&spec).unwrap();
+        for (field, typo, ty) in [
+            ("check_invariants", "check_invariant", "CampaignSpec"),
+            ("weight_settings", "weight_setting", "CampaignSpec"),
+            ("label", "lable", "WeightSetting"),
+            ("pe_count", "pe_cnt", "SynthConfig"),
+            ("future", "futre", "ScriptStep::Add"),
+        ] {
+            let bad = json.replacen(&format!("\"{field}\""), &format!("\"{typo}\""), 1);
+            assert_ne!(bad, json, "{field} is in the spec");
+            let err = serde_json::from_str::<CampaignSpec>(&bad)
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains(typo) && err.contains(ty), "{typo}: {err}");
+        }
     }
 
     #[test]

@@ -34,7 +34,14 @@
 //!   them into the containers, gathered afresh on every call;
 //! * a solution-fingerprint memo returns previously evaluated design
 //!   alternatives without re-scheduling, so SA's revisited states and
-//!   MH's widening rounds skip duplicate schedules.
+//!   MH's widening rounds skip duplicate schedules;
+//! * the search is **table-free**: a raw schedule yields the current
+//!   application's placements in step order, and the memo, IM, MH and
+//!   SA score and compare those. The canonical `ScheduleTable` (one sort
+//!   of the placements merged with the frozen base's pre-sorted jobs and
+//!   messages) is built only for a design a caller receives — the public
+//!   [`MappingContext::evaluate`] and a strategy's final result — and
+//!   never by re-scheduling.
 //!
 //! [`MappingContext::evaluation_count`] keeps its historical meaning —
 //! every [`evaluate`](MappingContext::evaluate) call counts, memo hit or
@@ -56,7 +63,10 @@ use incdes_model::{AppId, Application, Architecture, FutureProfile, PeId, Time};
 use incdes_obs::counters::{self, Counter};
 use incdes_obs::phase::{self, Phase};
 use incdes_sched::engine::{check_horizon, ChangedVar, FrozenBase, Scheduler, RECORD_CACHE_CAP};
-use incdes_sched::{schedule, AppSpec, SchedError, ScheduleTable, SlackProfile};
+use incdes_sched::{
+    schedule, AppSpec, PeTimeline, Placements, SchedError, ScheduleTable, SlackProfile,
+};
+use incdes_tdma::BusTimeline;
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -226,13 +236,28 @@ pub struct Evaluation {
     pub cost: DesignCost,
 }
 
+/// A scored design alternative as the search loops keep it: the cost,
+/// the slack profile and the current application's placements — every
+/// part of an [`Evaluation`] except the merged table, which
+/// [`MappingContext::materialize`] builds for the designs a caller
+/// receives. Cloning is a handful of reference-count bumps.
+#[derive(Debug, Clone)]
+pub(crate) struct Scored {
+    /// The objective-function value.
+    pub(crate) cost: DesignCost,
+    /// The slack profile of the design's schedule.
+    pub(crate) slack: SlackProfile,
+    /// The current application's jobs (step order) and messages.
+    pub(crate) placements: Placements,
+}
+
 /// Upper bound on memoized design alternatives. When the memo fills up
 /// the stale half is evicted (entries whose last hit is at or below the
 /// median stamp): SA and MH revisit *recent* states, so the LRU-ish
 /// policy keeps the hit rate high while capping the memory spent on
-/// full `Evaluation` clones — and, unlike a wholesale clear, it keeps
-/// the recently raw-scheduled predecessors resident, coherent with the
-/// scheduler's record cache.
+/// memo entries (cost, slack and placements) — and, unlike a wholesale
+/// clear, it keeps the recently raw-scheduled predecessors resident,
+/// coherent with the scheduler's record cache.
 const MEMO_CAP: usize = 512;
 
 /// Minimum number of raw schedules in a context's lifetime before the
@@ -332,7 +357,7 @@ impl MemoKey {
 /// LRU-ish eviction at [`MEMO_CAP`].
 #[derive(Debug)]
 struct MemoEntry {
-    result: Result<Evaluation, SchedError>,
+    result: Result<Scored, SchedError>,
     stamp: u64,
 }
 
@@ -649,6 +674,16 @@ fn note_raw_schedule(
 }
 
 impl EvalEngine {
+    /// The frozen base, baked on first use unless one was injected.
+    fn base(&mut self, scene: &Scene<'_>) -> Result<&Arc<FrozenBase>, SchedError> {
+        self.base
+            .get_or_insert_with(|| {
+                FrozenBase::new(scene.arch, scene.frozen, scene.horizon).map(Arc::new)
+            })
+            .as_ref()
+            .map_err(Clone::clone)
+    }
+
     /// LRU-ish memo eviction at [`MEMO_CAP`]: drop the stale half
     /// (entries whose last hit is at or below the median stamp) —
     /// *except* entries still named by the `recent` record-cache
@@ -740,7 +775,7 @@ fn engine_evaluate(
     counts: &mut EngineCounts,
     full_engine: bool,
     solution: &Solution,
-) -> Result<Evaluation, SchedError> {
+) -> Result<Scored, SchedError> {
     let lookup_scope = phase::scope(Phase::Memo);
     let mut key = std::mem::take(&mut engine.key_scratch);
     key.assign(solution);
@@ -782,7 +817,7 @@ fn engine_evaluate_raw(
     solution: &Solution,
     key: &MemoKey,
     fp: u64,
-) -> Result<Evaluation, SchedError> {
+) -> Result<Scored, SchedError> {
     // Spec assembly and validation are the delta machinery's
     // front-end, like expansion inside the engine: charge them to the
     // splice phase (closed before the engine call so its own splice
@@ -899,13 +934,17 @@ fn engine_evaluate_raw(
         let _bookkeeping_scope = phase::scope(Phase::Splice);
         note_raw_schedule(recent, fp, key, chosen);
     }
-    let (table, slack) = run?;
+    let (placements, slack) = run?;
     // C2 terms: gap lists aliased from the frozen base (untouched
     // PEs) or the previous evaluation (PEs unchanged by the delta)
     // hit by storage identity; changed lists re-measure only the
     // windows their diff span intersects.
     let cost = score_slack(scene, c2, c1, &slack);
-    Ok(Evaluation { table, slack, cost })
+    Ok(Scored {
+        cost,
+        slack,
+        placements,
+    })
 }
 
 /// A batch worker's evaluation: the full (splice-free) path against the
@@ -919,14 +958,18 @@ fn evaluate_shared_full(
     worker: &mut EvalEngine,
     solution: &Solution,
     fp: u64,
-) -> Result<Evaluation, SchedError> {
+) -> Result<Scored, SchedError> {
     let spec = AppSpec::new(scene.app_id, scene.app, &solution.mapping, &solution.hints);
-    let (table, slack) =
+    let (placements, slack) =
         worker
             .scheduler
             .schedule_keyed_with_slack(scene.arch, &[spec], base, fp)?;
     let cost = score_slack(scene, &mut worker.c2, &mut worker.c1, &slack);
-    Ok(Evaluation { table, slack, cost })
+    Ok(Scored {
+        cost,
+        slack,
+        placements,
+    })
 }
 
 /// Everything a strategy needs to evaluate design alternatives for one
@@ -1071,7 +1114,8 @@ impl<'a> MappingContext<'a> {
         self
     }
 
-    /// Schedules and scores one design alternative.
+    /// Schedules and scores one design alternative, and builds its
+    /// complete schedule table.
     ///
     /// # Errors
     ///
@@ -1079,23 +1123,77 @@ impl<'a> MappingContext<'a> {
     /// [`SchedError::is_infeasible`] to distinguish "does not fit" from
     /// "malformed input".
     pub fn evaluate(&self, solution: &Solution) -> Result<Evaluation, SchedError> {
-        let mut counts = self.counts.get();
-        counts.evaluations += 1;
-        self.counts.set(counts);
-        self.evaluate_inner(solution)
+        if self.naive {
+            self.count_evaluation();
+            return self.evaluate_naive(solution);
+        }
+        self.score(solution).map(|scored| self.materialize(scored))
     }
 
-    /// [`evaluate`](Self::evaluate) without touching
+    /// [`evaluate`](Self::evaluate) without the table: what the search
+    /// loops compare. Counts one evaluation.
+    pub(crate) fn score(&self, solution: &Solution) -> Result<Scored, SchedError> {
+        self.count_evaluation();
+        self.score_inner(solution)
+    }
+
+    /// [`score`](Self::score) without touching
     /// [`evaluation_count`](Self::evaluation_count) — bookkeeping
     /// re-derivations (SA rebuilding its best snapshot at the end) must
     /// not perturb the evaluation counts the paper tables report.
-    pub(crate) fn evaluate_snapshot(&self, solution: &Solution) -> Result<Evaluation, SchedError> {
-        self.evaluate_inner(solution)
+    pub(crate) fn score_snapshot(&self, solution: &Solution) -> Result<Scored, SchedError> {
+        self.score_inner(solution)
     }
 
-    fn evaluate_inner(&self, solution: &Solution) -> Result<Evaluation, SchedError> {
+    /// Builds the complete table of a scored design — one sort of its
+    /// placements merged with the frozen base's pre-sorted jobs and
+    /// messages, no re-scheduling — for a design a caller receives. Not
+    /// an evaluation: [`evaluation_count`](Self::evaluation_count) is
+    /// untouched.
+    pub(crate) fn materialize(&self, scored: Scored) -> Evaluation {
+        let table = match &self.engine.borrow().base {
+            Some(Ok(base)) => base.materialize(&scored.placements),
+            // The naive pipeline keeps no base; its designs merge with
+            // the frozen table directly (the base's content).
+            _ => match self.frozen {
+                Some(frozen) => scored.placements.materialize(frozen),
+                None => scored
+                    .placements
+                    .materialize(&ScheduleTable::empty(self.horizon)),
+            },
+        };
+        Evaluation {
+            table,
+            slack: scored.slack,
+            cost: scored.cost,
+        }
+    }
+
+    /// The frozen occupancy the initial mapping's probe starts from: the
+    /// baked base's timelines, an `Arc` bump per layer. The naive
+    /// pipeline keeps no base, so it bakes a transient one.
+    pub(crate) fn frozen_occupancy(&self) -> Result<(Vec<PeTimeline>, BusTimeline), SchedError> {
+        let base = if self.naive {
+            Arc::new(FrozenBase::new(self.arch, self.frozen, self.horizon)?)
+        } else {
+            Arc::clone(self.engine.borrow_mut().base(&self.scene())?)
+        };
+        Ok((base.pe_timelines(), base.bus_timeline()))
+    }
+
+    fn count_evaluation(&self) {
+        let mut counts = self.counts.get();
+        counts.evaluations += 1;
+        self.counts.set(counts);
+    }
+
+    fn score_inner(&self, solution: &Solution) -> Result<Scored, SchedError> {
         if self.naive {
-            return self.evaluate_naive(solution);
+            return self.evaluate_naive(solution).map(|e| Scored {
+                placements: Placements::of_app(&e.table, self.app_id),
+                slack: e.slack,
+                cost: e.cost,
+            });
         }
         let mut engine = self.engine.borrow_mut();
         let mut counts = self.counts.get();
@@ -1191,11 +1289,11 @@ impl<'a> MappingContext<'a> {
     /// Evaluates a whole candidate batch, honoring this context's
     /// [`SearchParallelism`]. Sequential mode (and the naive pipeline)
     /// evaluates in candidate-index order through
-    /// [`evaluate`](Self::evaluate), so the results — and every counter
+    /// [`score`](Self::score), so the results — and every counter
     /// — are exactly what the per-candidate loop produced before this
     /// API existed. Parallel mode runs the deterministic batch protocol
     /// of [`evaluate_batch`](Self::evaluate_batch).
-    pub(crate) fn evaluate_all(&self, trials: &[Solution]) -> Vec<Result<Evaluation, SchedError>> {
+    pub(crate) fn evaluate_all(&self, trials: &[Solution]) -> Vec<Result<Scored, SchedError>> {
         match self.parallelism {
             SearchParallelism::Parallel { threads, .. } if !self.naive && !trials.is_empty() => {
                 self.evaluate_batch(
@@ -1204,7 +1302,7 @@ impl<'a> MappingContext<'a> {
                     self.parallelism.effective_batch_cutover(),
                 )
             }
-            _ => trials.iter().map(|t| self.evaluate(t)).collect(),
+            _ => trials.iter().map(|t| self.score(t)).collect(),
         }
     }
 
@@ -1235,7 +1333,7 @@ impl<'a> MappingContext<'a> {
         trials: &[Solution],
         threads: usize,
         batch_cutover: usize,
-    ) -> Vec<Result<Evaluation, SchedError>> {
+    ) -> Vec<Result<Scored, SchedError>> {
         struct Miss {
             idx: usize,
             key: MemoKey,
@@ -1259,7 +1357,7 @@ impl<'a> MappingContext<'a> {
         let mut engine = self.engine.borrow_mut();
         let mut counts = self.counts.get();
         let n = trials.len();
-        let mut out: Vec<Option<Result<Evaluation, SchedError>>> = (0..n).map(|_| None).collect();
+        let mut out: Vec<Option<Result<Scored, SchedError>>> = (0..n).map(|_| None).collect();
         let mut plans: Vec<Plan> = Vec::with_capacity(n);
         let mut misses: Vec<Miss> = Vec::new();
 
@@ -1312,14 +1410,10 @@ impl<'a> MappingContext<'a> {
 
         // Pass 2: dispatch the runnable misses to worker engines.
         if misses.iter().any(|m| m.run) {
-            let base = engine.base.get_or_insert_with(|| {
-                FrozenBase::new(scene.arch, scene.frozen, scene.horizon).map(Arc::new)
-            });
-            match base {
+            match engine.base(&scene) {
                 Err(e) => {
                     // Base errors precede the raw-schedule count, as in
                     // the sequential path.
-                    let e = e.clone();
                     for m in misses.iter_mut().filter(|m| m.run) {
                         out[m.idx] = Some(Err(e.clone()));
                         m.run = false;
@@ -1341,9 +1435,7 @@ impl<'a> MappingContext<'a> {
                             .map(|_| pool.pop().unwrap_or_default())
                             .collect()
                     };
-                    let produced: Vec<(usize, Result<Evaluation, SchedError>)> = if worker_count
-                        == 1
-                    {
+                    let produced: Vec<(usize, Result<Scored, SchedError>)> = if worker_count == 1 {
                         let eng = &mut engines[0];
                         jobs.iter()
                             .map(|&(idx, fp)| {
@@ -1453,15 +1545,8 @@ impl<'a> MappingContext<'a> {
         if self.naive {
             return None;
         }
-        let mut engine = self.engine.borrow_mut();
-        let base = engine.base.get_or_insert_with(|| {
-            FrozenBase::new(self.arch, self.frozen, self.horizon).map(Arc::new)
-        });
-        let base = match base {
-            Ok(b) => Arc::clone(b),
-            Err(_) => return None,
-        };
         let scene = self.scene();
+        let base = Arc::clone(self.engine.borrow_mut().base(&scene).ok()?);
         Some(
             (0..n)
                 .map(|_| ChainCtx {
@@ -1514,7 +1599,7 @@ pub(crate) struct ChainCtx<'a> {
 impl ChainCtx<'_> {
     /// Schedules and scores one design alternative on this chain's
     /// private engine, counting one evaluation.
-    pub(crate) fn evaluate(&mut self, solution: &Solution) -> Result<Evaluation, SchedError> {
+    pub(crate) fn score(&mut self, solution: &Solution) -> Result<Scored, SchedError> {
         self.counts.evaluations += 1;
         engine_evaluate(
             &self.scene,
@@ -1525,13 +1610,10 @@ impl ChainCtx<'_> {
         )
     }
 
-    /// Re-derives an evaluation for exchange bookkeeping without
+    /// Re-derives a scored design for exchange bookkeeping without
     /// counting a design-space probe (the portfolio analogue of
-    /// [`MappingContext::evaluate_snapshot`]).
-    pub(crate) fn evaluate_snapshot(
-        &mut self,
-        solution: &Solution,
-    ) -> Result<Evaluation, SchedError> {
+    /// [`MappingContext::score_snapshot`]).
+    pub(crate) fn score_snapshot(&mut self, solution: &Solution) -> Result<Scored, SchedError> {
         engine_evaluate(
             &self.scene,
             &mut self.engine,
@@ -1553,7 +1635,7 @@ fn parallel_safety_asserts(scene: Scene<'_>, engine: EvalEngine, chain: ChainCtx
     assert_sync(scene);
     assert_send(engine);
     assert_send(chain);
-    let _ = assert_send::<Result<Evaluation, SchedError>>;
+    let _ = assert_send::<Result<Scored, SchedError>>;
 }
 
 #[cfg(test)]

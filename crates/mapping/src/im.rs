@@ -19,8 +19,7 @@ use crate::context::{MapError, MappingContext};
 use crate::solution::Solution;
 use incdes_graph::NodeId;
 use incdes_model::{PeId, ProcRef, Time};
-use incdes_sched::{priority, Mapping, PeTimeline};
-use incdes_tdma::BusTimeline;
+use incdes_sched::{priority, Mapping};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
@@ -46,7 +45,7 @@ pub fn initial_mapping(ctx: &MappingContext<'_>) -> Result<Solution, MapError> {
 
     // The probe only looked at instance 0 of each graph; verify on the
     // full hyperperiod and repair if needed.
-    match ctx.evaluate(&solution) {
+    match ctx.score(&solution) {
         Ok(_) => Ok(solution),
         Err(e) if !e.is_infeasible() => Err(MapError::InvalidInput(e)),
         Err(first) => repair(ctx, solution, first),
@@ -58,21 +57,8 @@ fn hcp_probe(ctx: &MappingContext<'_>) -> Result<Mapping, MapError> {
     let arch = ctx.arch;
     let app = ctx.app;
 
-    // Frozen occupancy.
-    let mut pes: Vec<PeTimeline> = match ctx.frozen {
-        Some(t) => t.pe_timelines(arch),
-        None => (0..arch.pe_count())
-            .map(|_| PeTimeline::new(ctx.horizon))
-            .collect(),
-    };
-    let mut bus: BusTimeline = match ctx.frozen {
-        Some(t) => t.bus_timeline(arch),
-        None => BusTimeline::new(arch.bus(), ctx.horizon).map_err(|_| MapError::Infeasible {
-            last: incdes_sched::SchedError::BadHorizon {
-                horizon: ctx.horizon,
-            },
-        })?,
-    };
+    // Frozen occupancy, straight from the baked base.
+    let (mut pes, mut bus) = ctx.frozen_occupancy().map_err(MapError::InvalidInput)?;
 
     let priorities = priority::app_priorities(arch, app);
 
@@ -239,7 +225,7 @@ fn repair(
         }
         let pe = pes[rng.gen_range(0..pes.len())];
         let prev = solution.mapping.assign(*pr, pe);
-        match ctx.evaluate(&solution) {
+        match ctx.score(&solution) {
             Ok(_) => return Ok(solution),
             Err(e) if !e.is_infeasible() => return Err(MapError::InvalidInput(e)),
             Err(e) => {

@@ -15,7 +15,7 @@
 //! different slack on the same PE, shift a message to a different bus
 //! slot), commits the best improving one, and stops at a local optimum.
 
-use crate::context::{Evaluation, MapError, MappingContext};
+use crate::context::{Evaluation, MapError, MappingContext, Scored};
 use crate::solution::{Move, Solution};
 use incdes_model::{PeId, ProcRef, Time};
 use incdes_sched::MsgRef;
@@ -72,7 +72,7 @@ pub fn mapping_heuristic(
     cfg: &MhConfig,
 ) -> Result<MhOutcome, MapError> {
     let mut current = initial;
-    let mut current_eval = ctx.evaluate(&current).map_err(|e| {
+    let mut current_eval = ctx.score(&current).map_err(|e| {
         if e.is_infeasible() {
             MapError::Infeasible { last: e }
         } else {
@@ -108,7 +108,7 @@ pub fn mapping_heuristic(
             let fresh: Vec<Move> = moves.into_iter().filter(|mv| tried.insert(*mv)).collect();
             let trials: Vec<Solution> = fresh.iter().map(|mv| current.with_move(mv)).collect();
             let results = ctx.evaluate_all(&trials);
-            let mut best: Option<(Move, Evaluation)> = None;
+            let mut best: Option<(Move, Scored)> = None;
             for (mv, result) in fresh.iter().zip(results) {
                 let Ok(eval) = result else {
                     continue; // infeasible move — skip
@@ -139,16 +139,19 @@ pub fn mapping_heuristic(
     }
     Ok(MhOutcome {
         solution: current,
-        evaluation: current_eval,
+        evaluation: ctx.materialize(current_eval),
         iterations,
     })
 }
 
-/// Builds the candidate move list for one iteration.
+/// Builds the candidate move list for one iteration. Reads the current
+/// application's placements only, and in an order-insensitive way (a
+/// per-process sum, one duration per message), so their step order
+/// never shows in the moves.
 fn candidate_moves(
     ctx: &MappingContext<'_>,
     current: &Solution,
-    eval: &Evaluation,
+    eval: &Scored,
     cfg: &MhConfig,
 ) -> Vec<Move> {
     let arch = ctx.arch;
@@ -159,12 +162,10 @@ fn candidate_moves(
         .map(|i| worst_window_of(&eval.slack, PeId(i as u32), t_min))
         .collect();
 
-    // Potential of each process of the current application.
+    // Potential of each process of the current application (the frozen
+    // applications are untouchable and not among the placements).
     let mut potential: BTreeMap<ProcRef, u64> = BTreeMap::new();
-    for job in eval.table.jobs() {
-        if job.job.app != ctx.app_id {
-            continue; // frozen applications are untouchable
-        }
+    for job in eval.placements.jobs() {
         let pr = job.job.proc_ref();
         let tls = &eval.slack;
         // Slack bordering this job on its PE.
@@ -222,8 +223,8 @@ fn candidate_moves(
     // transmissions first (they dominate both bus metrics).
     let mut msgs: BTreeSet<MsgRef> = BTreeSet::new();
     let mut sized: Vec<(Time, MsgRef)> = Vec::new();
-    for m in eval.table.messages() {
-        if m.app == ctx.app_id && msgs.insert(m.msg) {
+    for m in eval.placements.messages() {
+        if msgs.insert(m.msg) {
             sized.push((m.reservation.duration(), m.msg));
         }
     }

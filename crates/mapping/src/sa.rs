@@ -6,7 +6,7 @@
 //! objective; the paper uses it as the yardstick the other strategies'
 //! *average deviation* is measured against.
 
-use crate::context::{ChainCtx, Evaluation, MapError, MappingContext, SearchParallelism};
+use crate::context::{ChainCtx, Evaluation, MapError, MappingContext, Scored, SearchParallelism};
 use crate::solution::{Move, Solution};
 use incdes_metrics::DesignCost;
 use incdes_model::{PeId, ProcRef};
@@ -91,7 +91,7 @@ pub fn simulated_annealing(
     initial: Solution,
     cfg: &SaConfig,
 ) -> Result<SaOutcome, MapError> {
-    let current_eval = ctx.evaluate(&initial).map_err(|e| {
+    let current_eval = ctx.score(&initial).map_err(|e| {
         if e.is_infeasible() {
             MapError::Infeasible { last: e }
         } else {
@@ -163,7 +163,7 @@ pub fn simulated_annealing(
 fn anneal_classic(
     ctx: &MappingContext<'_>,
     initial: Solution,
-    initial_eval: Evaluation,
+    initial_eval: Scored,
     procs: &[(ProcRef, Vec<PeId>)],
     msgs: &[MsgRef],
     cfg: &SaConfig,
@@ -171,10 +171,9 @@ fn anneal_classic(
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
     let mut current = initial;
     let mut current_eval = initial_eval;
-    // The best solution is tracked as (solution, cost) only — cloning the
-    // full `Evaluation` (schedule table + slack profile) on every
-    // improvement dominated SA's bookkeeping cost. The evaluation is
-    // re-derived once at the end (a memo hit on the engine path).
+    // The best solution is tracked as (solution, cost) only; its scored
+    // design is re-derived once at the end (a memo hit on the engine
+    // path).
     let mut best = current.clone();
     let mut best_cost = current_eval.cost;
 
@@ -194,7 +193,7 @@ fn anneal_classic(
             proposed += 1;
             let trial = current.with_move(&mv);
             evals += 1;
-            let Ok(eval) = ctx.evaluate(&trial) else {
+            let Ok(eval) = ctx.score(&trial) else {
                 continue; // infeasible proposals are always rejected
             };
             let delta = eval.cost.total - current_eval.cost.total;
@@ -217,18 +216,18 @@ fn anneal_classic(
 
     // Rebuild the best evaluation. The scheduler is deterministic, so a
     // solution that evaluated feasibly once evaluates feasibly again;
-    // `evaluate_snapshot` leaves `evaluation_count()` untouched (this is
+    // `score_snapshot` leaves `evaluation_count()` untouched (this is
     // bookkeeping, not a design-space probe).
     let best_eval = if best == current {
         current_eval
     } else {
-        ctx.evaluate_snapshot(&best)
+        ctx.score_snapshot(&best)
             .expect("best solution was feasible when first evaluated")
     };
     debug_assert_eq!(best_eval.cost.total, best_cost.total);
     SaOutcome {
         solution: best,
-        evaluation: best_eval,
+        evaluation: ctx.materialize(best_eval),
         accepted,
         proposed,
     }
@@ -242,7 +241,7 @@ struct Chain<'a> {
     cx: ChainCtx<'a>,
     rng: ChaCha8Rng,
     current: Solution,
-    current_eval: Evaluation,
+    current_eval: Scored,
     best: Solution,
     best_cost: DesignCost,
     temp: f64,
@@ -274,7 +273,7 @@ fn chain_step(
     lane.proposed += 1;
     let trial = lane.current.with_move(&mv);
     lane.evals += 1;
-    if let Ok(eval) = lane.cx.evaluate(&trial) {
+    if let Ok(eval) = lane.cx.score(&trial) {
         let delta = eval.cost.total - lane.current_eval.cost.total;
         let accept = delta <= 0.0 || lane.rng.gen::<f64>() < (-delta / lane.temp).exp();
         if accept {
@@ -331,7 +330,7 @@ fn anneal_portfolio(
     ctx: &MappingContext<'_>,
     chains: Vec<ChainCtx<'_>>,
     initial: Solution,
-    initial_eval: Evaluation,
+    initial_eval: Scored,
     procs: &[(ProcRef, Vec<PeId>)],
     msgs: &[MsgRef],
     cfg: &SaConfig,
@@ -422,7 +421,7 @@ fn anneal_portfolio(
             // engine (usually a memo hit after the first adoption).
             lane.current_eval = lane
                 .cx
-                .evaluate_snapshot(&lane.current)
+                .score_snapshot(&lane.current)
                 .expect("global best was feasible on a sibling chain");
             if gb_cost.total < lane.best_cost.total - 1e-12 {
                 lane.best = gb_sol.clone();
@@ -448,12 +447,12 @@ fn anneal_portfolio(
     // Rebuild the best evaluation on the owning context (memo hit when
     // the initial solution was never improved).
     let best_eval = ctx
-        .evaluate_snapshot(&best)
+        .score_snapshot(&best)
         .expect("best solution was feasible when first evaluated");
     debug_assert_eq!(best_eval.cost.total, best_cost.total);
     SaOutcome {
         solution: best,
-        evaluation: best_eval,
+        evaluation: ctx.materialize(best_eval),
         accepted,
         proposed,
     }

@@ -226,6 +226,72 @@ mod tests {
         assert!(sa.evaluation.cost.total <= ah.evaluation.cost.total + 1e-9);
     }
 
+    /// The search is table-free: whatever its evaluation count, a run
+    /// builds exactly one schedule table — the returned design's —
+    /// sequentially and with parallel MH batches and SA chains alike.
+    #[test]
+    fn each_strategy_run_materializes_one_table() {
+        use crate::context::SearchParallelism;
+        use incdes_obs::counters::{self, Counter};
+        let arch = arch2();
+        let mut g = ProcessGraph::new("g", Time::new(240), Time::new(240));
+        for i in 0..6 {
+            g.add_process(
+                Process::new(format!("p{i}"))
+                    .wcet(PeId(0), Time::new(20))
+                    .wcet(PeId(1), Time::new(20)),
+            );
+        }
+        let app = Application::new("app", vec![g]);
+        // A demand no design meets keeps the cost positive, so MH and SA
+        // search until their budgets run out instead of stopping at 0.
+        let future = FutureProfile::new(
+            Time::new(240),
+            Time::new(10_000),
+            Time::ZERO,
+            Histogram::point(Time::new(240)),
+            Histogram::point(1u32),
+        );
+        let weights = Weights::default();
+        let parallel = SearchParallelism::Parallel {
+            threads: 2,
+            batch_cutover: 1,
+            sa_chains: 2,
+            sa_exchange_period: 8,
+        };
+        for parallelism in [SearchParallelism::Sequential, parallel] {
+            for strategy in [
+                Strategy::AdHoc,
+                Strategy::mh(),
+                Strategy::SimulatedAnnealing(SaConfig::quick()),
+            ] {
+                let ctx = MappingContext::new(
+                    &arch,
+                    AppId(0),
+                    &app,
+                    None,
+                    Time::new(240),
+                    &future,
+                    &weights,
+                )
+                .with_parallelism(parallelism);
+                let before = counters::snapshot();
+                let out = run_strategy(&ctx, &strategy).unwrap();
+                let d = counters::snapshot().delta_since(&before);
+                let label = format!("{} {parallelism:?}", strategy.name());
+                assert_eq!(d.get(Counter::TablesMaterialized), 1, "{label}");
+                if !matches!(strategy, Strategy::AdHoc) {
+                    assert!(out.stats.evaluations > 10, "{label}");
+                }
+                // The one table is the design's complete schedule.
+                assert_eq!(
+                    out.evaluation.table,
+                    ctx.evaluate(&out.solution).unwrap().table
+                );
+            }
+        }
+    }
+
     #[test]
     fn run_stats_merge_is_associative() {
         let stats = |k: usize| RunStats {

@@ -113,6 +113,9 @@ counters! {
     ArenaPatched => "arena_patched",
     /// Job arenas rebuilt by a full expansion.
     ArenaExpansions => "arena_expansions",
+    /// Schedule tables built from a run's placements by the one merge
+    /// routine: one per design a caller receives, none per evaluation.
+    TablesMaterialized => "tables_materialized",
 }
 
 thread_local! {

@@ -52,7 +52,9 @@ phases! {
     Undo => "undo",
     /// Divergence analysis, source-prefix replay and prefix splicing.
     Splice => "splice",
-    /// List-scheduling the suffix and assembling the output table.
+    /// List-scheduling the suffix and recording the run's placements.
+    /// No table is assembled here: tables are built on demand, outside
+    /// every phase.
     RePlace => "replace",
     /// Deriving the incremental `SlackProfile`.
     Slack => "slack",

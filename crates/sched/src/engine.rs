@@ -95,6 +95,13 @@
 //! base's gap lists, and on the delta path PEs untouched *by the delta*
 //! alias the previous evaluation's lists, so profile assembly costs one
 //! reference-count bump per unchanged resource.
+//!
+//! A run's placements come back as [`Placements`] — jobs in step order,
+//! messages in emission order, copied from the run record — not as a
+//! table. The keyed entry points hand them to the caller as they are;
+//! the table-returning ones build the canonical [`ScheduleTable`] with
+//! [`FrozenBase::materialize`]: one sort of the placements merged with
+//! the frozen table's canonical sequences.
 
 use crate::job::JobId;
 use crate::list::{AppSpec, SchedError};
@@ -148,10 +155,11 @@ pub struct FrozenBase {
     pes: Vec<PeTimeline>,
     /// Bus occupancy holding exactly the frozen messages.
     bus: BusTimeline,
-    /// The frozen jobs, in replay order.
-    jobs: Vec<ScheduledJob>,
-    /// The frozen messages, in frame-replay order.
-    msgs: Vec<ScheduledMessage>,
+    /// The frozen table itself (an empty one without frozen
+    /// applications): its canonical job and message sequences are the
+    /// pre-sorted half of every [`materialize`](Self::materialize)
+    /// merge. Shared with the caller's table, not copied.
+    frozen: ScheduleTable,
     /// Frozen-only idle intervals per PE, shared with every profile that
     /// leaves the PE untouched.
     pe_gaps: Vec<GapList>,
@@ -185,8 +193,6 @@ impl FrozenBase {
         let mut pes: Vec<PeTimeline> = (0..arch.pe_count())
             .map(|_| PeTimeline::new(horizon))
             .collect();
-        let mut jobs: Vec<ScheduledJob> = Vec::new();
-        let mut msgs: Vec<ScheduledMessage> = Vec::new();
         if let Some(fr) = frozen {
             if fr.horizon() != horizon {
                 return Err(SchedError::FrozenConflict);
@@ -198,7 +204,6 @@ impl FrozenBase {
                 pes[j.pe.index()]
                     .reserve(j.start, j.end)
                     .map_err(|_| SchedError::FrozenConflict)?;
-                jobs.push(*j);
             }
             // Replay messages in frame order so packing offsets reproduce.
             let mut ordered: Vec<&ScheduledMessage> = fr.messages().iter().collect();
@@ -214,7 +219,6 @@ impl FrozenBase {
                 if r.transmit_start != m.reservation.transmit_start {
                     return Err(SchedError::FrozenConflict);
                 }
-                msgs.push(*m);
             }
         }
         // Consolidate the replayed reservations so every scratch
@@ -240,8 +244,9 @@ impl FrozenBase {
             horizon,
             pes,
             bus,
-            jobs,
-            msgs,
+            frozen: frozen
+                .cloned()
+                .unwrap_or_else(|| ScheduleTable::empty(horizon)),
             pe_gaps,
             bus_windows: bus_windows.into(),
             window_occ,
@@ -276,12 +281,33 @@ impl FrozenBase {
 
     /// Number of frozen jobs baked into the base.
     pub fn frozen_job_count(&self) -> usize {
-        self.jobs.len()
+        self.frozen.jobs().len()
     }
 
     /// Number of frozen messages baked into the base.
     pub fn frozen_message_count(&self) -> usize {
-        self.msgs.len()
+        self.frozen.messages().len()
+    }
+
+    /// The per-PE busy timelines holding exactly the frozen jobs — equal
+    /// to [`ScheduleTable::pe_timelines`] of the frozen table, but
+    /// without the replay: each clone shares the baked consolidated
+    /// layer (one `Arc` bump per PE).
+    pub fn pe_timelines(&self) -> Vec<PeTimeline> {
+        self.pes.clone()
+    }
+
+    /// The bus occupancy holding exactly the frozen messages — equal to
+    /// [`ScheduleTable::bus_timeline`] of the frozen table, without the
+    /// frame replay (shared slot geometry plus a copy of the occupancy).
+    pub fn bus_timeline(&self) -> BusTimeline {
+        self.bus.clone()
+    }
+
+    /// The canonical table of the frozen schedule plus `placements`:
+    /// see [`Placements::materialize`].
+    pub fn materialize(&self, placements: &Placements) -> ScheduleTable {
+        placements.materialize(&self.frozen)
     }
 
     /// Frozen-only idle intervals of `pe`, in time order.
@@ -303,6 +329,66 @@ impl FrozenBase {
     /// The shared storage behind [`bus_windows`](Self::bus_windows).
     pub fn bus_windows_shared(&self) -> &GapList {
         &self.bus_windows
+    }
+}
+
+/// The current applications' placements of one run: every job in step
+/// (pop) order and every message in emission order, as the run record
+/// keeps them. This is what the search loops score, compare and
+/// memoize; the canonical [`ScheduleTable`] is built from it only on
+/// demand ([`materialize`](Self::materialize)). Cloning is two
+/// reference-count bumps.
+#[derive(Debug, Clone)]
+pub struct Placements {
+    jobs: Arc<[ScheduledJob]>,
+    msgs: Arc<[ScheduledMessage]>,
+}
+
+impl Placements {
+    /// The jobs and messages of `app` in `table`, in table order.
+    pub fn of_app(table: &ScheduleTable, app: AppId) -> Self {
+        Placements {
+            jobs: table
+                .jobs()
+                .iter()
+                .filter(|j| j.job.app == app)
+                .copied()
+                .collect(),
+            msgs: table
+                .messages()
+                .iter()
+                .filter(|m| m.app == app)
+                .copied()
+                .collect(),
+        }
+    }
+
+    /// The placed jobs, in step order.
+    pub fn jobs(&self) -> &[ScheduledJob] {
+        &self.jobs
+    }
+
+    /// The placed messages, in emission order.
+    pub fn messages(&self) -> &[ScheduledMessage] {
+        &self.msgs
+    }
+
+    /// The canonical table of `frozen` plus these placements: one sort
+    /// of the placements, then one linear merge with `frozen`'s
+    /// already-canonical jobs and messages. Equal to what
+    /// [`crate::schedule`] returns for the same design.
+    pub fn materialize(&self, frozen: &ScheduleTable) -> ScheduleTable {
+        let mut jobs = self.jobs.to_vec();
+        jobs.sort_by_key(crate::table::job_sort_key);
+        let mut msgs = self.msgs.to_vec();
+        msgs.sort_by_key(crate::table::message_sort_key);
+        ScheduleTable::from_sorted_merge(
+            frozen.horizon(),
+            frozen.jobs(),
+            &jobs,
+            frozen.messages(),
+            &msgs,
+        )
     }
 }
 
@@ -723,9 +809,6 @@ pub struct Scheduler {
     unprobed_promotions: u32,
     /// Scratch: which jobs the prefix replay already popped.
     popped: Vec<bool>,
-    /// Scratch: the current run's jobs/messages in table order.
-    cur_jobs: Vec<ScheduledJob>,
-    cur_msgs: Vec<ScheduledMessage>,
     /// Job-arena provenance: `(app pointer, id)` per spec plus the
     /// horizon the arena was expanded for. A hinted delta reuses the
     /// arena only when these match exactly (same `Application` objects,
@@ -874,7 +957,8 @@ impl Scheduler {
         apps: &[AppSpec<'_>],
         base: &FrozenBase,
     ) -> Result<ScheduleTable, SchedError> {
-        self.run(arch, apps, base, false, None, None, None)
+        let placements = self.run(arch, apps, base, false, None, None, None)?;
+        Ok(base.materialize(&placements))
     }
 
     /// Like [`schedule`](Self::schedule) but also derives the slack
@@ -892,9 +976,9 @@ impl Scheduler {
         apps: &[AppSpec<'_>],
         base: &FrozenBase,
     ) -> Result<(ScheduleTable, SlackProfile), SchedError> {
-        let table = self.run(arch, apps, base, false, None, None, None)?;
+        let placements = self.run(arch, apps, base, false, None, None, None)?;
         let slack = self.slack_profile(base);
-        Ok((table, slack))
+        Ok((base.materialize(&placements), slack))
     }
 
     /// [`schedule_with_slack`](Self::schedule_with_slack) that also
@@ -905,6 +989,10 @@ impl Scheduler {
     /// engaging the splice machinery themselves (which cannot amortize
     /// on short chains).
     ///
+    /// Like every keyed run it returns the current placements instead
+    /// of a table; [`FrozenBase::materialize`] builds the table when a
+    /// caller needs one.
+    ///
     /// # Errors
     ///
     /// As [`crate::schedule`].
@@ -914,10 +1002,10 @@ impl Scheduler {
         apps: &[AppSpec<'_>],
         base: &FrozenBase,
         fingerprint: u64,
-    ) -> Result<(ScheduleTable, SlackProfile), SchedError> {
-        let table = self.run(arch, apps, base, false, None, Some(fingerprint), None)?;
+    ) -> Result<(Placements, SlackProfile), SchedError> {
+        let placements = self.run(arch, apps, base, false, None, Some(fingerprint), None)?;
         let slack = self.slack_profile(base);
-        Ok((table, slack))
+        Ok((placements, slack))
     }
 
     /// The record-cache delta entry point:
@@ -947,10 +1035,10 @@ impl Scheduler {
         changed: Option<&[ChangedVar]>,
         fingerprint: u64,
         prefer: Option<u64>,
-    ) -> Result<(ScheduleTable, SlackProfile), SchedError> {
-        let table = self.run(arch, apps, base, true, changed, Some(fingerprint), prefer)?;
+    ) -> Result<(Placements, SlackProfile), SchedError> {
+        let placements = self.run(arch, apps, base, true, changed, Some(fingerprint), prefer)?;
         let slack = self.slack_profile(base);
-        Ok((table, slack))
+        Ok((placements, slack))
     }
 
     /// The **delta-scheduling** entry point: identical results to
@@ -969,9 +1057,9 @@ impl Scheduler {
         apps: &[AppSpec<'_>],
         base: &FrozenBase,
     ) -> Result<(ScheduleTable, SlackProfile), SchedError> {
-        let table = self.run(arch, apps, base, true, None, None, None)?;
+        let placements = self.run(arch, apps, base, true, None, None, None)?;
         let slack = self.slack_profile(base);
-        Ok((table, slack))
+        Ok((base.materialize(&placements), slack))
     }
 
     /// [`schedule_delta_with_slack`](Self::schedule_delta_with_slack)
@@ -986,7 +1074,8 @@ impl Scheduler {
         apps: &[AppSpec<'_>],
         base: &FrozenBase,
     ) -> Result<ScheduleTable, SchedError> {
-        self.run(arch, apps, base, true, None, None, None)
+        let placements = self.run(arch, apps, base, true, None, None, None)?;
+        Ok(base.materialize(&placements))
     }
 
     /// [`schedule_delta_with_slack`](Self::schedule_delta_with_slack)
@@ -1010,9 +1099,9 @@ impl Scheduler {
         base: &FrozenBase,
         changed: &[ChangedVar],
     ) -> Result<(ScheduleTable, SlackProfile), SchedError> {
-        let table = self.run(arch, apps, base, true, Some(changed), None, None)?;
+        let placements = self.run(arch, apps, base, true, Some(changed), None, None)?;
         let slack = self.slack_profile(base);
-        Ok((table, slack))
+        Ok((base.materialize(&placements), slack))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1025,7 +1114,7 @@ impl Scheduler {
         changed: Option<&[ChangedVar]>,
         fingerprint: Option<u64>,
         prefer: Option<u64>,
-    ) -> Result<ScheduleTable, SchedError> {
+    ) -> Result<Placements, SchedError> {
         check_horizon(apps, base.horizon)?;
         debug_assert_eq!(arch.pe_count(), base.pes.len(), "base built for this arch");
         self.raw_schedules += 1;
@@ -1544,7 +1633,7 @@ impl Scheduler {
         apps: &[AppSpec<'_>],
         base: &FrozenBase,
         old: Option<RunRecord>,
-    ) -> Result<ScheduleTable, SchedError> {
+    ) -> Result<Placements, SchedError> {
         debug_assert!(self.live.is_none(), "caller took the old record");
         let horizon = base.horizon;
         let n = self.jobs.len();
@@ -1623,16 +1712,16 @@ impl Scheduler {
             &mut pop_step,
         );
 
-        let table = run
+        let placements = run
             .as_ref()
             .ok()
-            .map(|()| self.assemble_table(base, &steps, &rec_msgs));
+            .map(|()| self.placements(&steps, &rec_msgs));
         // A failed run's *completed* steps still satisfy the record
         // invariant (the partial step was rolled back), so infeasible
         // trials keep a splice source for the next evaluation.
         self.store_record(base, steps, rec_msgs, pop_step, push_step, carcass);
         run?;
-        Ok(table.expect("run succeeded"))
+        Ok(placements.expect("run succeeded"))
     }
 
     /// The delta path: the splice source (`cached` if present, else
@@ -1651,7 +1740,7 @@ impl Scheduler {
         mut live: RunRecord,
         cached: Option<CacheEntry>,
         promote: bool,
-    ) -> Result<ScheduleTable, SchedError> {
+    ) -> Result<Placements, SchedError> {
         let n = self.jobs.len();
         let (div, keep) = {
             let _splice = phase::scope(Phase::Splice);
@@ -1672,7 +1761,7 @@ impl Scheduler {
         // record, as in pivot/trial neighborhoods where a remap
         // re-weights the whole graph's priorities). The reset is
         // priced at a fraction of the per-step splice-out cost.
-        let rebase = live.steps.len() - keep > keep + base.jobs.len() / 16 + 2;
+        let rebase = live.steps.len() - keep > keep + base.frozen_job_count() / 16 + 2;
         self.delta_schedules += 1;
         self.spliced_steps += div;
         self.replayed_steps += if rebase { div } else { div - keep };
@@ -1910,10 +1999,10 @@ impl Scheduler {
             *changed_bus = true;
         }
 
-        let table = run
+        let placements = run
             .as_ref()
             .ok()
-            .map(|()| self.assemble_table(base, &steps, &rec_msgs));
+            .map(|()| self.placements(&steps, &rec_msgs));
         // The borrowed cache entry goes back untouched (its stamp was
         // already bumped when it was chosen).
         if let Some(entry) = cached {
@@ -1935,42 +2024,32 @@ impl Scheduler {
             self.spare = Some(live);
         }
         run?;
-        Ok(table.expect("run succeeded"))
+        Ok(placements.expect("run succeeded"))
     }
 
-    /// Assembles the output table: the current run's jobs and messages
-    /// brought into canonical order (a small sort) and merged with the
-    /// frozen base's pre-sorted sequences in `O(n)` — no full-table
-    /// re-sort per evaluation.
-    fn assemble_table(
-        &mut self,
-        base: &FrozenBase,
-        steps: &[StepRec],
-        rec_msgs: &[ScheduledMessage],
-    ) -> ScheduleTable {
-        let Scheduler {
-            jobs,
-            cur_jobs,
-            cur_msgs,
-            ..
-        } = self;
-        cur_jobs.clear();
-        cur_jobs.extend(steps.iter().map(|s| {
-            let j = &jobs[s.job as usize];
-            ScheduledJob {
-                job: j.id,
-                pe: j.pe,
-                start: s.start,
-                end: s.end,
-                release: j.release,
-                deadline: j.deadline,
-            }
-        }));
-        cur_jobs.sort_by_key(crate::table::job_sort_key);
-        cur_msgs.clear();
-        cur_msgs.extend_from_slice(rec_msgs);
-        cur_msgs.sort_by_key(crate::table::message_sort_key);
-        ScheduleTable::from_sorted_merge(base.horizon, &base.jobs, cur_jobs, &base.msgs, cur_msgs)
+    /// The current run's placements, straight from its step and message
+    /// record: jobs in step order, messages in emission order. No sort
+    /// and no merge with the frozen part — the table is built only when
+    /// a caller asks for one ([`FrozenBase::materialize`]).
+    fn placements(&self, steps: &[StepRec], rec_msgs: &[ScheduledMessage]) -> Placements {
+        let jobs = &self.jobs;
+        Placements {
+            jobs: steps
+                .iter()
+                .map(|s| {
+                    let j = &jobs[s.job as usize];
+                    ScheduledJob {
+                        job: j.id,
+                        pe: j.pe,
+                        start: s.start,
+                        end: s.end,
+                        release: j.release,
+                        deadline: j.deadline,
+                    }
+                })
+                .collect(),
+            msgs: rec_msgs.into(),
+        }
     }
 
     /// The first recorded step the current expansion could possibly
@@ -2497,9 +2576,9 @@ mod tests {
             let (t3, _) = engine
                 .schedule_delta_keyed_with_slack(&arch, &[spec_a], &base, None, fp_a, Some(fp_a))
                 .unwrap();
-            assert_eq!(t1, ref_a, "cap {cap}");
-            assert_eq!(t2, ref_b, "cap {cap}");
-            assert_eq!(t3, ref_a, "cap {cap}");
+            assert_eq!(base.materialize(&t1), ref_a, "cap {cap}");
+            assert_eq!(base.materialize(&t2), ref_b, "cap {cap}");
+            assert_eq!(base.materialize(&t3), ref_a, "cap {cap}");
             assert_eq!(engine.delta_schedule_count(), 2, "cap {cap}");
             let spliced = engine.spliced_step_count() - before;
             if cap > 0 {

@@ -74,7 +74,7 @@ pub mod slack;
 pub mod table;
 
 pub use analysis::{InstanceResponse, PeLoad, ScheduleReport};
-pub use engine::{ChangedVar, FrozenBase, Scheduler};
+pub use engine::{ChangedVar, FrozenBase, Placements, Scheduler};
 pub use job::JobId;
 pub use list::{schedule, AppSpec, SchedError};
 pub use mapping::{Hints, Mapping, MsgRef};

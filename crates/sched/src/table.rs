@@ -16,6 +16,7 @@ use crate::job::JobId;
 use crate::mapping::{Mapping, MsgRef};
 use crate::pe_timeline::PeTimeline;
 use incdes_model::{AppId, Application, Architecture, PeId, Time};
+use incdes_obs::counters::{self, Counter};
 use incdes_tdma::{BusReservation, BusTimeline};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
@@ -201,12 +202,14 @@ impl ScheduleTable {
     }
 
     /// Builds a table by merging two sequences that are each already in
-    /// canonical order — the frozen base's jobs/messages and the current
-    /// run's (sorted by the caller) — in `O(n)` instead of re-sorting
-    /// the concatenation. Produces exactly what [`ScheduleTable::new`]
-    /// would: the sort is stable and no two entries share a key (jobs on
-    /// one PE have distinct starts, bus transmissions have distinct
-    /// start times), so merge order equals stable-sort order.
+    /// canonical order — the frozen table's jobs/messages and a run's
+    /// placements (sorted by the caller) — in `O(n)` instead of
+    /// re-sorting the concatenation. Produces exactly what
+    /// [`ScheduleTable::new`] would: the sort is stable and no two
+    /// entries share a key (jobs on one PE have distinct starts, bus
+    /// transmissions have distinct start times), so merge order equals
+    /// stable-sort order. The one routine that materializes engine
+    /// tables, counted by `tables_materialized`.
     pub(crate) fn from_sorted_merge(
         horizon: Time,
         frozen_jobs: &[ScheduledJob],
@@ -230,6 +233,7 @@ impl ScheduleTable {
             out.extend_from_slice(&b[j..]);
             out
         }
+        counters::bump(Counter::TablesMaterialized);
         let jobs = merge(frozen_jobs, current_jobs, job_sort_key);
         let messages = merge(frozen_msgs, current_msgs, message_sort_key);
         debug_assert!(
@@ -337,7 +341,8 @@ impl ScheduleTable {
     /// Replicates this table onto a longer horizon: every job and message
     /// is copied `new/old` times, shifted by multiples of the old horizon.
     /// Bus occurrence indices are shifted using the bus geometry from
-    /// `arch`.
+    /// `arch`. Replicating onto the table's own horizon returns a clone
+    /// that shares this table's storage.
     ///
     /// # Errors
     ///
@@ -357,6 +362,9 @@ impl ScheduleTable {
                 new: new_horizon,
             });
         }
+        if new_horizon == self.horizon {
+            return Ok(self.clone());
+        }
         let reps = new_horizon.ticks() / self.horizon.ticks();
         let cycle = arch.bus().cycle_length();
         let slots_per_cycle: u64 = arch.bus().rounds.iter().map(|r| r.slots.len() as u64).sum();
@@ -368,18 +376,6 @@ impl ScheduleTable {
         for k in 0..reps {
             let shift = Time::new(self.horizon.ticks() * k);
             for j in self.jobs.iter() {
-                // Instance numbers continue across replicas so JobIds stay
-                // unique: the graph with period T has horizon/T instances
-                // per replica.
-                let period = if j.job.instance == 0 {
-                    // Derive the per-replica instance count from release
-                    // spacing; instance 0 carries no spacing info, but the
-                    // count is horizon / period and period divides horizon.
-                    Time::ZERO
-                } else {
-                    Time::ZERO
-                };
-                let _ = period; // instance arithmetic handled below
                 jobs.push(ScheduledJob {
                     job: j.job,
                     pe: j.pe,
@@ -404,7 +400,8 @@ impl ScheduleTable {
                 });
             }
         }
-        // Re-number instances so JobIds are unique across replicas.
+        // Re-number instances so JobIds stay unique across replicas: the
+        // graph with period T has horizon/T instances per replica.
         renumber_instances(&mut jobs, &mut messages, self.horizon);
         Ok(ScheduleTable::new(new_horizon, jobs, messages))
     }
@@ -862,10 +859,9 @@ mod tests {
         a.merge(&b);
     }
 
-    #[test]
-    fn replicate_shifts_everything() {
-        let arch = arch2();
-        let table = ScheduleTable::new(
+    /// One job and one message over a 20-tick (one bus cycle) horizon.
+    fn one_cycle_table() -> ScheduleTable {
+        ScheduleTable::new(
             t(20),
             vec![job(0, 0, 0, 0, 0, 2, 8, 0, 20)],
             vec![ScheduledMessage {
@@ -879,7 +875,13 @@ mod tests {
                     arrival: t(14),
                 },
             }],
-        );
+        )
+    }
+
+    #[test]
+    fn replicate_shifts_everything() {
+        let arch = arch2();
+        let table = one_cycle_table();
         let big = table.replicate_to(&arch, t(60)).unwrap();
         assert_eq!(big.horizon(), t(60));
         assert_eq!(big.jobs().len(), 3);
@@ -902,6 +904,20 @@ mod tests {
         assert_eq!(occs, vec![1, 3, 5]);
         let m_insts: Vec<_> = big.messages().iter().map(|m| m.instance).collect();
         assert_eq!(m_insts, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn replicate_to_same_horizon_shares_storage() {
+        let arch = arch2();
+        let table = one_cycle_table();
+        let same = table.replicate_to(&arch, t(20)).unwrap();
+        assert_eq!(same, table);
+        assert!(Arc::ptr_eq(&same.jobs, &table.jobs));
+        assert!(Arc::ptr_eq(&same.messages, &table.messages));
+        // A longer horizon still builds a table of its own.
+        let twice = table.replicate_to(&arch, t(40)).unwrap();
+        assert_eq!(twice.jobs().len(), 2);
+        assert!(!Arc::ptr_eq(&twice.jobs, &table.jobs));
     }
 
     #[test]

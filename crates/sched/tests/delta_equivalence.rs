@@ -351,7 +351,8 @@ proptest! {
                     .map(|&p| p as u64 + 1);
                 engine.schedule_delta_keyed_with_slack(&arch, &[spec], &base, None, fp, prefer)
             };
-            let (kt, ks) = keyed.unwrap();
+            let (kp, ks) = keyed.unwrap();
+            let kt = base.materialize(&kp);
             let (ft, fs) = full.schedule_with_slack(&arch, &[spec], &base).unwrap();
             prop_assert_eq!(&kt, &reference, "keyed table diverged at step {}", step);
             prop_assert_eq!(&ft, &reference, "full table diverged at step {}", step);
@@ -498,7 +499,7 @@ fn cyclic_chain_splices_from_own_record() {
             let spec = AppSpec::new(AppId(0), &app, solutions[sol], &hints);
             let reference = schedule(&arch, &[spec], None, horizon).unwrap();
             let before = engine.spliced_step_count();
-            let (table, slack) = if step == 0 {
+            let (placements, slack) = if step == 0 {
                 engine
                     .schedule_keyed_with_slack(&arch, &[spec], &base, fp)
                     .unwrap()
@@ -511,7 +512,11 @@ fn cyclic_chain_splices_from_own_record() {
                     .schedule_delta_keyed_with_slack(&arch, &[spec], &base, None, fp, prefer)
                     .unwrap()
             };
-            assert_eq!(table, reference, "cap {cap} step {step}");
+            assert_eq!(
+                base.materialize(&placements),
+                reference,
+                "cap {cap} step {step}"
+            );
             assert_eq!(
                 slack,
                 SlackProfile::from_table(&arch, &reference),

@@ -212,4 +212,36 @@ proptest! {
         prop_assert_eq!(table, frozen);
         prop_assert_eq!(slack, naive_slack);
     }
+
+    /// The baked timelines the initial mapping probes against equal the
+    /// ones a replay of the same frozen table builds
+    /// (`ScheduleTable::pe_timelines` / `bus_timeline`).
+    #[test]
+    fn frozen_base_timelines_match_table_replay(
+        frozen_layers in proptest::collection::vec(1usize..4, 1..3),
+        wcets in proptest::collection::vec(0u64..8, 4),
+        parents in proptest::collection::vec(0usize..7, 4),
+        msg_bytes in proptest::collection::vec(0u32..8, 4),
+        pe_choice in proptest::collection::vec(0u32..3, 16),
+        gap_hints in proptest::collection::vec(0u32..3, 16),
+        slot_hints in proptest::collection::vec(0u32..3, 8),
+    ) {
+        let arch = arch3();
+        let horizon = Time::new(480);
+        let fg = build_graph(&frozen_layers, &wcets, &parents, &msg_bytes, Time::new(480));
+        let fapp = Application::new("frozen", vec![fg]);
+        let (fmap, fhints) = solution_of(&fapp, &pe_choice, &gap_hints, &slot_hints, 0);
+        let fspec = AppSpec::new(AppId(0), &fapp, &fmap, &fhints);
+        let Ok(frozen) = schedule(&arch, &[fspec], None, horizon) else {
+            return Ok(());
+        };
+        let base = FrozenBase::new(&arch, Some(&frozen), horizon).unwrap();
+        prop_assert_eq!(base.pe_timelines(), frozen.pe_timelines(&arch));
+        let (baked, replayed) = (base.bus_timeline(), frozen.bus_timeline(&arch));
+        prop_assert_eq!(baked.occurrence_count(), replayed.occurrence_count());
+        for idx in 0..baked.occurrence_count() {
+            prop_assert_eq!(baked.occurrence(idx), replayed.occurrence(idx));
+            prop_assert_eq!(baked.used(idx), replayed.used(idx));
+        }
+    }
 }

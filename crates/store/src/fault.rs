@@ -163,6 +163,7 @@ impl OpFaults {
 /// }
 /// ```
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct FaultPlan {
     /// Faults for blob reads.
     #[serde(default)]
@@ -430,6 +431,20 @@ mod tests {
         assert_eq!(plan.read, OpFaults::default(), "missing ops default off");
         assert_eq!(plan.torn_write_prob, 0.1);
         assert!(FaultPlan::from_json("[1,2]").is_err());
+    }
+
+    #[test]
+    fn committed_soak_plan_round_trips_and_typos_are_rejected() {
+        let plan = FaultPlan::from_json(include_str!("../../../ci/fault-soak.json"))
+            .expect("the committed soak plan parses");
+        assert!(plan.torn_write_prob > 0.0);
+        let json = serde_json::to_string(&plan).unwrap();
+        assert_eq!(FaultPlan::from_json(&json).unwrap(), plan);
+        let err = FaultPlan::from_json(r#"{ "torn_writes_prob": 0.1 }"#).unwrap_err();
+        assert!(
+            err.contains("torn_writes_prob") && err.contains("FaultPlan"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -15,6 +15,7 @@ use std::fmt;
 /// that an "existing 400 processes + current up to 320" system lands at a
 /// realistic utilization.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SynthConfig {
     /// Number of processing elements.
     pub pe_count: u32,

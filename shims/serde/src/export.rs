@@ -119,3 +119,13 @@ pub fn from_value<T: crate::de::DeserializeOwned>(value: Value) -> Result<T, Val
 pub fn missing_field(ty: &str, field: &str) -> ValueError {
     ValueError(format!("missing field `{field}` while deserializing {ty}"))
 }
+
+/// Unknown-field error helper used by `#[serde(deny_unknown_fields)]`
+/// derives.
+pub fn unknown_field(ty: &str, field: &str, expected: &[&str]) -> ValueError {
+    let expected: Vec<String> = expected.iter().map(|f| format!("`{f}`")).collect();
+    ValueError(format!(
+        "unknown field `{field}` in {ty}, expected one of {}",
+        expected.join(", ")
+    ))
+}

@@ -10,7 +10,10 @@
 //! * enums with unit, tuple, and struct variants (externally tagged);
 //! * simple generic parameters without bounds (`Dag<N, E>`);
 //! * `#[serde(transparent)]` on containers, `#[serde(default)]` and
-//!   `#[serde(with = "module")]` on named fields.
+//!   `#[serde(with = "module")]` on named fields;
+//! * `#[serde(deny_unknown_fields)]` on containers: a named struct, or
+//!   each struct-like variant of an enum, rejects a map key that names
+//!   no field, with an error naming the key and the type.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -49,12 +52,14 @@ struct Input {
     lifetimes: Vec<String>,
     body: Body,
     transparent: bool,
+    deny_unknown_fields: bool,
 }
 
 /// Serde attributes found on one item (container, field, or variant).
 #[derive(Debug, Default)]
 struct SerdeAttrs {
     transparent: bool,
+    deny_unknown_fields: bool,
     default: bool,
     with: Option<String>,
 }
@@ -68,6 +73,7 @@ fn parse_serde_attr_group(group: &proc_macro::Group, attrs: &mut SerdeAttrs) {
                 let word = id.to_string();
                 match word.as_str() {
                     "transparent" => attrs.transparent = true,
+                    "deny_unknown_fields" => attrs.deny_unknown_fields = true,
                     "default" => attrs.default = true,
                     "with" => {
                         // with = "path"
@@ -82,7 +88,7 @@ fn parse_serde_attr_group(group: &proc_macro::Group, attrs: &mut SerdeAttrs) {
                     }
                     other => panic!(
                         "serde shim derive: unsupported serde attribute `{other}` \
-                         (supported: transparent, default, with)"
+                         (supported: transparent, deny_unknown_fields, default, with)"
                     ),
                 }
             }
@@ -349,6 +355,7 @@ fn parse_input(input: TokenStream) -> Input {
         lifetimes,
         body,
         transparent: container_attrs.transparent,
+        deny_unknown_fields: container_attrs.deny_unknown_fields,
     }
 }
 
@@ -532,6 +539,20 @@ fn gen_serialize(input: &Input) -> String {
     )
 }
 
+/// Statements rejecting any key of the map `__m` that names none of
+/// `fields` (the `deny_unknown_fields` check).
+fn gen_unknown_field_check(ty_label: &str, fields: &[Field]) -> String {
+    let known: Vec<String> = fields.iter().map(|f| format!("\"{}\"", f.name)).collect();
+    format!(
+        "let __known: &[&str] = &[{}]; \
+         for (__k, _) in __m.iter() {{ \
+         if !__known.contains(&__k.as_str()) {{ \
+         return ::std::result::Result::Err({DE_ERR}(\
+         ::serde::export::unknown_field(\"{ty_label}\", __k, __known))); }} }}\n",
+        known.join(", ")
+    )
+}
+
 fn gen_named_field_reads(ty_label: &str, fields: &[Field]) -> String {
     let mut out = String::new();
     for f in fields {
@@ -595,6 +616,9 @@ fn gen_deserialize(input: &Input) -> String {
                 );
             } else {
                 body.push_str(&expect_map);
+                if input.deny_unknown_fields {
+                    body.push_str(&gen_unknown_field_check(name, fields));
+                }
                 body.push_str(&format!(
                     "::std::result::Result::Ok({name} {{\n{}\n}})",
                     gen_named_field_reads(name, fields)
@@ -690,6 +714,11 @@ fn gen_deserialize(input: &Input) -> String {
                         ));
                     }
                     VariantBody::Named(fields) => {
+                        let check = if input.deny_unknown_fields {
+                            gen_unknown_field_check(&format!("{name}::{vname}"), fields)
+                        } else {
+                            String::new()
+                        };
                         tagged_arms.push_str(&format!(
                             "\"{vname}\" => {{ \
                              let __m = match __payload {{ \
@@ -697,6 +726,7 @@ fn gen_deserialize(input: &Input) -> String {
                              other => return ::std::result::Result::Err({DE_ERR}(\
                              ::std::format!(\"expected map for variant {vname}, \
                              got {{}}\", other.kind()))) }}; \
+                             {check}\
                              ::std::result::Result::Ok({name}::{vname} {{\n{}\n}}) }},\n",
                             gen_named_field_reads(vname, fields)
                         ));
