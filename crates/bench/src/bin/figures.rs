@@ -9,9 +9,6 @@
 //! figures merge SHARD.json... [--out FILE]
 //! figures tables REPORT.json [--csv FILE]
 //! figures bench-store [--store DIR] [--out FILE]
-//! figures bench-eval [--out FILE] [--evals N] [--full]
-//!                    [--profile] [--trace FILE]
-//!                    [--min-delta-evals-per-sec N] [--min-delta-speedup X]
 //! ```
 //!
 //! `--small` switches to the scaled-down preset (seconds instead of
@@ -37,10 +34,6 @@
 //!   as aligned text + CSV (see `incdes_bench::tables`).
 //! * `bench-store` times a cold vs. warm (fully cached) demo campaign
 //!   and writes the wall-clock comparison as `BENCH_campaign.json`.
-//! * `bench-eval` times `MappingContext::evaluate` through the naive
-//!   pipeline vs. the incremental evaluation engine, per system size and
-//!   per strategy, and writes `BENCH_eval.json`; it fails unless the
-//!   engine's memo actually saved raw schedules.
 
 use incdes_bench::{
     run_fit_ablation, run_future, run_mh_ablation, run_quality, run_runtime, scaled_future, tables,
@@ -66,7 +59,6 @@ fn main() {
         Some("merge") => return merge_cmd(&args[1..]),
         Some("tables") => return tables_cmd(&args[1..]),
         Some("bench-store") => return bench_store_cmd(&args[1..]),
-        Some("bench-eval") => return bench_eval_cmd(&args[1..]),
         _ => {}
     }
     let small = args.iter().any(|a| a == "--small");
@@ -110,7 +102,7 @@ fn main() {
         other => {
             eprintln!(
                 "unknown figure '{other}' (expected f1|f2|f3|t1|ablate-fit|ablate-mh|all \
-                 or a subcommand: campaign|merge|tables|bench-store|bench-eval)"
+                 or a subcommand: campaign|merge|tables|bench-store)"
             );
             std::process::exit(2);
         }
@@ -457,276 +449,6 @@ fn bench_store_cmd(args: &[String]) {
         "# bench-store: cold {cold_ms:.1} ms, warm {warm_ms:.1} ms \
          ({} scenarios, all cached on rerun) -> {out}",
         cold.stats.scenarios
-    );
-}
-
-/// `figures bench-eval`: naive vs. incremental-engine evaluation
-/// throughput per system size and strategy, written as the
-/// `BENCH_eval.json` perf artifact. Dies unless the engine path on the
-/// largest scenario actually saved work (memo hits > 0, raw schedules <
-/// evaluations), the delta path beats the full engine on raw
-/// throughput, **and** delta does not lose MH/SA strategy wall-clock on
-/// the largest current application that mapped — the cheap CI
-/// regression guards on the engine. A size where a strategy fails on
-/// every pipeline has no row; with no MH/SA row left the command dies.
-/// The parallel-mode columns are reported, not gated: the per-row
-/// asserts already hold it to the sequential delta tier's solution,
-/// cost and evaluation count.
-fn bench_eval_cmd(args: &[String]) {
-    let mut out = "BENCH_eval.json".to_string();
-    let mut evals = 400usize;
-    let mut threads = 4usize;
-    let mut full = false;
-    let mut profile = false;
-    let mut trace_out: Option<String> = None;
-    let mut min_delta_eps: Option<f64> = None;
-    let mut min_delta_speedup: Option<f64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => out = flag_value(args, &mut i, "--out").to_string(),
-            "--min-delta-evals-per-sec" => {
-                min_delta_eps = Some(
-                    flag_value(args, &mut i, "--min-delta-evals-per-sec")
-                        .parse()
-                        .unwrap_or_else(|_| die("--min-delta-evals-per-sec needs a number")),
-                );
-            }
-            "--min-delta-speedup" => {
-                min_delta_speedup = Some(
-                    flag_value(args, &mut i, "--min-delta-speedup")
-                        .parse()
-                        .unwrap_or_else(|_| die("--min-delta-speedup needs a number")),
-                );
-            }
-            "--evals" => {
-                evals = flag_value(args, &mut i, "--evals")
-                    .parse()
-                    .unwrap_or_else(|_| die("--evals needs a positive integer"));
-            }
-            "--threads" => {
-                threads = flag_value(args, &mut i, "--threads")
-                    .parse()
-                    .unwrap_or_else(|_| die("--threads needs a positive integer"));
-                if threads == 0 {
-                    die("--threads needs a positive integer");
-                }
-            }
-            "--full" => full = true,
-            "--profile" => profile = true,
-            "--trace" => trace_out = Some(flag_value(args, &mut i, "--trace").to_string()),
-            other => die(format!("unknown bench-eval flag `{other}`")),
-        }
-        i += 1;
-    }
-    let (preset, preset_name) = if full {
-        (dac2001(), "dac2001")
-    } else {
-        (dac2001_small(), "dac2001-small")
-    };
-    let (mh_cfg, sa_cfg) = configs(!full);
-
-    let t0 = Instant::now();
-    let bench = incdes_bench::run_eval_bench(&preset, evals, &mh_cfg, &sa_cfg, threads, profile);
-    eprintln!(
-        "# bench-eval: {} sizes x {} evals + 3 strategies in {:.1?}",
-        bench.raw.len(),
-        evals,
-        t0.elapsed()
-    );
-
-    println!("## Evaluation engine — raw evaluate() throughput (naive vs. engine vs. delta)");
-    println!(
-        "{:>7} {:>8} {:>12} {:>8} {:>13} {:>13} {:>13} {:>8} {:>8} {:>9} {:>10} {:>10} {:>10}",
-        "system",
-        "current",
-        "frozen jobs",
-        "evals",
-        "naive ev/s",
-        "engine ev/s",
-        "delta ev/s",
-        "speedup",
-        "d-spdup",
-        "d/engine",
-        "memo hits",
-        "raw scheds",
-        "delta runs"
-    );
-    for r in &bench.raw {
-        println!(
-            "{:>7} {:>8} {:>12} {:>8} {:>13.0} {:>13.0} {:>13.0} {:>8.2} {:>8.2} {:>9.2} {:>10} {:>10} {:>10}",
-            r.size,
-            r.current,
-            r.frozen_jobs,
-            r.evals,
-            r.naive_evals_per_sec,
-            r.engine_evals_per_sec,
-            r.delta_evals_per_sec,
-            r.speedup,
-            r.delta_speedup,
-            r.delta_vs_engine,
-            r.memo_hits,
-            r.raw_schedules,
-            r.delta_schedules
-        );
-    }
-    println!("\n## Evaluation engine — full strategy runs (parallel mode at {threads} threads)");
-    println!(
-        "{:>6} {:>6} {:>12} {:>12} {:>12} {:>12} {:>8} {:>8} {:>9} {:>8} {:>8}",
-        "size",
-        "strat",
-        "naive ms",
-        "engine ms",
-        "delta ms",
-        "par ms",
-        "speedup",
-        "d-spdup",
-        "d/engine",
-        "par/d",
-        "evals"
-    );
-    for r in &bench.strategies {
-        println!(
-            "{:>6} {:>6} {:>12.1} {:>12.1} {:>12.1} {:>12.1} {:>8.2} {:>8.2} {:>9.2} {:>8.2} {:>8}",
-            r.size,
-            r.strategy,
-            r.naive_ms,
-            r.engine_ms,
-            r.delta_ms,
-            r.par_ms,
-            r.speedup,
-            r.delta_speedup,
-            r.delta_vs_engine,
-            r.par_vs_delta,
-            r.evaluations
-        );
-    }
-
-    let largest = bench.raw.last().expect("presets have sizes");
-
-    // Profiling diagnostics print *before* the regression gates: when a
-    // gate fires, the breakdown is exactly what the operator needs to
-    // see where the time went.
-    if profile {
-        let p = largest.profile.expect("--profile fills every raw row");
-        eprintln!(
-            "# bench-eval profile (largest base): undo {:.2}ms splice {:.2}ms \
-             replace {:.2}ms slack {:.2}ms objective {:.2}ms memo {:.2}ms \
-             bake {:.2}ms prio {:.2}ms | wall {:.2}ms timers {:.2}ms coverage {:.1}%",
-            p.undo_ms,
-            p.splice_ms,
-            p.replace_ms,
-            p.slack_ms,
-            p.objective_ms,
-            p.memo_ms,
-            p.bake_ms,
-            p.priority_refresh_ms,
-            p.wall_ms,
-            p.timer_overhead_ms,
-            p.coverage * 100.0,
-        );
-    }
-
-    // Regression guards on the largest scenario: the memo must have
-    // skipped duplicate schedules, the delta path must have engaged,
-    // and it must beat the full engine.
-    if largest.memo_hits == 0 {
-        die("engine memo never hit on the bench stream (expected revisits to be served)");
-    }
-    if largest.raw_schedules >= largest.evals {
-        die(format!(
-            "engine executed {} raw schedules for {} evaluations (expected fewer)",
-            largest.raw_schedules, largest.evals
-        ));
-    }
-    if largest.delta_schedules == 0 {
-        die("the delta path never engaged on the single-move bench stream");
-    }
-    if largest.delta_evals_per_sec <= largest.engine_evals_per_sec {
-        die(format!(
-            "delta path ({:.0} evals/s) does not beat the full engine ({:.0} evals/s) \
-             on the largest frozen base",
-            largest.delta_evals_per_sec, largest.engine_evals_per_sec
-        ));
-    }
-    // Optional CI floors on the largest frozen base. The absolute
-    // evals/s floor catches catastrophic regressions but depends on the
-    // host, so CI sizes it for its slowest runners; the delta-vs-naive
-    // speedup ratio is normalized within the run and is the portable
-    // regression gate.
-    if let Some(floor) = min_delta_eps {
-        if largest.delta_evals_per_sec < floor {
-            die(format!(
-                "delta path throughput on the largest frozen base is below the floor: \
-                 {:.0} evals/s < {floor:.0} evals/s",
-                largest.delta_evals_per_sec
-            ));
-        }
-    }
-    if let Some(floor) = min_delta_speedup {
-        if largest.delta_speedup < floor {
-            die(format!(
-                "delta-vs-naive speedup on the largest frozen base is below the floor: \
-                 {:.2}x < {floor:.2}x",
-                largest.delta_speedup
-            ));
-        }
-    }
-    // Strategy-level guard: raw evals/s can win while a strategy still
-    // loses wall-clock (the PR 5 gap) — the delta path must not lose
-    // MH or SA on the largest current application that mapped (pairs
-    // that failed on every pipeline have no row). AH runs a couple of
-    // evaluations and stays on the full path by design; a 5 % grace
-    // absorbs timer noise on millisecond-scale runs.
-    let searches = || {
-        bench
-            .strategies
-            .iter()
-            .filter(|r| matches!(r.strategy, "MH" | "SA"))
-    };
-    let largest_size = searches()
-        .map(|r| r.size)
-        .max()
-        .unwrap_or_else(|| die("no MH/SA strategy row mapped at any size"));
-    for r in searches().filter(|r| r.size == largest_size) {
-        if r.delta_vs_engine < 0.95 {
-            die(format!(
-                "delta path loses {} strategy wall-clock on size {}: {:.3} ms vs engine {:.3} ms \
-                 (delta_vs_engine {:.2})",
-                r.strategy, r.size, r.delta_ms, r.engine_ms, r.delta_vs_engine
-            ));
-        }
-    }
-
-    // Profiling gate: the five core phases (undo/splice/replace/slack/
-    // objective) must explain ≥ 90 % of the profiled delta pass on the
-    // largest base, after discounting the separately-reported memo and
-    // bake planes and the calibrated timer self-overhead (at a few µs
-    // per evaluation, clock reads are a double-digit share of wall).
-    // Lower coverage means the breakdown is blind to where the
-    // delta-evaluation time actually goes.
-    if profile {
-        let p = largest.profile.expect("--profile fills every raw row");
-        if p.coverage < 0.90 {
-            die(format!(
-                "profiled phases cover only {:.1}% of the delta-evaluation wall-clock \
-                 on the largest base (expected >= 90%)",
-                p.coverage * 100.0
-            ));
-        }
-    }
-
-    if let Some(path) = &trace_out {
-        let trace = incdes_bench::capture_trace(&preset, evals.min(256));
-        std::fs::write(path, &trace).unwrap_or_else(|e| die(format!("cannot write {path}: {e}")));
-        eprintln!("# bench-eval: chrome trace -> {path}");
-    }
-
-    let json = incdes_bench::eval_bench::render_json(&bench, preset_name);
-    std::fs::write(&out, &json).unwrap_or_else(|e| die(format!("cannot write {out}: {e}")));
-    eprintln!(
-        "# bench-eval: largest size {} speedup {:.2}x -> {out}",
-        largest.size, largest.speedup
     );
 }
 

@@ -18,12 +18,6 @@
 //! binary prints the rows, and the criterion benches wrap the same
 //! functions at reduced scale.
 //!
-//! [`eval_bench`] (driving `figures bench-eval`) measures the
-//! incremental evaluation engine against the naive pipeline — raw
-//! `MappingContext::evaluate` throughput per system size plus full
-//! strategy runs — and emits the tracked `BENCH_eval.json` perf
-//! artifact next to `bench-store`'s `BENCH_campaign.json`.
-//!
 //! Since the `incdes_explore` campaign subsystem landed, [`run_quality`]
 //! and [`run_future`] are thin aggregations over a
 //! [`incdes_explore::CampaignSpec`]: the preset's axes become the
@@ -33,12 +27,7 @@
 
 #![forbid(unsafe_code)]
 
-pub mod eval_bench;
 pub mod tables;
-
-pub use eval_bench::{
-    capture_trace, run_eval_bench, EvalBench, EvalBenchRow, PhaseBreakdown, StrategyBenchRow,
-};
 
 use incdes_core::System;
 use incdes_explore::{
@@ -505,7 +494,9 @@ mod tests {
     use incdes_synth::paper::{dac2001, dac2001_small};
 
     /// The figure campaigns load back unchanged under the strict spec
-    /// parser (every spec type denies unknown fields).
+    /// parser (every spec type denies unknown fields), and the committed
+    /// fixtures are exactly the full-scale specs the `figures` binary
+    /// runs.
     #[test]
     fn figure_campaign_specs_round_trip() {
         for preset in [dac2001(), dac2001_small()] {
@@ -518,6 +509,24 @@ mod tests {
                 let back: CampaignSpec = serde_json::from_str(&json).unwrap();
                 assert_eq!(back, spec);
             }
+        }
+        let mh = MhConfig::default();
+        let sa = SaConfig {
+            max_evaluations: 4000,
+            ..SaConfig::default()
+        };
+        for (fixture, spec) in [
+            (
+                include_str!("../../../ci/paper-quality.json"),
+                quality_campaign_spec(&dac2001(), &mh, &sa),
+            ),
+            (
+                include_str!("../../../ci/paper-future.json"),
+                future_campaign_spec(&dac2001(), &mh, 4),
+            ),
+        ] {
+            let parsed: CampaignSpec = serde_json::from_str(fixture).unwrap();
+            assert_eq!(parsed, spec, "{}", spec.name);
         }
     }
 }

@@ -123,15 +123,6 @@ pub struct System {
     /// not once per step. Keyed by horizon only: the cache is cleared
     /// on every table mutation, so entries always describe the current
     /// table.
-    ///
-    /// Clearing this cache is also what fences the scheduler's record
-    /// cache across commits: every rebake mints a fresh base
-    /// generation id, and the engine refuses to splice any run record
-    /// — live or cached — made against a different generation. A
-    /// context (or a clone of this system sharing the old `Arc`)
-    /// holding pre-commit records therefore degrades to the full path
-    /// instead of splicing placements from a schedule that no longer
-    /// exists. See `commit_rebakes_base_with_fresh_generation`.
     base_cache: RefCell<Option<(Time, Arc<FrozenBase>)>>,
     base_reuse: Cell<usize>,
     /// How search strategies parallelize inside a scenario; handed to
@@ -586,12 +577,10 @@ mod tests {
         assert_eq!(sys.frozen_base_reuse_count(), 4);
     }
 
-    /// Every rebake after a table mutation carries a fresh generation
-    /// id — the fence that keeps a scheduler's record cache from
-    /// splicing placements recorded against a stale frozen schedule.
-    /// A pre-mutation `Arc` to the old bake stays valid (clones keep
-    /// their originator's id, content being identical), but no new
-    /// bake ever reuses a retired id.
+    /// Every table mutation rebakes the shared base: the next context
+    /// gets a fresh bake holding the committed jobs, while a
+    /// pre-mutation `Arc` to the old bake stays valid for contexts
+    /// created before the commit.
     #[test]
     fn commit_rebakes_base_with_fresh_generation() {
         let mut sys = System::new(arch2());
@@ -601,21 +590,20 @@ mod tests {
         let horizon = sys.horizon();
         let frozen = sys.table().replicate_to(sys.arch(), horizon).unwrap();
         let before = sys.shared_base(&frozen, horizon).unwrap();
-        assert_eq!(before.generation(), Arc::clone(&before).generation());
+        let jobs_before = before.frozen_job_count();
 
         sys.add_application(app("v2", 120, &[5]), &future(), &w, &Strategy::AdHoc)
             .unwrap();
         let frozen2 = sys.table().replicate_to(sys.arch(), sys.horizon()).unwrap();
         let after = sys.shared_base(&frozen2, sys.horizon()).unwrap();
-        assert_ne!(
-            before.generation(),
-            after.generation(),
-            "a rebake after a commit must mint a fresh generation"
+        assert!(
+            !Arc::ptr_eq(&before, &after),
+            "a commit must rebake the shared base"
         );
-        // The old Arc still answers for contexts created pre-commit;
-        // only its generation id keeps their records from splicing
-        // into post-commit evaluations.
+        assert_eq!(after.frozen_job_count(), jobs_before + 1);
+        // The old Arc still answers for contexts created pre-commit.
         assert_eq!(before.horizon(), horizon);
+        assert_eq!(before.frozen_job_count(), jobs_before);
     }
 
     #[test]

@@ -48,8 +48,11 @@ use std::time::Duration;
 /// served as fresh results. (The store's own `FORMAT_EPOCH` covers the
 /// blob layout; this covers the meaning of the payload.)
 /// History: 2 — MH dedupes duplicate moves across widening rounds, so
-/// `StepReport::evaluations` dropped for MH scenarios (PR 4).
-pub const CODE_EPOCH: u32 = 2;
+/// `StepReport::evaluations` dropped for MH scenarios. 3 — the engine
+/// no longer splices recorded runs, so `StepReport` lost
+/// `delta_schedules`/`spliced_steps` and `CampaignTotals` lost
+/// `spliced_steps`.
+pub const CODE_EPOCH: u32 = 3;
 
 /// The canonical, serializable identity of one scenario. Field order is
 /// fixed by this struct, so the fingerprint JSON is stable.
@@ -63,9 +66,8 @@ struct Fingerprint {
     /// The spec's [`SearchParallelism`] with `threads` normalized to 1
     /// and `batch_cutover` to 0: neither changes report bytes (the
     /// batch protocol reduces in candidate-index order whether the
-    /// dispatch spawned threads or ran inline), but Sequential vs.
-    /// Parallel does (different splice diagnostics, and the SA
-    /// portfolio runs different chains), so mode / `sa_chains` /
+    /// dispatch spawned threads or ran inline), but the SA portfolio
+    /// runs different chains, so mode / `sa_chains` /
     /// `sa_exchange_period` are part of the scenario's identity.
     parallelism: SearchParallelism,
     script: Vec<ScriptStep>,

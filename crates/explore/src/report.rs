@@ -34,10 +34,6 @@ pub struct CampaignTotals {
     pub feasible_steps: usize,
     /// Schedule evaluations spent across all strategy runs.
     pub evaluations: usize,
-    /// Placement steps the delta scheduler spliced from run records
-    /// instead of re-placing, across all strategy runs.
-    #[serde(default)]
-    pub spliced_steps: usize,
     /// Scheduling-invariant violations found (0 on a healthy campaign).
     pub invariant_violations: usize,
 }
@@ -61,11 +57,6 @@ impl CampaignTotals {
                 .iter()
                 .flat_map(|s| &s.steps)
                 .map(|s| s.evaluations)
-                .sum(),
-            spliced_steps: scenarios
-                .iter()
-                .flat_map(|s| &s.steps)
-                .map(|s| s.spliced_steps)
                 .sum(),
             invariant_violations: scenarios.iter().map(|s| s.invariant_violations.len()).sum(),
         }
@@ -112,12 +103,6 @@ pub struct StepReport {
     pub evaluations: usize,
     /// Strategy iterations (MH improvement steps, SA accepted moves).
     pub iterations: usize,
-    /// Raw schedules served via the delta path (record splicing).
-    #[serde(default)]
-    pub delta_schedules: usize,
-    /// Placement steps spliced from run records instead of re-placed.
-    #[serde(default)]
-    pub spliced_steps: usize,
     /// System horizon in ticks after the step.
     pub horizon: u64,
     /// Error message for failed steps (validation errors, unknown app,

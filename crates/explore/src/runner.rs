@@ -70,11 +70,6 @@ pub struct StepOutcome {
     pub evaluations: usize,
     /// Strategy iterations.
     pub iterations: usize,
-    /// Raw schedules the strategy's evaluations served via the delta
-    /// path (record splicing).
-    pub delta_schedules: usize,
-    /// Placement steps spliced from run records instead of re-placed.
-    pub spliced_steps: usize,
     /// System horizon in ticks after the step.
     pub horizon: u64,
     /// Error message for failed steps; plain infeasibility carries none.
@@ -127,8 +122,6 @@ impl CompletedScenario {
                     cost: s.cost.map(Into::into),
                     evaluations: s.evaluations,
                     iterations: s.iterations,
-                    delta_schedules: s.delta_schedules,
-                    spliced_steps: s.spliced_steps,
                     horizon: s.horizon,
                     error: s.error.clone(),
                 })
@@ -530,8 +523,6 @@ pub(crate) fn run_scenario(
             cost: None,
             evaluations: 0,
             iterations: 0,
-            delta_schedules: 0,
-            spliced_steps: 0,
             horizon: 0,
             error: None,
             elapsed: Duration::ZERO,
@@ -562,8 +553,6 @@ pub(crate) fn run_scenario(
                                 outcome.cost = Some(report.cost);
                                 outcome.evaluations = report.stats.evaluations;
                                 outcome.iterations = report.stats.iterations;
-                                outcome.delta_schedules = report.stats.delta_schedules;
-                                outcome.spliced_steps = report.stats.spliced_steps;
                             }
                             Err(CoreError::Mapping(MapError::Infeasible { .. })) => {}
                             Err(e) => outcome.error = Some(e.to_string()),
@@ -597,8 +586,6 @@ pub(crate) fn run_scenario(
                                 if let Some(stats) = probe.stats {
                                     outcome.evaluations = stats.evaluations;
                                     outcome.iterations = stats.iterations;
-                                    outcome.delta_schedules = stats.delta_schedules;
-                                    outcome.spliced_steps = stats.spliced_steps;
                                 }
                             }
                             Err(e) => outcome.error = Some(e.to_string()),

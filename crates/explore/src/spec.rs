@@ -401,13 +401,20 @@ mod tests {
     fn misspelled_spec_fields_are_rejected() {
         let mut spec = CampaignSpec::small_demo();
         spec.weight_settings = vec![WeightSetting::default()];
+        spec.parallelism = SearchParallelism::threads(2);
         let json = serde_json::to_string(&spec).unwrap();
         for (field, typo, ty) in [
             ("check_invariants", "check_invariant", "CampaignSpec"),
             ("weight_settings", "weight_setting", "CampaignSpec"),
             ("label", "lable", "WeightSetting"),
+            ("w1_processes", "w1_process", "Weights"),
             ("pe_count", "pe_cnt", "SynthConfig"),
             ("future", "futre", "ScriptStep::Add"),
+            (
+                "batch_cutover",
+                "batch_cutoff",
+                "SearchParallelism::Parallel",
+            ),
         ] {
             let bad = json.replacen(&format!("\"{field}\""), &format!("\"{typo}\""), 1);
             assert_ne!(bad, json, "{field} is in the spec");

@@ -54,13 +54,10 @@ pub struct RunStats {
     /// Raw engine schedules behind the evaluations (memo misses).
     #[serde(default)]
     pub raw_schedules: usize,
-    /// Raw schedules that took the delta path (record splicing) rather
-    /// than a full reset — zero on the naive and full-engine tiers.
+    /// Retired, always 0: the engine no longer splices recorded runs.
+    /// Kept so existing readers of the stats still compile.
     #[serde(default)]
     pub delta_schedules: usize,
-    /// Placement steps spliced from a run record instead of re-placed.
-    #[serde(default)]
-    pub spliced_steps: usize,
 }
 
 impl RunStats {
@@ -77,7 +74,6 @@ impl RunStats {
             elapsed: self.elapsed + other.elapsed,
             raw_schedules: self.raw_schedules + other.raw_schedules,
             delta_schedules: self.delta_schedules + other.delta_schedules,
-            spliced_steps: self.spliced_steps + other.spliced_steps,
         }
     }
 }
@@ -104,8 +100,6 @@ pub fn run_strategy(ctx: &MappingContext<'_>, strategy: &Strategy) -> Result<Out
     let start = Instant::now();
     let evals_before = ctx.evaluation_count();
     let raw_before = ctx.raw_schedule_count();
-    let delta_before = ctx.delta_schedule_count();
-    let spliced_before = ctx.spliced_step_count();
     let initial = initial_mapping(ctx)?;
     let (solution, evaluation, iterations) = match strategy {
         Strategy::AdHoc => {
@@ -135,8 +129,7 @@ pub fn run_strategy(ctx: &MappingContext<'_>, strategy: &Strategy) -> Result<Out
             iterations,
             elapsed: start.elapsed(),
             raw_schedules: ctx.raw_schedule_count() - raw_before,
-            delta_schedules: ctx.delta_schedule_count() - delta_before,
-            spliced_steps: ctx.spliced_step_count() - spliced_before,
+            delta_schedules: 0,
         },
     })
 }
@@ -300,7 +293,6 @@ mod tests {
             elapsed: Duration::from_micros(k as u64 * 37),
             raw_schedules: k / 2,
             delta_schedules: k / 3,
-            spliced_steps: 5 * k,
         };
         let (a, b, c) = (stats(3), stats(8), stats(21));
         assert_eq!(a.merge(b).merge(c), a.merge(b.merge(c)));

@@ -13,9 +13,9 @@
 //! runs. Each call gathers every container size into a reused scratch
 //! vector and runs the batched packer [`crate::binpack::pack_totals`],
 //! whose best-fit costs `O(runs × containers touched)`. Nothing is keyed
-//! on gap-list storage identity: a delta evaluation re-derives nearly
-//! every list, so patching the containers by `Arc` identity could not
-//! pay. The totals are **exactly** the indexed packer's (see
+//! on gap-list storage identity: an evaluation re-derives the list of
+//! every PE it touches, so patching the containers by `Arc` identity
+//! could not pay. The totals are **exactly** the indexed packer's (see
 //! [`crate::binpack::pack_totals`] for why, for best-fit and
 //! worst-fit), and the order-dependent first-fit policy reports itself
 //! unsupported so callers fall back to the full packer.

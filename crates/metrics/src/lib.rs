@@ -49,14 +49,12 @@
 
 pub mod binpack;
 pub mod c1cache;
-pub mod c2cache;
 pub mod criteria;
 pub mod objective;
 
 pub use binpack::{item_runs, pack, pack_totals, FitPolicy, PackOutcome};
 pub use c1cache::C1Cache;
-pub use c2cache::C2Cache;
 pub use criteria::{
     c1_messages, c1_processes, c2_intervals, c2_messages, c2_processes, c2_processes_of,
 };
-pub use objective::{evaluate, evaluate_with_c1_delta, evaluate_with_c2, DesignCost, Weights};
+pub use objective::{evaluate, evaluate_with_c1_delta, DesignCost, Weights};

@@ -18,6 +18,7 @@ use serde::{Deserialize, Serialize};
 
 /// Weights of the objective function.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Weights {
     /// Weight of `C1P` (process packing failure, %).
     pub w1_processes: f64,
@@ -91,54 +92,26 @@ pub fn evaluate(
     future: &FutureProfile,
     weights: &Weights,
 ) -> DesignCost {
-    let c2p = c2_processes(slack, future.t_min);
-    let c2m = c2_messages(slack, future.t_min);
-    evaluate_with_c2(arch, slack, future, weights, c2p, c2m)
-}
-
-/// [`evaluate`] with the C2 terms supplied by the caller.
-///
-/// The C2 metrics are per-resource minima, so the incremental evaluation
-/// engine caches the per-PE terms of processors the current application
-/// never touches (their gap lists are the frozen-only ones) and the bus
-/// term when no new message was scheduled, recomputing only the rest.
-/// The caller-supplied values must equal [`c2_processes`] /
-/// [`c2_messages`] on `slack` — the weighting arithmetic lives only here
-/// so the two paths cannot diverge.
-pub fn evaluate_with_c2(
-    arch: &Architecture,
-    slack: &SlackProfile,
-    future: &FutureProfile,
-    weights: &Weights,
-    c2p: Time,
-    c2m: Time,
-) -> DesignCost {
-    debug_assert_eq!(c2p, c2_processes(slack, future.t_min));
-    debug_assert_eq!(c2m, c2_messages(slack, future.t_min));
     let c1p = c1_processes(slack, future, weights.fit_policy);
     let c1m = c1_messages(arch, slack, future, weights.fit_policy);
-    combine(future, weights, c1p, c1m, c2p, c2m)
+    combine(slack, future, weights, c1p, c1m)
 }
 
-/// [`evaluate_with_c2`] with the C1 terms served by the batched packer:
+/// [`evaluate`] with the C1 terms served by the batched packer:
 /// `cache` keeps the future items as `(size, count)` runs (see
 /// [`C1Cache`]) and packs them into this profile's container sizes,
 /// gathered and sorted afresh on every call. The order-dependent
 /// [`FitPolicy::FirstFit`] falls back to the full packer inside, so the
-/// result is identical to [`evaluate_with_c2`] for every policy — the
-/// weighting arithmetic is shared, and the debug assertions check the
-/// C1 terms against the naive packer on every call of a debug build.
+/// result is identical to [`evaluate`] for every policy — the weighting
+/// arithmetic is shared, and the debug assertions check the C1 terms
+/// against the naive packer on every call of a debug build.
 pub fn evaluate_with_c1_delta(
     arch: &Architecture,
     slack: &SlackProfile,
     future: &FutureProfile,
     weights: &Weights,
-    c2p: Time,
-    c2m: Time,
     cache: &mut C1Cache,
 ) -> DesignCost {
-    debug_assert_eq!(c2p, c2_processes(slack, future.t_min));
-    debug_assert_eq!(c2m, c2_messages(slack, future.t_min));
     let (c1p, c1m) = match cache.c1_terms(arch, slack, future, weights.fit_policy) {
         Some(terms) => terms,
         None => (
@@ -148,19 +121,20 @@ pub fn evaluate_with_c1_delta(
     };
     debug_assert_eq!(c1p, c1_processes(slack, future, weights.fit_policy));
     debug_assert_eq!(c1m, c1_messages(arch, slack, future, weights.fit_policy));
-    combine(future, weights, c1p, c1m, c2p, c2m)
+    combine(slack, future, weights, c1p, c1m)
 }
 
-/// The weighting arithmetic shared by every evaluation path, so cached,
-/// incremental and fresh criteria cannot diverge in the final cost.
+/// The C2 terms and the weighting arithmetic shared by every evaluation
+/// path, so batched and fresh C1 terms cannot diverge in the final cost.
 fn combine(
+    slack: &SlackProfile,
     future: &FutureProfile,
     weights: &Weights,
     c1p: f64,
     c1m: f64,
-    c2p: Time,
-    c2m: Time,
 ) -> DesignCost {
+    let c2p = c2_processes(slack, future.t_min);
+    let c2m = c2_messages(slack, future.t_min);
     let pen_p = future.t_need.saturating_sub(c2p);
     let pen_m = future.b_need.saturating_sub(c2m);
     let total = weights.w1_processes * c1p

@@ -44,48 +44,38 @@ macro_rules! counters {
 }
 
 counters! {
-    /// Placement steps reused verbatim from a run record (live or cached).
+    /// Retired, never bumped (reads 0): the engine no longer splices
+    /// recorded placements. Kept registered for existing readers.
     SpliceStepsSpliced => "splice_steps_spliced",
-    /// Live-record suffix steps unwound in place by a delta run.
-    SpliceStepsUndone => "splice_steps_undone",
-    /// Source-prefix steps replayed into the timelines (rebase or cached splice).
-    SpliceStepsReplayed => "splice_steps_replayed",
-    /// Delta runs that bulk-reset from the baked base instead of undoing.
+    /// Retired, never bumped (reads 0): every run resets from the base.
+    /// Kept registered for existing readers.
     DeltaRebases => "delta_rebases",
-    /// Preferred-predecessor fingerprints served from the record cache.
+    /// Retired, never bumped (reads 0): the run-record cache is gone.
+    /// Kept registered for existing readers.
     RecordCacheHits => "record_cache_hits",
-    /// Live records snapshotted into the record cache.
-    RecordCachePromotions => "record_cache_promotions",
-    /// Record-cache entries evicted (LRU or capacity shrink).
-    RecordCacheEvictions => "record_cache_evictions",
-    /// Preferred fingerprints not in the cache — fell back to the live record.
-    RecordCacheFallbacks => "record_cache_fallbacks",
     /// Evaluations answered from the solution memo.
     MemoHits => "memo_hits",
-    /// Evaluations inserted into the solution memo.
+    /// Evaluations that missed the memo and became its last result.
     MemoInserts => "memo_inserts",
-    /// Solution-memo entries evicted by the stamp-median retain.
-    MemoEvictions => "memo_evictions",
     /// Retired, never bumped (reads 0): C1 no longer patches containers
     /// by `Arc` identity. Kept registered for existing readers.
     C1Patched => "c1_patched",
     /// C1 future-item runs rebuilt (new future profile, horizon or bus rate).
     C1Repacked => "c1_repacked",
-    /// C2 terms answered by `Arc` pointer identity without recomputing.
+    /// Retired, never bumped (reads 0): C2 is computed directly, with no
+    /// identity cache. Kept registered for existing readers.
     C2IdentityHits => "c2_identity_hits",
-    /// C2 `t_min` windows recomputed inside a differential update.
+    /// Retired, never bumped (reads 0), like `C2IdentityHits`.
     C2WindowsRecomputed => "c2_windows_recomputed",
-    /// C2 per-resource entries built from scratch (cold slot or new grid).
-    C2FullRebuilds => "c2_full_rebuilds",
-    /// Slack gap lists aliased (frozen base or previous profile).
+    /// Slack gap lists aliased from the frozen base.
     SlackGapsAliased => "slack_gaps_aliased",
     /// Slack gap lists re-derived from the live timelines.
     SlackGapsMaterialized => "slack_gaps_materialized",
-    /// Bus window lists aliased (frozen base or previous profile).
+    /// Bus window lists aliased from the frozen base.
     BusWindowsAliased => "bus_windows_aliased",
     /// Bus window lists derived by the linear patch over the baked list.
     BusWindowsPatched => "bus_windows_patched",
-    /// Ready-heap pushes across full, delta and spliced seeding paths.
+    /// Ready-heap pushes (seeding and successor releases).
     HeapPushes => "heap_pushes",
     /// Ready-heap pops by the list-scheduling loop.
     HeapPops => "heap_pops",

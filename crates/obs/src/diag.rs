@@ -1,6 +1,5 @@
 //! Shared stderr diagnostics: the warn-once channel and the checked
-//! env-var parsing every `INCDES_*` override uses (previously two
-//! copy-pasted `Once`-guarded parsers in `incdes_mapping`).
+//! env-var parsing the `INCDES_SEARCH_THREADS` override uses.
 
 use std::collections::BTreeSet;
 use std::sync::{Mutex, OnceLock};
@@ -22,8 +21,7 @@ pub fn warn_once(key: &str, message: &str) -> bool {
 }
 
 /// Digits-only `usize` parse: surrounding whitespace is tolerated,
-/// signs, decimals and anything else are not — the exact strictness
-/// both `INCDES_*` overrides have always had.
+/// signs, decimals and anything else are not.
 pub fn parse_usize(raw: &str) -> Option<usize> {
     raw.trim().parse::<usize>().ok()
 }

@@ -4,20 +4,18 @@
 //! `incdes_mapping`, `incdes_explore`) reports into two planes that are
 //! invisible to the byte-stable artifacts (campaign reports, tables):
 //!
-//! * **[`counters`]** — deterministic monotonic event counters (splice
-//!   steps, record-cache traffic, memo hits, C1/C2 cache outcomes,
-//!   Arc-aliasing decisions, heap traffic). They are pure functions of
+//! * **[`counters`]** — deterministic monotonic event counters (memo
+//!   hits, arena patches and expansions, C1 repacks, Arc-aliasing
+//!   decisions, heap traffic). They are pure functions of
 //!   the work performed, so tests can assert exact values and two runs
 //!   of the same workload always agree — including across thread
 //!   counts, because worker tallies are merged with an associative
 //!   element-wise sum. Always compiled; the storage is plain
 //!   thread-local `Cell`s, no atomics on the hot path.
 //! * **[`phase`]** — wall-clock RAII scopes around the engine phases
-//!   (undo/splice/re-place/slack/objective plus bake, priority refresh
-//!   and memo lookup), aggregated into per-phase log₂-nanosecond
-//!   histograms, with an optional [`trace`] capture that renders a
-//!   `chrome://tracing`-compatible timeline of one evaluation chain.
-//!   The timers are compiled only under the `obs-wallclock` cargo
+//!   (expand/re-place/slack/objective plus bake, priority refresh and
+//!   memo lookup), aggregated into per-phase log₂-nanosecond
+//!   histograms. The timers are compiled only under the `obs-wallclock` cargo
 //!   feature and armed only after [`phase::set_enabled`]`(true)`, so a
 //!   default build pays nothing and a feature build pays one relaxed
 //!   atomic load per scope while disabled.
@@ -32,4 +30,3 @@
 pub mod counters;
 pub mod diag;
 pub mod phase;
-pub mod trace;

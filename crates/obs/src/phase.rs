@@ -2,8 +2,7 @@
 //!
 //! A [`scope`] is an RAII timer: construction stamps `Instant::now()`,
 //! drop records the elapsed nanoseconds into the calling thread's
-//! per-phase aggregate (count / total / min / max / log₂-ns histogram)
-//! and, when a [`crate::trace`] capture is live, appends a trace event.
+//! per-phase aggregate (count / total / min / max / log₂-ns histogram).
 //!
 //! The timers only exist under the `obs-wallclock` cargo feature; a
 //! default build compiles [`PhaseScope`] to a zero-sized no-op. Even
@@ -48,13 +47,12 @@ macro_rules! phases {
 }
 
 phases! {
-    /// Unwinding the live record's suffix (or the bulk rebase reset).
-    Undo => "undo",
-    /// Divergence analysis, source-prefix replay and prefix splicing.
-    Splice => "splice",
-    /// List-scheduling the suffix and recording the run's placements.
-    /// No table is assembled here: tables are built on demand, outside
-    /// every phase.
+    /// Preparing a raw schedule: spec assembly, the horizon check, the
+    /// solution diff, and patching or expanding the job arena.
+    Expand => "expand",
+    /// Resetting the timelines from the frozen base and list-scheduling
+    /// the current application. No table is assembled here: tables are
+    /// built on demand, outside every phase.
     RePlace => "replace",
     /// Deriving the incremental `SlackProfile`.
     Slack => "slack",
@@ -63,7 +61,7 @@ phases! {
     /// Baking a `FrozenBase` (frozen schedule replay + validation).
     Bake => "bake",
     /// Recomputing a graph's priorities after a cost change (nested
-    /// inside `Splice`; not one of the five summed phases).
+    /// inside `Expand`, so not summed with the other phases).
     PriorityRefresh => "priority_refresh",
     /// Solution-memo lookup and insert bookkeeping.
     Memo => "memo",
@@ -192,7 +190,6 @@ impl Drop for PhaseScope {
 fn record(phase: Phase, start: Instant) {
     let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
     let _ = AGGS.try_with(|aggs| aggs.borrow_mut()[phase as usize].record(ns));
-    crate::trace::note(phase, start, ns);
 }
 
 /// Copies the calling thread's phase aggregates.
@@ -348,12 +345,12 @@ mod tests {
         assert_eq!(e.max_ns, 100);
 
         let mut early = PhaseSnapshot::default();
-        early.aggs[Phase::Undo as usize] = b;
+        early.aggs[Phase::Expand as usize] = b;
         let mut late = PhaseSnapshot::default();
-        late.aggs[Phase::Undo as usize] = m;
+        late.aggs[Phase::Expand as usize] = m;
         let d = late.delta_since(&early);
-        assert_eq!(d.get(Phase::Undo).count, 2);
-        assert_eq!(d.get(Phase::Undo).total_ns, 110);
+        assert_eq!(d.get(Phase::Expand).count, 2);
+        assert_eq!(d.get(Phase::Expand).total_ns, 110);
     }
 
     #[test]

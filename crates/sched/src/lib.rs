@@ -16,12 +16,11 @@
 //! * [`priority`] — partial-critical-path priorities for list scheduling.
 //! * [`list`] — the one-shot list-scheduler entry point ([`schedule`]).
 //! * [`engine`] — the incremental evaluation engine behind it:
-//!   [`FrozenBase`] bakes the frozen schedule once, [`Scheduler`] reuses
-//!   scratch arenas across evaluations, derives `Arc`-shared slack
-//!   incrementally, and **delta-schedules** single-move neighbors by
-//!   splicing the recorded placement prefix of the previous run and
-//!   re-placing only the suffix the change can affect (see the
-//!   decision rules in the [`engine`] module docs).
+//!   [`FrozenBase`] bakes the frozen schedule once, and [`Scheduler`]
+//!   reuses scratch arenas across evaluations, patches its job arena in
+//!   place from a changed-variable hint, resets the timelines from the
+//!   base and re-places the current application, deriving `Arc`-shared
+//!   slack (see the [`engine`] module docs).
 //! * [`table`] — the resulting [`ScheduleTable`] plus exhaustive validity
 //!   checking and replication of frozen schedules to longer horizons.
 //! * [`slack`] — extraction of the slack profile consumed by the design

@@ -17,13 +17,12 @@
 //!   `base`), but small — bounded by [`CONSOLIDATE_AT`] plus one run's
 //!   placements on this PE.
 //!
-//! The delta-scheduling engine's splice inner loop only ever inserts
-//! the current candidate's placements and undoes recorded suffixes of
-//! them: with this split, every such insert/remove shifts only the
-//! overlay, so its cost is bounded by the *current application's*
-//! per-PE placement count instead of the total reservation count
-//! (frozen jobs included) that the old single sorted-`Vec` layout
-//! shifted on every edit. Reads (gap search, gap enumeration, window
+//! The evaluation engine's runs only ever insert the current
+//! candidate's placements on top of a reset: with this split, every
+//! such insert shifts only the overlay, so its cost is bounded by the
+//! *current application's* per-PE placement count instead of the total
+//! reservation count (frozen jobs included), and the reset is a pointer
+//! bump instead of a copy. Reads (gap search, gap enumeration, window
 //! overlap) run a two-pointer merge of the layers; both are contiguous
 //! in memory. When the overlay outgrows [`CONSOLIDATE_AT`] (bulk
 //! from-scratch schedules, e.g. the naive pipeline), it is merged into
@@ -36,9 +35,10 @@ use std::sync::Arc;
 
 /// Overlay length that triggers a merge into the consolidated base.
 /// One evaluation places roughly (current jobs × instances) / PE-count
-/// reservations per PE — comfortably below this — so delta evaluation
-/// chains never consolidate mid-run; only bulk from-scratch schedules
-/// (bakes, the naive pipeline) do, amortizing their insert cost.
+/// reservations per PE — comfortably below this — so engine runs on a
+/// baked base never consolidate mid-run; only bulk from-scratch
+/// schedules (bakes, the naive pipeline) do, amortizing their insert
+/// cost.
 const CONSOLIDATE_AT: usize = 64;
 
 /// Error from timeline operations.
@@ -111,9 +111,7 @@ pub struct PeTimeline {
     /// frozen base on every reset: with the base layer behind an `Arc`,
     /// [`copy_from`](Self::copy_from) is a pointer bump instead of an
     /// O(frozen jobs) memcpy. All per-reservation edits go to the
-    /// overlay; the rare paths that do rewrite the consolidated layer
-    /// replace the whole `Arc` (consolidation) or clone-on-write (the
-    /// cold `unreserve` fallback).
+    /// overlay; consolidation replaces the whole `Arc`.
     base: Arc<Vec<(Time, Time)>>,
     /// Overlay: sorted by start, disjoint, disjoint from `base`, small.
     over: Vec<(Time, Time)>,
@@ -450,38 +448,8 @@ impl PeTimeline {
         self.over.clear();
     }
 
-    /// Removes the exact reservation `[start, end)`. The delta-scheduling
-    /// engine uses this to *undo* the previous evaluation's placements
-    /// instead of resetting the whole timeline from the frozen base;
-    /// those placements live in the overlay, so the removal never
-    /// shifts the consolidated base layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `[start, end)` is not a reservation of this timeline —
-    /// the engine only ever undoes reservations it recorded, so a miss is
-    /// a bookkeeping bug, not a recoverable condition.
-    pub fn unreserve(&mut self, start: Time, end: Time) {
-        let oi = self.over.partition_point(|&(s, _)| s < start);
-        if oi < self.over.len() && self.over[oi] == (start, end) {
-            self.over.remove(oi);
-            return;
-        }
-        // Cold fallback: a reservation consolidated into the base (or
-        // made before a consolidation). Correct for any caller, just
-        // not on the splice undo path. Clone-on-write: a shared base
-        // layer (aliased from a frozen bake) is copied before the
-        // removal so the source stays intact.
-        let bi = self.base.partition_point(|&(s, _)| s < start);
-        assert!(
-            bi < self.base.len() && self.base[bi] == (start, end),
-            "unreserve of [{start}, {end}) which is not reserved"
-        );
-        Arc::make_mut(&mut self.base).remove(bi);
-    }
-
-    /// Layer occupancy `(base, overlay)` — diagnostics for the
-    /// splice-depth regression tests.
+    /// Layer occupancy `(base, overlay)` — diagnostics for the layout
+    /// tests.
     #[doc(hidden)]
     pub fn layer_lens(&self) -> (usize, usize) {
         (self.base.len(), self.over.len())
@@ -661,35 +629,6 @@ mod tests {
         assert_eq!(dst.layer_lens(), (2, 0));
     }
 
-    /// The splice-depth regression: undo of recent reservations must
-    /// edit only the overlay, no matter how many consolidated
-    /// reservations the base holds.
-    #[test]
-    fn undo_touches_only_the_overlay() {
-        let mut tl = PeTimeline::new(t(1_000_000));
-        for k in 0..1000u64 {
-            tl.reserve(t(k * 10), t(k * 10 + 5)).unwrap();
-        }
-        tl.consolidate();
-        let (base_before, _) = tl.layer_lens();
-        assert_eq!(base_before, 1000);
-        // A delta run: place a handful, then undo them in reverse.
-        let mut placed = Vec::new();
-        for k in 0..5u64 {
-            let s = tl.reserve_earliest(t(k * 50), t(3), 0).unwrap();
-            placed.push((s, s + t(3)));
-        }
-        assert_eq!(tl.layer_lens(), (1000, 5), "placements go to the overlay");
-        for &(s, e) in placed.iter().rev() {
-            tl.unreserve(s, e);
-        }
-        assert_eq!(
-            tl.layer_lens(),
-            (1000, 0),
-            "undo never rewrote the consolidated base"
-        );
-    }
-
     #[test]
     fn overlay_overflow_consolidates() {
         let mut tl = PeTimeline::new(t(10_000));
@@ -703,8 +642,8 @@ mod tests {
     }
 
     /// Reference oracle: the pre-layered layout — one sorted `Vec` with
-    /// per-reservation `insert`/`remove` — whose observable behavior the
-    /// layered layout must reproduce call-for-call.
+    /// per-reservation `insert` — whose observable behavior the layered
+    /// layout must reproduce call-for-call.
     struct SortedVecOracle {
         horizon: Time,
         busy: Vec<(Time, Time)>,
@@ -782,12 +721,6 @@ mod tests {
                 idx += 1;
             }
         }
-
-        fn unreserve(&mut self, start: Time, end: Time) {
-            let idx = self.busy.partition_point(|&(s, _)| s < start);
-            assert!(idx < self.busy.len() && self.busy[idx] == (start, end));
-            self.busy.remove(idx);
-        }
     }
 
     proptest! {
@@ -834,41 +767,24 @@ mod tests {
 
         /// Differential round-trip against the old sorted-`Vec` layout:
         /// a random interleaving of exact reserves, gap-searched
-        /// reserves, undo of live reservations and consolidations must
-        /// match the oracle result-for-result and interval-for-interval.
+        /// reserves and consolidations must match the oracle
+        /// result-for-result and interval-for-interval.
         #[test]
         fn prop_layered_matches_sorted_vec_oracle(
-            ops in proptest::collection::vec((0u8..4, 0u64..480, 1u64..40, 0u32..3), 1..60)
+            ops in proptest::collection::vec((0u8..3, 0u64..480, 1u64..40, 0u32..3), 1..60)
         ) {
             let mut tl = PeTimeline::new(t(500));
             let mut oracle = SortedVecOracle::new(t(500));
-            let mut live: Vec<(Time, Time)> = Vec::new();
             for (op, a, b, skip) in ops {
                 match op {
                     0 => {
                         let (s, e) = (t(a), t(a) + t(b));
-                        let got = tl.reserve(s, e);
-                        let want = oracle.reserve(s, e);
-                        prop_assert_eq!(got, want);
-                        if got.is_ok() {
-                            live.push((s, e));
-                        }
+                        prop_assert_eq!(tl.reserve(s, e), oracle.reserve(s, e));
                     }
                     1 => {
                         let got = tl.reserve_earliest(t(a), t(b), skip);
                         let want = oracle.reserve_earliest(t(a), t(b), skip);
                         prop_assert_eq!(got, want);
-                        if let Ok(s) = got {
-                            live.push((s, s + t(b)));
-                        }
-                    }
-                    2 => {
-                        // Undo the most recent reservation — the splice
-                        // loop's LIFO discipline.
-                        if let Some((s, e)) = live.pop() {
-                            tl.unreserve(s, e);
-                            oracle.unreserve(s, e);
-                        }
                     }
                     _ => tl.consolidate(),
                 }

@@ -129,6 +129,7 @@ impl FaultOp {
 
 /// Fault configuration for one operation class.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct OpFaults {
     /// Probability in `[0, 1]` that each operation fails (clamped).
     #[serde(default)]
@@ -443,6 +444,13 @@ mod tests {
         let err = FaultPlan::from_json(r#"{ "torn_writes_prob": 0.1 }"#).unwrap_err();
         assert!(
             err.contains("torn_writes_prob") && err.contains("FaultPlan"),
+            "{err}"
+        );
+        // A misspelled per-operation field must not parse as a plan that
+        // injects nothing.
+        let err = FaultPlan::from_json(r#"{ "read": { "error_porb": 0.5 } }"#).unwrap_err();
+        assert!(
+            err.contains("error_porb") && err.contains("OpFaults"),
             "{err}"
         );
     }

@@ -128,8 +128,8 @@ struct SlotUse {
 /// Occupancy is a `Vec` sorted by occurrence index rather than a tree:
 /// it stays small (one entry per occupied frame), lookups are a binary
 /// search over contiguous memory, and [`reset_from`](Self::reset_from)
-/// — called once per evaluation by the delta engine — restores it with
-/// a flat `clone_from` instead of a node-by-node tree clone.
+/// — called once per evaluation by the scheduling engine — restores it
+/// with a flat `clone_from` instead of a node-by-node tree clone.
 #[derive(Debug, Clone)]
 pub struct BusTimeline {
     /// Slot geometry, immutable after construction: every mutating
@@ -436,39 +436,6 @@ impl BusTimeline {
             transmit_start,
             arrival: transmit_start + duration,
         })
-    }
-
-    /// Undoes the most recent reservation of occurrence `occurrence` —
-    /// which must be the *tail* of the frame (TTP frames pack
-    /// contiguously, so reservations can only be unwound in reverse
-    /// order). The delta-scheduling engine uses this to undo the previous
-    /// evaluation's messages instead of resetting the whole occupancy
-    /// from the frozen base.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the occurrence carries no reservation or if `reservation`
-    /// is not its current tail — the engine only unwinds reservations it
-    /// recorded, in reverse order, so a mismatch is a bookkeeping bug.
-    pub fn unreserve_tail(&mut self, reservation: &BusReservation) {
-        let occ = self
-            .occurrence(reservation.occurrence)
-            .expect("unreserve_tail of an occurrence beyond the horizon");
-        let p = self
-            .occupancy
-            .binary_search_by_key(&reservation.occurrence, |&(i, _)| i)
-            .expect("unreserve_tail of an empty occurrence");
-        let entry = &mut self.occupancy[p].1;
-        assert_eq!(
-            occ.start + entry.used,
-            reservation.arrival,
-            "unreserve_tail out of order: reservation is not the frame tail"
-        );
-        entry.used -= reservation.duration();
-        entry.messages -= 1;
-        if entry.used.is_zero() && entry.messages == 0 {
-            self.occupancy.remove(p);
-        }
     }
 
     /// Resets this timeline to an exact copy of `other`, reusing the

@@ -1,19 +1,18 @@
 //! Facade-level regression suite for the incremental evaluation engine:
-//! the `DesignCost` leg of the three-tier pipeline equivalence — naive
-//! (`schedule()` from scratch) vs. full engine
-//! (`with_full_evaluation()`, the PR 4 reset-and-replace path) vs. the
-//! default **delta-scheduling** path — (the table and slack legs live in
-//! `crates/sched/tests/engine_equivalence.rs` and
+//! the `DesignCost` leg of the naive-vs-engine equivalence — naive
+//! (`schedule()` from scratch) vs. the default engine path (frozen base,
+//! arena patching, last-result memo) — (the table and slack legs live
+//! in `crates/sched/tests/engine_equivalence.rs` and
 //! `crates/sched/tests/delta_equivalence.rs`), the `evaluation_count` /
-//! `raw_schedule_count` / memo semantics the paper tables and the
-//! `figures bench-eval` guard rely on, and the SA best-snapshot
-//! bookkeeping.
+//! `raw_schedule_count` / memo semantics the paper tables rely on, and
+//! the SA best-snapshot bookkeeping.
 
 use incdes::mapping::{
     initial_mapping, run_strategy, MappingContext, MhConfig, Move, SaConfig, Solution, Strategy,
 };
 use incdes::model::prelude::*;
 use incdes::model::AppId;
+use incdes::obs::counters::{self, Counter};
 use incdes::sched::MsgRef;
 use incdes::synth::{generate_application, generate_architecture, SynthConfig};
 use rand::prelude::*;
@@ -147,113 +146,102 @@ fn walk(fixture: &Fixture, count: usize, seed: u64) -> Vec<Solution> {
     out
 }
 
-/// All three pipelines agree on every alternative of a random walk —
-/// table, slack and cost — over a non-trivial frozen base. The walk's
-/// consecutive solutions differ by one move, so the default context
-/// actually exercises the delta path (pinned by the counter).
+/// Arena patches the engine made since `before` on this thread.
+fn patches_since(before: &counters::CounterSnapshot) -> u64 {
+    counters::snapshot()
+        .delta_since(before)
+        .get(Counter::ArenaPatched)
+}
+
+/// Both pipelines agree on every alternative of a random walk — table,
+/// slack and cost — over a non-trivial frozen base. The walk's
+/// consecutive solutions differ by one move, so the engine actually
+/// patches its job arena (pinned by the counter).
 #[test]
 fn engine_and_naive_agree_on_cost() {
     let fixture = Fixture::build(7, 40, 12);
+    let solutions = walk(&fixture, 60, 11);
     let naive = fixture.context().with_naive_evaluation();
-    let full = fixture.context().with_full_evaluation();
-    let delta = fixture.context();
+    let engine = fixture.context();
+    let before = counters::snapshot();
     let mut feasible = 0usize;
-    for sol in walk(&fixture, 60, 11) {
-        match (
-            naive.evaluate(&sol),
-            full.evaluate(&sol),
-            delta.evaluate(&sol),
-        ) {
-            (Ok(a), Ok(b), Ok(c)) => {
+    for sol in &solutions {
+        match (naive.evaluate(sol), engine.evaluate(sol)) {
+            (Ok(a), Ok(b)) => {
                 assert_eq!(a.table, b.table);
                 assert_eq!(a.slack, b.slack);
                 assert_eq!(a.cost, b.cost);
-                assert_eq!(a.table, c.table);
-                assert_eq!(a.slack, c.slack);
-                assert_eq!(a.cost, c.cost);
                 feasible += 1;
             }
-            (Err(a), Err(b), Err(c)) => {
-                assert_eq!(a, b);
-                assert_eq!(a, c);
-            }
-            (a, b, c) => panic!(
-                "feasibility diverged: naive {:?} full {:?} delta {:?}",
+            (Err(a), Err(b)) => assert_eq!(a, b),
+            (a, b) => panic!(
+                "feasibility diverged: naive {:?} engine {:?}",
                 a.is_ok(),
-                b.is_ok(),
-                c.is_ok()
+                b.is_ok()
             ),
         }
     }
     assert!(feasible > 0, "walk must contain feasible alternatives");
-    assert_eq!(
-        naive.delta_schedule_count(),
-        0,
-        "naive path never delta-schedules"
-    );
-    assert_eq!(
-        full.delta_schedule_count(),
-        0,
-        "full-engine path never delta-schedules"
-    );
     assert!(
-        delta.delta_schedule_count() > 0,
-        "single-move walk must engage the delta path"
-    );
-    assert!(
-        delta.spliced_step_count() > 0,
-        "delta runs must splice recorded prefixes"
+        patches_since(&before) > 0,
+        "single-move walk must patch the job arena"
     );
 }
 
 /// `evaluation_count` keeps its historical meaning (every call counts)
-/// while the memo keeps `raw_schedule_count` strictly smaller on a
-/// stream with revisits.
+/// while the last-result memo answers an immediate repeat without a
+/// raw schedule.
 #[test]
 fn memo_counts_requested_vs_raw_schedules() {
     let fixture = Fixture::build(3, 20, 8);
     let ctx = fixture.context();
     let solutions = walk(&fixture, 10, 5);
-    // Evaluate the stream twice: the second pass is pure memo hits.
-    for sol in solutions.iter().chain(solutions.iter()) {
+    // Evaluate every solution twice in a row: each repeat is a hit.
+    for sol in &solutions {
+        let _ = ctx.evaluate(sol);
         let _ = ctx.evaluate(sol);
     }
     assert_eq!(ctx.evaluation_count(), 20);
     assert!(ctx.raw_schedule_count() <= 10);
     assert!(
         ctx.memo_hit_count() >= 10,
-        "second pass must be served from the memo (hits: {})",
+        "every repeat must be served from the memo (hits: {})",
         ctx.memo_hit_count()
     );
     // Memoized results are equal to fresh ones.
     let fresh = fixture.context();
     for sol in &solutions {
-        match (ctx.evaluate(sol), fresh.evaluate(sol)) {
-            (Ok(a), Ok(b)) => assert_eq!(a.cost, b.cost),
-            (Err(a), Err(b)) => assert_eq!(a, b),
+        match (ctx.evaluate(sol), ctx.evaluate(sol), fresh.evaluate(sol)) {
+            (Ok(a), Ok(b), Ok(c)) => {
+                assert_eq!(a.cost, c.cost);
+                assert_eq!(b.cost, c.cost);
+            }
+            (Err(a), Err(b), Err(c)) => {
+                assert_eq!(a, c);
+                assert_eq!(b, c);
+            }
             _ => panic!("memoized feasibility diverged"),
         }
     }
 }
 
-/// Strategy identity across the three pipelines on a grid of sizes ×
+/// Strategy identity across the two pipelines on a grid of sizes ×
 /// seeds: AH, MH and SA produce identical solutions, costs,
-/// `evaluation_count()`s and tables whether evaluations run naively,
-/// on the full engine, or on the default delta path.
+/// `evaluation_count()`s and tables whether evaluations run naively or
+/// on the engine.
 #[test]
 fn strategies_identical_across_pipelines() {
     // (seed, frozen system size, current-app size, future demand) grid.
     // The first cells converge in a handful of evaluations (cost hits
-    // zero immediately — short chains stay on the full path by design);
-    // the demanding last cell keeps the objective positive so MH/SA
-    // explore long rejection chains, which is where the delta path must
-    // engage.
+    // zero immediately); the demanding last cell keeps the objective
+    // positive so MH/SA explore long rejection chains, where the arena
+    // patching must engage.
     let grid = [
         (13u64, 30usize, 10usize, 10usize),
         (21, 20, 6, 10),
         (5, 45, 12, 60),
     ];
-    let mut delta_engaged = 0usize;
+    let mut patched = 0u64;
     for (seed, existing, current, demand) in grid {
         let fixture = Fixture::build_with_demand(seed, existing, current, demand);
         for strategy in [
@@ -269,45 +257,36 @@ fn strategies_identical_across_pipelines() {
         ] {
             let tag = format!("{} (seed {seed}, {existing}+{current})", strategy.name());
             let naive_ctx = fixture.context().with_naive_evaluation();
-            let full_ctx = fixture.context().with_full_evaluation();
-            let delta_ctx = fixture.context();
+            let engine_ctx = fixture.context();
             let a = run_strategy(&naive_ctx, &strategy).expect("fixture is feasible");
-            let b = run_strategy(&full_ctx, &strategy).expect("fixture is feasible");
-            let c = run_strategy(&delta_ctx, &strategy).expect("fixture is feasible");
-            assert_eq!(a.solution, b.solution, "{tag} full solution");
-            assert_eq!(a.solution, c.solution, "{tag} delta solution");
-            assert_eq!(a.evaluation.cost, b.evaluation.cost, "{tag} full cost");
-            assert_eq!(a.evaluation.cost, c.evaluation.cost, "{tag} delta cost");
-            assert_eq!(a.evaluation.table, b.evaluation.table);
-            assert_eq!(a.evaluation.table, c.evaluation.table);
-            assert_eq!(a.evaluation.slack, c.evaluation.slack, "{tag} delta slack");
+            let before = counters::snapshot();
+            let b = run_strategy(&engine_ctx, &strategy).expect("fixture is feasible");
+            patched += patches_since(&before);
+            assert_eq!(a.solution, b.solution, "{tag} solution");
+            assert_eq!(a.evaluation.cost, b.evaluation.cost, "{tag} cost");
+            assert_eq!(a.evaluation.table, b.evaluation.table, "{tag} table");
+            assert_eq!(a.evaluation.slack, b.evaluation.slack, "{tag} slack");
             assert_eq!(
                 a.stats.evaluations, b.stats.evaluations,
-                "{tag} full evaluation count"
-            );
-            assert_eq!(
-                a.stats.evaluations, c.stats.evaluations,
-                "{tag} delta evaluation count"
+                "{tag} evaluation count"
             );
             assert!(
-                delta_ctx.raw_schedule_count() <= delta_ctx.evaluation_count(),
+                engine_ctx.raw_schedule_count() <= engine_ctx.evaluation_count(),
                 "raw schedules never exceed requested evaluations"
             );
-            assert_eq!(full_ctx.delta_schedule_count(), 0);
-            delta_engaged += delta_ctx.delta_schedule_count();
         }
     }
     assert!(
-        delta_engaged > 0,
-        "MH/SA neighborhoods must engage the delta path somewhere on the grid"
+        patched > 0,
+        "MH/SA neighborhoods must patch the job arena somewhere on the grid"
     );
 }
 
 /// SA's lightweight best tracking: the returned evaluation really is the
 /// evaluation of the returned solution, and the final snapshot
 /// re-derivation does not inflate `evaluation_count` beyond the initial
-/// evaluation plus the proposed trials — on the default delta path and
-/// on the full-engine oracle alike, with identical snapshots.
+/// evaluation plus the proposed trials — on the engine and on the naive
+/// oracle alike, with identical snapshots.
 #[test]
 fn sa_best_snapshot_is_consistent() {
     let fixture = Fixture::build(17, 20, 9);
@@ -326,29 +305,30 @@ fn sa_best_snapshot_is_consistent() {
     assert_eq!(fresh.cost, out.evaluation.cost);
     assert_eq!(fresh.table, out.evaluation.table);
 
-    // The full-engine pipeline lands on the same best snapshot.
-    let full_ctx = fixture.context().with_full_evaluation();
-    let full_out = run_strategy(&full_ctx, &Strategy::SimulatedAnnealing(cfg)).expect("feasible");
-    assert_eq!(full_out.solution, out.solution);
-    assert_eq!(full_out.evaluation.cost, out.evaluation.cost);
-    assert_eq!(full_out.evaluation.table, out.evaluation.table);
-    assert_eq!(full_out.stats.evaluations, out.stats.evaluations);
+    // The naive pipeline lands on the same best snapshot.
+    let naive_ctx = fixture.context().with_naive_evaluation();
+    let naive_out = run_strategy(&naive_ctx, &Strategy::SimulatedAnnealing(cfg)).expect("feasible");
+    assert_eq!(naive_out.solution, out.solution);
+    assert_eq!(naive_out.evaluation.cost, out.evaluation.cost);
+    assert_eq!(naive_out.evaluation.table, out.evaluation.table);
+    assert_eq!(naive_out.stats.evaluations, out.stats.evaluations);
 }
 
-/// The satellite contract of the differential fuzz suite, lifted to the
-/// cost level: along random single-move chains, the delta path's C1/C2
-/// terms and final cost are bit-equal to the naive oracle at every
-/// step (the batched C1 packer and the identity-keyed C2 cache sit only
-/// on the delta context).
+/// The contract of the differential fuzz suite, lifted to the cost
+/// level: along random single-move chains, the engine's C1/C2 terms and
+/// final cost are bit-equal to the naive oracle at every step (the
+/// batched C1 packer sits only on the engine context).
 #[test]
 fn delta_costs_bit_equal_along_single_move_chains() {
     for (seed, existing, current) in [(2u64, 25usize, 8usize), (11, 35, 11)] {
         let fixture = Fixture::build(seed, existing, current);
+        let solutions = walk(&fixture, 40, seed ^ 0xC0FFEE);
         let naive = fixture.context().with_naive_evaluation();
-        let delta = fixture.context();
+        let engine = fixture.context();
+        let before = counters::snapshot();
         let mut feasible = 0usize;
-        for sol in walk(&fixture, 40, seed ^ 0xC0FFEE) {
-            match (naive.evaluate(&sol), delta.evaluate(&sol)) {
+        for sol in &solutions {
+            match (naive.evaluate(sol), engine.evaluate(sol)) {
                 (Ok(a), Ok(b)) => {
                     assert_eq!(a.cost.c1_processes, b.cost.c1_processes, "C1P diverged");
                     assert_eq!(a.cost.c1_messages, b.cost.c1_messages, "C1m diverged");
@@ -361,13 +341,13 @@ fn delta_costs_bit_equal_along_single_move_chains() {
                 }
                 (Err(a), Err(b)) => assert_eq!(a, b),
                 (a, b) => panic!(
-                    "feasibility diverged: naive {:?} delta {:?}",
+                    "feasibility diverged: naive {:?} engine {:?}",
                     a.is_ok(),
                     b.is_ok()
                 ),
             }
         }
         assert!(feasible > 0);
-        assert!(delta.delta_schedule_count() > 0, "chain must splice");
+        assert!(patches_since(&before) > 0, "chain must patch the arena");
     }
 }

@@ -97,7 +97,7 @@ fn armed_phase_scopes_record_without_perturbing_counters() {
         assert_eq!(a.counters, b.counters);
         // With the plane armed (and the `obs-wallclock` feature on for
         // tests) the scenario must have recorded real phase activity.
-        assert!(b.phases.get(Phase::Splice).count > 0);
+        assert!(b.phases.get(Phase::Expand).count > 0);
         assert!(b.phases.get(Phase::Objective).count > 0);
     }
 }

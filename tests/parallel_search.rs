@@ -38,7 +38,7 @@ fn small_cfg(pe_count: u32, slot: u64) -> SynthConfig {
 /// The deterministic bytes of one strategy run: the chosen design
 /// variables, the bit pattern of the cost, and every counter except
 /// wall-clock.
-fn run_bytes(out: &incdes::mapping::Outcome) -> (String, u64, [usize; 5]) {
+fn run_bytes(out: &incdes::mapping::Outcome) -> (String, u64, [usize; 3]) {
     (
         format!("{:?}", out.solution),
         out.evaluation.cost.total.to_bits(),
@@ -46,8 +46,6 @@ fn run_bytes(out: &incdes::mapping::Outcome) -> (String, u64, [usize; 5]) {
             out.stats.evaluations,
             out.stats.iterations,
             out.stats.raw_schedules,
-            out.stats.delta_schedules,
-            out.stats.spliced_steps,
         ],
     )
 }
@@ -132,8 +130,9 @@ fn campaign_reports_byte_identical_across_search_thread_counts() {
 }
 
 /// A parallel-mode MH run finds the same solution at the same cost as
-/// the sequential mode (only splice diagnostics may differ: batch
-/// workers take the splice-free path).
+/// the sequential mode, with the same memo hits: the batch protocol
+/// checks each candidate against the last result as the sequential
+/// loop does.
 #[test]
 fn parallel_mh_matches_sequential_solution() {
     let cfg = small_cfg(3, 10);
@@ -157,6 +156,7 @@ fn parallel_mh_matches_sequential_solution() {
     );
     assert_eq!(seq.stats.evaluations, par.stats.evaluations);
     assert_eq!(seq.stats.iterations, par.stats.iterations);
+    assert_eq!(seq.stats.raw_schedules, par.stats.raw_schedules);
 }
 
 /// `RunStats::merge` folds per-worker tallies; order independence is
@@ -170,7 +170,6 @@ fn run_stats_merge_folds_worker_tallies() {
         elapsed: std::time::Duration::from_millis(k as u64),
         raw_schedules: k / 2,
         delta_schedules: k / 4,
-        spliced_steps: 3 * k,
     };
     let parts = [stats(2), stats(9), stats(4), stats(31)];
     let forward = parts.iter().copied().reduce(RunStats::merge).unwrap();
