@@ -13,8 +13,10 @@ use incdes_sched::{Mapping, ScheduleTable, TableError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Serializable snapshot of a [`System`].
+/// Serializable snapshot of a [`System`]. Unknown fields are errors, so
+/// a misspelt key is reported instead of silently dropped.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SystemSnapshot {
     /// The architecture.
     pub arch: Architecture,
@@ -27,6 +29,7 @@ pub struct SystemSnapshot {
 
 /// One committed application inside a snapshot.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SnapshotApp {
     /// The application.
     pub app: Application,
@@ -193,6 +196,21 @@ mod tests {
             )
             .unwrap();
         assert_eq!(restored.app_count(), 2);
+    }
+
+    #[test]
+    fn misspelt_snapshot_fields_rejected() {
+        let json = SystemSnapshot::capture(&sample_system()).to_json().unwrap();
+        assert!(json.contains(r#""retired":false"#));
+        // A typo in an app's field would otherwise leave it active.
+        let typo = json.replacen(r#""retired":false"#, r#""retierd":true"#, 1);
+        let err = SystemSnapshot::from_json(&typo).unwrap_err().to_string();
+        assert!(err.contains("retierd"), "{err}");
+        // So would an unknown top-level key.
+        let extra = json.replacen('{', r#"{"tabel":null,"#, 1);
+        let err = SystemSnapshot::from_json(&extra).unwrap_err().to_string();
+        assert!(err.contains("tabel"), "{err}");
+        assert!(SystemSnapshot::from_json(&json).is_ok());
     }
 
     #[test]

@@ -73,12 +73,21 @@ counters! {
     SlackGapsMaterialized => "slack_gaps_materialized",
     /// Bus window lists aliased from the frozen base.
     BusWindowsAliased => "bus_windows_aliased",
-    /// Bus window lists derived by the linear patch over the baked list.
+    /// Bus window lists re-derived from the live bus fill (the run
+    /// placed a message).
     BusWindowsPatched => "bus_windows_patched",
     /// Ready-heap pushes (seeding and successor releases).
     HeapPushes => "heap_pushes",
     /// Ready-heap pops by the list-scheduling loop.
     HeapPops => "heap_pops",
+    /// Free gaps examined by `PeTimeline`'s gap search (added once per
+    /// search).
+    GapSteps => "gap_steps",
+    /// `PeTimeline` reservations that split a free gap in two.
+    GapSplits => "gap_splits",
+    /// Slot occurrences examined by `BusTimeline::schedule_message_nth`
+    /// and `peek_message` (added once per call).
+    BusProbes => "bus_probes",
     /// `FrozenBase` bakes (frozen schedule replayed + validated).
     BaseBakes => "base_bakes",
     /// Store-backend faults injected by a `FaultyBackend` (soak runs).
@@ -93,12 +102,6 @@ counters! {
     ScenarioRetries => "scenario_retries",
     /// Campaigns that entered store-degraded (compute-through) mode.
     DegradedMode => "degraded_mode",
-    /// Freshly allocated gap-list `Vec`s (`PeTimeline::gaps()` calls) —
-    /// the hot paths build shared lists straight from the gap iterator,
-    /// so this counts only the cold/compat allocations.
-    FreshGapLists => "fresh_gap_lists",
-    /// Timeline overlay merges into the consolidated base layer.
-    TimelineConsolidations => "timeline_consolidations",
     /// Job arenas patched in place from a changed-variable hint.
     ArenaPatched => "arena_patched",
     /// Job arenas rebuilt by a full expansion.

@@ -11,17 +11,16 @@
 //! This module splits the work in two:
 //!
 //! * [`FrozenBase`] replays and validates the frozen schedule **once**,
-//!   baking per-PE [`PeTimeline`]s, a [`BusTimeline`] occupancy
-//!   snapshot, and the frozen-only slack (`Arc`-shared gap lists and bus
-//!   windows).
+//!   baking the frozen-only slack — per-PE free gaps and free bus
+//!   windows, `Arc`-shared — and a [`BusTimeline`] occupancy snapshot.
 //! * [`Scheduler`] holds reusable scratch arenas (job records, the ready
 //!   heap, a per-graph priority cache keyed by the priorities' cost
 //!   inputs) and runs every evaluation in the same three steps:
 //!   1. **patch** the job arena in place from the caller's
 //!      changed-variable hint ([`ChangedVar`]) — or **expand** it from
 //!      scratch when no hint applies;
-//!   2. **reset** the timelines from the base: an `Arc` bump per PE plus
-//!      a copy of the sparse bus occupancy;
+//!   2. **reset** the timelines from the base: a copy of each PE's
+//!      frozen gap list and of the bus's per-occurrence fill;
 //!   3. **re-place** the whole current application with the list
 //!      scheduler.
 //!
@@ -33,7 +32,9 @@
 //! ([`SlackProfile::from_shared`]): PEs the current application leaves
 //! untouched alias the frozen base's gap lists, and the bus windows
 //! alias the base's when no message was placed, so profile assembly
-//! costs one reference-count bump per untouched resource.
+//! costs one reference-count bump per untouched resource. A touched PE
+//! costs one slice copy of its live gap list, and a touched bus
+//! re-derives its windows from the live fill.
 //!
 //! A run's placements come back as [`Placements`] — jobs in step order,
 //! messages in emission order — not as a table.
@@ -84,8 +85,6 @@ pub fn check_horizon(apps: &[AppSpec<'_>], horizon: Time) -> Result<(), SchedErr
 #[derive(Debug, Clone)]
 pub struct FrozenBase {
     horizon: Time,
-    /// Per-PE busy timelines holding exactly the frozen jobs.
-    pes: Vec<PeTimeline>,
     /// Bus occupancy holding exactly the frozen messages.
     bus: BusTimeline,
     /// The frozen table itself (an empty one without frozen
@@ -93,13 +92,12 @@ pub struct FrozenBase {
     /// pre-sorted half of every [`materialize`](Self::materialize)
     /// merge. Shared with the caller's table, not copied.
     frozen: ScheduleTable,
-    /// Frozen-only idle intervals per PE, shared with every profile that
-    /// leaves the PE untouched.
+    /// Frozen-only free gaps per PE: the state every run's timelines
+    /// are reset to, and shared with every profile that leaves the PE
+    /// untouched.
     pe_gaps: Vec<GapList>,
     /// Frozen-only free bus windows, in time order, shared likewise.
     bus_windows: GapList,
-    /// Slot-occurrence index behind each entry of `bus_windows`.
-    window_occ: Vec<u64>,
 }
 
 impl FrozenBase {
@@ -130,6 +128,8 @@ impl FrozenBase {
             if fr.horizon() != horizon {
                 return Err(SchedError::FrozenConflict);
             }
+            // Table order is `(pe, start)`, so each reservation trims
+            // its PE's last gap and never shifts the gap list.
             for j in fr.jobs() {
                 if j.pe.index() >= pes.len() {
                     return Err(SchedError::FrozenConflict);
@@ -154,34 +154,15 @@ impl FrozenBase {
                 }
             }
         }
-        // Consolidate the replayed reservations so every scratch
-        // timeline restored from this base starts with an empty overlay
-        // — per-reservation edits then never shift the frozen layer.
-        for tl in &mut pes {
-            tl.consolidate();
-        }
-        let pe_gaps = pes.iter().map(|tl| tl.gap_iter().collect()).collect();
-        let mut bus_windows = Vec::new();
-        let mut window_occ = Vec::new();
-        for idx in 0..bus.occurrence_count() {
-            let occ = bus.occurrence(idx).expect("index < count");
-            let used = bus.used(idx);
-            if used < occ.length {
-                bus_windows.push((occ.start + used, occ.end()));
-                window_occ.push(idx);
-            }
-        }
         counters::bump(Counter::BaseBakes);
         Ok(FrozenBase {
             horizon,
-            pes,
+            bus_windows: bus.free_windows().into(),
             bus,
             frozen: frozen
                 .cloned()
                 .unwrap_or_else(|| ScheduleTable::empty(horizon)),
-            pe_gaps,
-            bus_windows: bus_windows.into(),
-            window_occ,
+            pe_gaps: pes.iter().map(|tl| tl.gaps().into()).collect(),
         })
     }
 
@@ -201,7 +182,7 @@ impl FrozenBase {
 
     /// Number of PEs in the baked timelines.
     pub fn pe_count(&self) -> usize {
-        self.pes.len()
+        self.pe_gaps.len()
     }
 
     /// Number of frozen jobs baked into the base.
@@ -214,12 +195,14 @@ impl FrozenBase {
         self.frozen.messages().len()
     }
 
-    /// The per-PE busy timelines holding exactly the frozen jobs — equal
-    /// to [`ScheduleTable::pe_timelines`] of the frozen table, but
-    /// without the replay: each clone shares the baked consolidated
-    /// layer (one `Arc` bump per PE).
+    /// The per-PE timelines holding exactly the frozen jobs — equal to
+    /// [`ScheduleTable::pe_timelines`] of the frozen table, but built
+    /// from the baked gaps instead of a replay.
     pub fn pe_timelines(&self) -> Vec<PeTimeline> {
-        self.pes.clone()
+        self.pe_gaps
+            .iter()
+            .map(|gaps| PeTimeline::from_gaps(self.horizon, gaps))
+            .collect()
     }
 
     /// The bus occupancy holding exactly the frozen messages — equal to
@@ -424,44 +407,6 @@ struct PrioEntry {
     prio: Vec<Time>,
 }
 
-/// Bus time the current run added per slot occurrence, as a sorted
-/// `(occurrence, added)` vec probed by binary search. The handful of
-/// entries a run accumulates never justifies a node-allocating tree:
-/// the flat vec clears without freeing, refills in place, and the slack
-/// patcher's per-window probe hits one cache line.
-#[derive(Default)]
-struct BusDelta {
-    entries: Vec<(u64, Time)>,
-}
-
-impl BusDelta {
-    fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn get(&self, occ: u64) -> Option<Time> {
-        self.entries
-            .binary_search_by_key(&occ, |&(o, _)| o)
-            .ok()
-            .map(|p| self.entries[p].1)
-    }
-
-    fn add(&mut self, occ: u64, tx: Time) {
-        match self.entries.binary_search_by_key(&occ, |&(o, _)| o) {
-            Ok(p) => self.entries[p].1 += tx,
-            Err(p) => self.entries.insert(p, (occ, tx)),
-        }
-    }
-}
-
 /// The reusable scheduling engine: scratch arenas plus bookkeeping of
 /// what the last run touched (consumed by the slack derivation).
 ///
@@ -496,8 +441,6 @@ pub struct Scheduler {
     cost_scratch: PriorityCosts,
     /// Which PEs the last run placed a new job on.
     touched: Vec<bool>,
-    /// Bus time the last run added per slot occurrence.
-    new_bus: BusDelta,
     /// The last run's jobs in step order.
     placed: Vec<ScheduledJob>,
     /// The last run's messages in emission order.
@@ -555,7 +498,7 @@ impl Scheduler {
     /// same caveat as [`touched_pes`](Self::touched_pes) applies to
     /// failed runs.
     pub fn bus_touched(&self) -> bool {
-        !self.new_bus.is_empty()
+        !self.msgs.is_empty()
     }
 
     /// Schedules `apps` on top of `base`, reusing the scratch arenas.
@@ -576,9 +519,8 @@ impl Scheduler {
     }
 
     /// Like [`schedule`](Self::schedule) but also derives the slack
-    /// profile: untouched PEs alias the baked frozen-only gap lists and
-    /// only bus occurrences carrying a new message have their free
-    /// windows patched. The profile is identical to
+    /// profile: untouched PEs alias the baked frozen-only gap lists, and
+    /// so does an untouched bus. The profile is identical to
     /// [`SlackProfile::from_table`] on the returned table.
     ///
     /// # Errors
@@ -634,7 +576,7 @@ impl Scheduler {
         changed: Option<&[ChangedVar]>,
     ) -> Result<Placements, SchedError> {
         check_horizon(apps, base.horizon)?;
-        debug_assert_eq!(arch.pe_count(), base.pes.len(), "base built for this arch");
+        debug_assert_eq!(arch.pe_count(), base.pe_count(), "base built for this arch");
         self.raw_schedules += 1;
         {
             let _expand = phase::scope(Phase::Expand);
@@ -663,25 +605,20 @@ impl Scheduler {
             pes,
             bus,
             touched,
-            new_bus,
             placed,
             msgs,
             ..
         } = self;
-        // Reset from the baked base: the consolidated frozen layers are
-        // shared by `Arc`, the bus copies only its sparse occupancy.
-        if pes.len() == base.pes.len() {
-            for (tl, b) in pes.iter_mut().zip(&base.pes) {
-                tl.copy_from(b);
-            }
-        } else {
-            *pes = base.pes.clone();
+        // Reset from the baked base: copy each PE's frozen gaps and the
+        // bus fill into the scratch allocations.
+        pes.resize_with(base.pe_count(), || PeTimeline::new(base.horizon));
+        for (tl, gaps) in pes.iter_mut().zip(&base.pe_gaps) {
+            tl.restore(base.horizon, gaps);
         }
         let bus = bus.get_or_insert_with(|| base.bus.clone());
         bus.reset_from(&base.bus);
         touched.clear();
-        touched.resize(base.pes.len(), false);
-        new_bus.clear();
+        touched.resize(base.pe_count(), false);
         placed.clear();
         msgs.clear();
         ready.clone_from(releases);
@@ -709,7 +646,6 @@ impl Scheduler {
             pes,
             bus,
             touched,
-            new_bus,
             placed,
             msgs,
         )?;
@@ -966,9 +902,9 @@ impl Scheduler {
         Ok(())
     }
 
-    /// The slack of the most recent successful run: gap lists of
-    /// untouched PEs alias the base, and only touched resources are
-    /// re-derived from the live timelines.
+    /// The slack of the most recent successful run: untouched PEs and an
+    /// untouched bus alias the base's lists; touched ones copy the live
+    /// timelines' free time.
     fn slack_profile(&mut self, base: &FrozenBase) -> SlackProfile {
         let _slack = phase::scope(Phase::Slack);
         let mut fresh = 0usize;
@@ -980,7 +916,7 @@ impl Scheduler {
                 if self.touched[i] {
                     fresh += 1;
                     counters::bump(Counter::SlackGapsMaterialized);
-                    self.pes[i].gap_iter().collect()
+                    self.pes[i].gaps().into()
                 } else {
                     counters::bump(Counter::SlackGapsAliased);
                     Arc::clone(&base.pe_gaps[i])
@@ -988,34 +924,15 @@ impl Scheduler {
             })
             .collect();
 
-        let bus_arc = if self.new_bus.is_empty() {
-            counters::bump(Counter::BusWindowsAliased);
-            Arc::clone(&base.bus_windows)
-        } else {
-            // Every occurrence a new message landed in had free room, so
-            // it appears in the baked window list; patching is a linear
-            // merge.
-            counters::bump(Counter::BusWindowsPatched);
-            let mut patched = 0usize;
-            let mut windows = Vec::with_capacity(base.bus_windows.len());
-            for (k, &(ws, we)) in base.bus_windows.iter().enumerate() {
-                match self.new_bus.get(base.window_occ[k]) {
-                    None => windows.push((ws, we)),
-                    Some(added) => {
-                        patched += 1;
-                        let ns = ws + added;
-                        if ns < we {
-                            windows.push((ns, we));
-                        }
-                    }
-                }
+        let bus_arc = match &self.bus {
+            Some(bus) if self.bus_touched() => {
+                counters::bump(Counter::BusWindowsPatched);
+                bus.free_windows().into()
             }
-            debug_assert_eq!(
-                patched,
-                self.new_bus.len(),
-                "every new message lands in a baked window"
-            );
-            windows.into()
+            _ => {
+                counters::bump(Counter::BusWindowsAliased);
+                Arc::clone(&base.bus_windows)
+            }
         };
 
         self.fresh_gap_lists = fresh;
@@ -1055,7 +972,6 @@ fn schedule_loop(
     pes: &mut [PeTimeline],
     bus: &mut BusTimeline,
     touched: &mut [bool],
-    new_bus: &mut BusDelta,
     placed: &mut Vec<ScheduledJob>,
     msgs: &mut Vec<ScheduledMessage>,
 ) -> Result<(), SchedError> {
@@ -1102,7 +1018,6 @@ fn schedule_loop(
                         msg: mref,
                         source,
                     })?;
-                new_bus.add(r.occurrence, tx);
                 msgs.push(ScheduledMessage {
                     app: spec.id,
                     msg: mref,

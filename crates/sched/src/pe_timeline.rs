@@ -1,45 +1,23 @@
-//! Busy/gap interval bookkeeping for one processing element.
+//! Free-time bookkeeping for one processing element.
 //!
-//! The scheduler treats each PE as a timeline of half-open busy intervals
-//! within `[0, horizon)`. Existing (frozen) applications appear as
-//! pre-reserved intervals; the list scheduler fills the remaining gaps.
+//! The scheduler treats each PE as a timeline over `[0, horizon)`.
+//! Existing (frozen) applications appear as pre-reserved time; the list
+//! scheduler fills what is left.
 //!
 //! # Data layout
 //!
-//! The timeline is stored in two layers:
-//!
-//! * `base` — the *consolidated* layer: a sorted `Vec` of disjoint
-//!   intervals. For the evaluation engine's scratch timelines this is
-//!   the frozen base occupancy restored by [`PeTimeline::copy_from`];
-//!   it is never shifted by per-reservation edits.
-//! * `over` — the *overlay*: the reservations made since the last
-//!   consolidation, also sorted and disjoint (and disjoint from
-//!   `base`), but small — bounded by [`CONSOLIDATE_AT`] plus one run's
-//!   placements on this PE.
-//!
-//! The evaluation engine's runs only ever insert the current
-//! candidate's placements on top of a reset: with this split, every
-//! such insert shifts only the overlay, so its cost is bounded by the
-//! *current application's* per-PE placement count instead of the total
-//! reservation count (frozen jobs included), and the reset is a pointer
-//! bump instead of a copy. Reads (gap search, gap enumeration, window
-//! overlap) run a two-pointer merge of the layers; both are contiguous
-//! in memory. When the overlay outgrows [`CONSOLIDATE_AT`] (bulk
-//! from-scratch schedules, e.g. the naive pipeline), it is merged into
-//! the base in one linear pass, keeping insert cost amortized.
+//! The timeline stores the free time its readers consume: one sorted
+//! `Vec` of *maximal* free gaps plus a running free-time total. The gap
+//! search binary-searches the first gap ending after the ready time and
+//! scans gaps from there; a reservation carves the gap that contains it
+//! (remove, trim its front, trim its back, or split it in two); the
+//! slack derivation copies the list as it is. Busy time is the
+//! complement, so [`PeTimeline::intervals`] yields maximal busy runs:
+//! adjacent reservations merge.
 
 use incdes_model::Time;
 use incdes_obs::counters::{self, Counter};
 use std::fmt;
-use std::sync::Arc;
-
-/// Overlay length that triggers a merge into the consolidated base.
-/// One evaluation places roughly (current jobs × instances) / PE-count
-/// reservations per PE — comfortably below this — so engine runs on a
-/// baked base never consolidate mid-run; only bulk from-scratch
-/// schedules (bakes, the naive pipeline) do, amortizing their insert
-/// cost.
-const CONSOLIDATE_AT: usize = 64;
 
 /// Error from timeline operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,88 +76,52 @@ impl fmt::Display for PeTimelineError {
 
 impl std::error::Error for PeTimelineError {}
 
-/// The timeline of one PE: disjoint busy intervals in `[0, horizon)`,
-/// stored as a consolidated base layer plus a small overlay (see the
-/// module docs). Equality is by *content* — two timelines holding the
-/// same intervals compare equal regardless of how the layers split
-/// them.
-#[derive(Debug, Clone)]
+/// The timeline of one PE, stored as its maximal free gaps in
+/// `[0, horizon)` (see the module docs). The gap list is canonical, so
+/// two timelines with the same busy intervals compare equal however
+/// their reservations were split.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PeTimeline {
     horizon: Time,
-    /// Consolidated layer: sorted by start, disjoint. Shared (`Arc`)
-    /// because the engine's scratch timelines restore it from the
-    /// frozen base on every reset: with the base layer behind an `Arc`,
-    /// [`copy_from`](Self::copy_from) is a pointer bump instead of an
-    /// O(frozen jobs) memcpy. All per-reservation edits go to the
-    /// overlay; consolidation replaces the whole `Arc`.
-    base: Arc<Vec<(Time, Time)>>,
-    /// Overlay: sorted by start, disjoint, disjoint from `base`, small.
-    over: Vec<(Time, Time)>,
-}
-
-impl PartialEq for PeTimeline {
-    fn eq(&self, other: &Self) -> bool {
-        self.horizon == other.horizon && self.intervals().eq(other.intervals())
-    }
-}
-
-impl Eq for PeTimeline {}
-
-/// Two-pointer merge cursor over the (sorted, mutually disjoint)
-/// layers. Disjointness makes starts unique, so min-by-start is a
-/// total order.
-#[derive(Clone, Copy)]
-struct Cursor<'a> {
-    a: &'a [(Time, Time)],
-    b: &'a [(Time, Time)],
-    i: usize,
-    j: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn peek(&self) -> Option<(Time, Time)> {
-        match (self.a.get(self.i), self.b.get(self.j)) {
-            (Some(&x), Some(&y)) => Some(if x.0 < y.0 { x } else { y }),
-            (Some(&x), None) => Some(x),
-            (None, Some(&y)) => Some(y),
-            (None, None) => None,
-        }
-    }
-
-    fn advance(&mut self) {
-        match (self.a.get(self.i), self.b.get(self.j)) {
-            (Some(&x), Some(&y)) => {
-                if x.0 < y.0 {
-                    self.i += 1;
-                } else {
-                    self.j += 1;
-                }
-            }
-            (Some(_), None) => self.i += 1,
-            (None, Some(_)) => self.j += 1,
-            (None, None) => {}
-        }
-    }
-}
-
-impl<'a> Iterator for Cursor<'a> {
-    type Item = (Time, Time);
-
-    fn next(&mut self) -> Option<(Time, Time)> {
-        let cur = self.peek()?;
-        self.advance();
-        Some(cur)
-    }
+    /// Maximal free gaps: sorted, disjoint, non-adjacent, non-empty.
+    gaps: Vec<(Time, Time)>,
+    /// Sum of the gap lengths.
+    free: Time,
 }
 
 impl PeTimeline {
     /// An empty timeline over `[0, horizon)`.
     pub fn new(horizon: Time) -> Self {
-        PeTimeline {
+        let whole = [(Time::ZERO, horizon)];
+        PeTimeline::from_gaps(horizon, if horizon.is_zero() { &[] } else { &whole })
+    }
+
+    /// A timeline over `[0, horizon)` whose free time is exactly `gaps`,
+    /// which must be sorted, disjoint, non-adjacent, non-empty and
+    /// inside the horizon, as [`gaps`](Self::gaps) returns them.
+    pub fn from_gaps(horizon: Time, gaps: &[(Time, Time)]) -> Self {
+        let mut tl = PeTimeline {
             horizon,
-            base: Arc::new(Vec::new()),
-            over: Vec::new(),
-        }
+            gaps: Vec::new(),
+            free: Time::ZERO,
+        };
+        tl.restore(horizon, gaps);
+        tl
+    }
+
+    /// Resets this timeline to [`from_gaps`](Self::from_gaps)`(horizon,
+    /// gaps)`, reusing its allocation. The evaluation engine calls this
+    /// once per schedule to restore the frozen base's gaps.
+    pub fn restore(&mut self, horizon: Time, gaps: &[(Time, Time)]) {
+        debug_assert!(
+            gaps.windows(2).all(|w| w[0].1 < w[1].0)
+                && gaps.iter().all(|&(s, e)| s < e && e <= horizon),
+            "gaps must be sorted, disjoint, non-adjacent, non-empty and inside the horizon"
+        );
+        self.horizon = horizon;
+        self.gaps.clear();
+        self.gaps.extend_from_slice(gaps);
+        self.free = gaps.iter().map(|&(s, e)| e - s).sum();
     }
 
     /// The horizon.
@@ -187,46 +129,26 @@ impl PeTimeline {
         self.horizon
     }
 
-    /// Number of reservations.
-    pub fn reservation_count(&self) -> usize {
-        self.base.len() + self.over.len()
-    }
-
     /// Total busy time.
     pub fn busy_time(&self) -> Time {
-        self.base
-            .iter()
-            .chain(&self.over)
-            .map(|&(s, e)| e - s)
-            .sum()
+        self.horizon - self.free
     }
 
     /// Total free time.
     pub fn free_time(&self) -> Time {
-        self.horizon - self.busy_time()
+        self.free
     }
 
-    /// Merge cursor positioned at the first interval (in start order)
-    /// whose end is after `ready`. Both layers have sorted ends (their
-    /// intervals are disjoint and start-sorted), so each can be
-    /// positioned by binary search independently.
-    fn cursor_from(&self, ready: Time) -> Cursor<'_> {
-        Cursor {
-            a: &self.base[..],
-            b: &self.over,
-            i: self.base.partition_point(|&(_, e)| e <= ready),
-            j: self.over.partition_point(|&(_, e)| e <= ready),
-        }
-    }
-
-    /// All busy intervals in time order.
+    /// The maximal busy runs in time order: the complement of the gaps,
+    /// so adjacent reservations come back as one run.
     pub fn intervals(&self) -> impl Iterator<Item = (Time, Time)> + '_ {
-        Cursor {
-            a: &self.base[..],
-            b: &self.over,
-            i: 0,
-            j: 0,
-        }
+        let ends = self
+            .gaps
+            .iter()
+            .map(|&(s, _)| s)
+            .chain(std::iter::once(self.horizon));
+        let starts = std::iter::once(Time::ZERO).chain(self.gaps.iter().map(|&(_, e)| e));
+        starts.zip(ends).filter(|&(s, e)| s < e)
     }
 
     /// Reserves the exact interval `[start, end)`.
@@ -239,25 +161,16 @@ impl PeTimeline {
         if start >= end || end > self.horizon {
             return Err(PeTimelineError::OutOfRange { start, end });
         }
-        let bi = self.base.partition_point(|&(s, _)| s < start);
-        if bi > 0 && self.base[bi - 1].1 > start {
-            return Err(PeTimelineError::Overlap { start, end });
+        // Free time is maximal gaps, so the interval is free exactly
+        // when one gap holds all of it.
+        let idx = self.gaps.partition_point(|&(_, e)| e <= start);
+        match self.gaps.get(idx) {
+            Some(&(s, e)) if s <= start && end <= e => {
+                self.carve(idx, start, end);
+                Ok(())
+            }
+            _ => Err(PeTimelineError::Overlap { start, end }),
         }
-        if bi < self.base.len() && self.base[bi].0 < end {
-            return Err(PeTimelineError::Overlap { start, end });
-        }
-        let oi = self.over.partition_point(|&(s, _)| s < start);
-        if oi > 0 && self.over[oi - 1].1 > start {
-            return Err(PeTimelineError::Overlap { start, end });
-        }
-        if oi < self.over.len() && self.over[oi].0 < end {
-            return Err(PeTimelineError::Overlap { start, end });
-        }
-        self.over.insert(oi, (start, end));
-        if self.over.len() >= CONSOLIDATE_AT {
-            self.consolidate();
-        }
-        Ok(())
     }
 
     /// Finds and reserves the earliest start ≥ `ready` of a block of
@@ -277,12 +190,8 @@ impl PeTimeline {
         duration: Time,
         skip: u32,
     ) -> Result<Time, PeTimelineError> {
-        let start = self.find_earliest(ready, duration, skip)?;
-        let oi = self.over.partition_point(|&(s, _)| s < start);
-        self.over.insert(oi, (start, start + duration));
-        if self.over.len() >= CONSOLIDATE_AT {
-            self.consolidate();
-        }
+        let (start, idx) = self.find_earliest(ready, duration, skip)?;
+        self.carve(idx, start, start + duration);
         Ok(start)
     }
 
@@ -299,160 +208,80 @@ impl PeTimeline {
         skip: u32,
     ) -> Result<Time, PeTimelineError> {
         self.find_earliest(ready, duration, skip)
+            .map(|(start, _)| start)
     }
 
-    /// Shared gap search over the merged layers.
+    /// Shared gap search: the start and the index of the chosen gap. A
+    /// gap is feasible when `max(start, ready) + duration <= end`.
     fn find_earliest(
         &self,
         ready: Time,
         duration: Time,
         skip: u32,
-    ) -> Result<Time, PeTimelineError> {
+    ) -> Result<(Time, usize), PeTimelineError> {
         if duration.is_zero() {
             return Err(PeTimelineError::OutOfRange {
                 start: ready,
                 end: ready,
             });
         }
+        let first = self.gaps.partition_point(|&(_, e)| e <= ready);
         let mut remaining = skip;
-        let mut cursor = ready;
-        let mut merged = self.cursor_from(ready);
-        loop {
-            let next = merged.peek();
-            let gap_end = next.map_or(self.horizon, |(s, _)| s);
-            if cursor + duration <= gap_end {
+        for (i, &(s, e)) in self.gaps[first..].iter().enumerate() {
+            let start = s.max(ready);
+            if start + duration <= e {
                 if remaining == 0 {
-                    return Ok(cursor);
+                    counters::add(Counter::GapSteps, i as u64 + 1);
+                    return Ok((start, first + i));
                 }
                 remaining -= 1;
             }
-            let Some((_, e)) = next else {
-                return Err(PeTimelineError::NoGap {
-                    ready,
-                    duration,
-                    skipped: skip - remaining,
-                });
-            };
-            cursor = cursor.max(e);
-            merged.advance();
         }
-    }
-
-    /// The free gaps `(start, end)` in time order, as an iterator over
-    /// the merged layers — no allocation. The hot paths (slack
-    /// materialization, base bakes) collect this straight into their
-    /// shared storage.
-    pub fn gap_iter(&self) -> impl Iterator<Item = (Time, Time)> + '_ {
-        let mut merged = self.intervals();
-        let mut cursor = Time::ZERO;
-        let horizon = self.horizon;
-        let mut done = false;
-        std::iter::from_fn(move || {
-            while !done {
-                match merged.next() {
-                    Some((s, e)) => {
-                        let gap = (cursor < s).then_some((cursor, s));
-                        cursor = cursor.max(e);
-                        if gap.is_some() {
-                            return gap;
-                        }
-                    }
-                    None => {
-                        done = true;
-                        if cursor < horizon {
-                            return Some((cursor, horizon));
-                        }
-                    }
-                }
-            }
-            None
+        counters::add(Counter::GapSteps, (self.gaps.len() - first) as u64);
+        Err(PeTimelineError::NoGap {
+            ready,
+            duration,
+            skipped: skip - remaining,
         })
     }
 
-    /// Writes the free gaps into `out` (cleared first), reusing its
-    /// allocation.
-    pub fn gaps_into(&self, out: &mut Vec<(Time, Time)>) {
-        out.clear();
-        out.extend(self.gap_iter());
+    /// Takes `[start, end)` out of gap `idx`, which holds it.
+    fn carve(&mut self, idx: usize, start: Time, end: Time) {
+        let (s, e) = self.gaps[idx];
+        debug_assert!(s <= start && start < end && end <= e);
+        match (s == start, end == e) {
+            (true, true) => {
+                self.gaps.remove(idx);
+            }
+            (true, false) => self.gaps[idx].0 = end,
+            (false, true) => self.gaps[idx].1 = start,
+            (false, false) => {
+                counters::bump(Counter::GapSplits);
+                self.gaps[idx].1 = start;
+                self.gaps.insert(idx + 1, (end, e));
+            }
+        }
+        self.free -= end - start;
     }
 
-    /// The free gaps `(start, end)` in time order, freshly allocated.
-    /// Compat/cold-path convenience — counted by the `fresh_gap_lists`
-    /// probe so hot paths that should use [`gap_iter`](Self::gap_iter)
-    /// or [`gaps_into`](Self::gaps_into) show up in diagnostics.
-    pub fn gaps(&self) -> Vec<(Time, Time)> {
-        counters::bump(Counter::FreshGapLists);
-        self.gap_iter().collect()
+    /// The maximal free gaps `(start, end)` in time order.
+    pub fn gaps(&self) -> &[(Time, Time)] {
+        &self.gaps
     }
 
     /// Free time inside the window `[from, to)`.
     pub fn free_time_in(&self, from: Time, to: Time) -> Time {
-        let to = to.min(self.horizon);
-        if from >= to {
-            return Time::ZERO;
-        }
-        let mut busy_in = Time::ZERO;
-        for (s, e) in self.intervals() {
-            if s >= to {
-                break;
-            }
-            let lo = s.max(from);
-            let hi = e.min(to);
-            if lo < hi {
-                busy_in += hi - lo;
-            }
-        }
-        (to - from) - busy_in
+        let first = self.gaps.partition_point(|&(_, e)| e <= from);
+        self.gaps[first..]
+            .iter()
+            .take_while(|&&(s, _)| s < to)
+            .map(|&(s, e)| e.min(to).saturating_sub(s.max(from)))
+            .sum()
     }
 
-    /// The busy intervals in time order, freshly collected.
+    /// The maximal busy runs in time order, freshly collected.
     pub fn busy_intervals(&self) -> Vec<(Time, Time)> {
         self.intervals().collect()
-    }
-
-    /// Merges the overlay into the consolidated base layer (one linear
-    /// pass). The bake path calls this after replaying a frozen
-    /// schedule so every scratch timeline restored by
-    /// [`copy_from`](Self::copy_from) starts with an empty overlay.
-    pub fn consolidate(&mut self) {
-        if self.over.is_empty() {
-            return;
-        }
-        counters::bump(Counter::TimelineConsolidations);
-        let mut merged = Vec::with_capacity(self.base.len() + self.over.len());
-        merged.extend(Cursor {
-            a: &self.base[..],
-            b: &self.over,
-            i: 0,
-            j: 0,
-        });
-        self.base = Arc::new(merged);
-        self.over.clear();
-    }
-
-    /// Resets this timeline to an exact copy of `other`. The evaluation
-    /// engine calls this once per schedule to restore the baked frozen
-    /// occupancy: when the source is consolidated (baked bases always
-    /// are), the reset aliases the shared base layer instead of copying
-    /// it. The restored overlay starts empty, so every subsequent
-    /// per-reservation edit shifts only the overlay.
-    pub fn copy_from(&mut self, other: &PeTimeline) {
-        self.horizon = other.horizon;
-        if other.over.is_empty() {
-            // The hot path: baked bases are consolidated, so the reset
-            // is a shared alias of the source's base layer — no copy.
-            self.base = Arc::clone(&other.base);
-        } else {
-            self.base = Arc::new(other.intervals().collect());
-        }
-        self.over.clear();
-    }
-
-    /// Layer occupancy `(base, overlay)` — diagnostics for the layout
-    /// tests.
-    #[doc(hidden)]
-    pub fn layer_lens(&self) -> (usize, usize) {
-        (self.base.len(), self.over.len())
     }
 }
 
@@ -471,7 +300,7 @@ mod tests {
         tl.reserve(t(10), t(20)).unwrap();
         tl.reserve(t(20), t(30)).unwrap(); // adjacent is fine
         tl.reserve(t(0), t(10)).unwrap();
-        assert_eq!(tl.reservation_count(), 3);
+        assert_eq!(tl.busy_intervals(), vec![(t(0), t(30))], "one busy run");
         assert!(matches!(
             tl.reserve(t(15), t(25)),
             Err(PeTimelineError::Overlap { .. })
@@ -574,9 +403,12 @@ mod tests {
         tl.reserve(t(90), t(100)).unwrap();
         assert_eq!(tl.gaps(), vec![(t(0), t(10)), (t(30), t(90))]);
         assert_eq!(tl.free_time(), t(70));
-        let mut buf = vec![(t(9), t(9))];
-        tl.gaps_into(&mut buf);
-        assert_eq!(buf, vec![(t(0), t(10)), (t(30), t(90))]);
+        // Restoring the gaps rebuilds the same timeline, reusing storage.
+        let mut other = PeTimeline::new(t(5));
+        other.reserve(t(0), t(5)).unwrap();
+        other.restore(t(100), tl.gaps());
+        assert_eq!(other, tl);
+        assert_eq!(PeTimeline::from_gaps(t(100), tl.gaps()), tl);
     }
 
     #[test]
@@ -604,46 +436,79 @@ mod tests {
     }
 
     #[test]
-    fn equality_ignores_layer_split() {
-        let mut consolidated = PeTimeline::new(t(100));
-        consolidated.reserve(t(10), t(20)).unwrap();
-        consolidated.reserve(t(40), t(50)).unwrap();
-        consolidated.consolidate();
-        let mut layered = PeTimeline::new(t(100));
-        layered.reserve(t(40), t(50)).unwrap();
-        layered.reserve(t(10), t(20)).unwrap();
-        assert_eq!(consolidated.layer_lens(), (2, 0));
-        assert_eq!(layered.layer_lens(), (0, 2));
-        assert_eq!(consolidated, layered);
+    fn adjacent_reservations_merge() {
+        let mut tl = PeTimeline::new(t(100));
+        tl.reserve(t(30), t(40)).unwrap();
+        tl.reserve(t(10), t(20)).unwrap();
+        tl.reserve(t(20), t(30)).unwrap();
+        assert_eq!(tl.busy_intervals(), vec![(t(10), t(40))]);
+        assert_eq!(tl.gaps(), vec![(t(0), t(10)), (t(40), t(100))]);
+        // Equality is by content: one reservation of the same run matches.
+        let mut whole = PeTimeline::new(t(100));
+        whole.reserve(t(10), t(40)).unwrap();
+        assert_eq!(tl, whole);
     }
 
     #[test]
-    fn copy_from_yields_empty_overlay() {
-        let mut src = PeTimeline::new(t(100));
-        src.reserve(t(10), t(20)).unwrap();
-        src.reserve(t(30), t(40)).unwrap();
-        let mut dst = PeTimeline::new(t(5));
-        dst.reserve(t(0), t(5)).unwrap();
-        dst.copy_from(&src);
-        assert_eq!(dst, src);
-        assert_eq!(dst.layer_lens(), (2, 0));
+    fn exact_fill_removes_gap() {
+        let mut tl = PeTimeline::new(t(100));
+        tl.reserve(t(10), t(20)).unwrap();
+        tl.reserve(t(30), t(40)).unwrap();
+        assert_eq!(tl.gaps().len(), 3);
+        assert_eq!(tl.reserve_earliest(t(12), t(10), 0), Ok(t(20)));
+        assert_eq!(tl.gaps(), vec![(t(0), t(10)), (t(40), t(100))]);
+        assert_eq!(tl.free_time(), t(70));
+        assert_eq!(tl.busy_time(), t(30));
     }
 
     #[test]
-    fn overlay_overflow_consolidates() {
-        let mut tl = PeTimeline::new(t(10_000));
-        for k in 0..(CONSOLIDATE_AT as u64 + 10) {
-            tl.reserve(t(k * 10), t(k * 10 + 5)).unwrap();
-        }
-        let (base, over) = tl.layer_lens();
-        assert!(base >= CONSOLIDATE_AT, "bulk inserts consolidated");
-        assert!(over < CONSOLIDATE_AT);
-        assert_eq!(tl.reservation_count(), CONSOLIDATE_AT + 10);
+    fn mid_gap_placement_splits() {
+        let mut tl = PeTimeline::new(t(100));
+        let before = counters::snapshot();
+        assert_eq!(tl.reserve_earliest(t(30), t(10), 0), Ok(t(30)));
+        let d = counters::snapshot().delta_since(&before);
+        assert_eq!(tl.gaps(), vec![(t(0), t(30)), (t(40), t(100))]);
+        assert_eq!(d.get(Counter::GapSplits), 1);
+        assert_eq!(d.get(Counter::GapSteps), 1);
+        // Trimming a gap's front or back does not split.
+        let before = counters::snapshot();
+        tl.reserve(t(0), t(5)).unwrap();
+        tl.reserve(t(95), t(100)).unwrap();
+        let d = counters::snapshot().delta_since(&before);
+        assert_eq!(tl.gaps(), vec![(t(5), t(30)), (t(40), t(95))]);
+        assert_eq!(d.get(Counter::GapSplits), 0);
     }
 
-    /// Reference oracle: the pre-layered layout — one sorted `Vec` with
-    /// per-reservation `insert` — whose observable behavior the layered
-    /// layout must reproduce call-for-call.
+    #[test]
+    fn skip_hint_counts_maximal_gaps() {
+        let mut tl = PeTimeline::new(t(100));
+        // Adjacent reservations leave no empty gap between them to skip.
+        tl.reserve(t(10), t(20)).unwrap();
+        tl.reserve(t(20), t(30)).unwrap();
+        tl.reserve(t(50), t(60)).unwrap();
+        // Maximal gaps: [0,10), [30,50), [60,100).
+        let before = counters::snapshot();
+        assert_eq!(tl.peek_earliest(t(0), t(5), 1), Ok(t(30)));
+        assert_eq!(tl.peek_earliest(t(0), t(5), 2), Ok(t(60)));
+        assert_eq!(
+            tl.peek_earliest(t(0), t(5), 3),
+            Err(PeTimelineError::NoGap {
+                ready: t(0),
+                duration: t(5),
+                skipped: 3,
+            })
+        );
+        let d = counters::snapshot().delta_since(&before);
+        assert_eq!(d.get(Counter::GapSteps), 2 + 3 + 3);
+        // Gaps that end before `ready`, or are too short after it, are
+        // not counted.
+        assert_eq!(tl.peek_earliest(t(45), t(5), 0), Ok(t(45)));
+        assert_eq!(tl.peek_earliest(t(46), t(5), 0), Ok(t(60)));
+    }
+
+    /// Reference oracle: the busy-interval layout — one sorted `Vec` of
+    /// reservations with per-reservation `insert` — whose observable
+    /// behavior the gap list must reproduce call for call.
     struct SortedVecOracle {
         horizon: Time,
         busy: Vec<(Time, Time)>,
@@ -681,6 +546,21 @@ mod tests {
             let (start, idx) = self.find_earliest(ready, duration, skip)?;
             self.busy.insert(idx, (start, start + duration));
             Ok(start)
+        }
+
+        fn gaps(&self) -> Vec<(Time, Time)> {
+            let mut gaps = Vec::new();
+            let mut cursor = Time::ZERO;
+            for &(s, e) in &self.busy {
+                if cursor < s {
+                    gaps.push((cursor, s));
+                }
+                cursor = cursor.max(e);
+            }
+            if cursor < self.horizon {
+                gaps.push((cursor, self.horizon));
+            }
+            gaps
         }
 
         fn find_earliest(
@@ -765,12 +645,12 @@ mod tests {
             prop_assert_eq!(sum, tl.free_time());
         }
 
-        /// Differential round-trip against the old sorted-`Vec` layout:
-        /// a random interleaving of exact reserves, gap-searched
-        /// reserves and consolidations must match the oracle
-        /// result-for-result and interval-for-interval.
+        /// Differential round-trip against the busy-interval oracle: a
+        /// random interleaving of exact reserves, gap-searched reserves
+        /// and peeks must match the oracle result for result (including
+        /// `NoGap { skipped }`), gap list for gap list.
         #[test]
-        fn prop_layered_matches_sorted_vec_oracle(
+        fn prop_gap_list_matches_sorted_vec_oracle(
             ops in proptest::collection::vec((0u8..3, 0u64..480, 1u64..40, 0u32..3), 1..60)
         ) {
             let mut tl = PeTimeline::new(t(500));
@@ -786,28 +666,25 @@ mod tests {
                         let want = oracle.reserve_earliest(t(a), t(b), skip);
                         prop_assert_eq!(got, want);
                     }
-                    _ => tl.consolidate(),
+                    _ => {}
                 }
                 prop_assert_eq!(
                     tl.peek_earliest(t(a), t(b), skip),
                     oracle.find_earliest(t(a), t(b), skip).map(|(s, _)| s)
                 );
+                prop_assert_eq!(tl.gaps(), oracle.gaps());
+                prop_assert_eq!(tl.busy_time(), oracle.busy.iter().map(|&(s, e)| e - s).sum::<Time>());
             }
-            let merged: Vec<_> = tl.intervals().collect();
-            prop_assert_eq!(merged, oracle.busy);
-            let gaps = tl.gaps();
-            let mut want_gaps = Vec::new();
-            let mut cursor = Time::ZERO;
+            // Busy runs are the oracle's reservations with adjacent ones
+            // merged.
+            let mut runs: Vec<(Time, Time)> = Vec::new();
             for &(s, e) in &oracle.busy {
-                if cursor < s {
-                    want_gaps.push((cursor, s));
+                match runs.last_mut() {
+                    Some(last) if last.1 == s => last.1 = e,
+                    _ => runs.push((s, e)),
                 }
-                cursor = cursor.max(e);
             }
-            if cursor < t(500) {
-                want_gaps.push((cursor, t(500)));
-            }
-            prop_assert_eq!(gaps, want_gaps);
+            prop_assert_eq!(tl.busy_intervals(), runs);
         }
     }
 }

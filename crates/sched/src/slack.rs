@@ -59,7 +59,7 @@ impl SlackProfile {
         let pe_gaps: Arc<[GapList]> = table
             .pe_timelines(arch)
             .iter()
-            .map(|tl| tl.gap_iter().collect())
+            .map(|tl| tl.gaps().into())
             .collect();
         let bus = table.bus_timeline(arch);
         SlackProfile {

@@ -561,6 +561,8 @@ impl ScheduleTable {
         }
 
         // Precedence + message existence/timing.
+        let bus = BusTimeline::new(arch.bus(), self.horizon)
+            .expect("table horizon is a multiple of the bus cycle");
         for &(app_id, app, _) in apps {
             for (gi, g) in app.graphs.iter().enumerate() {
                 let instances = self.horizon.ticks() / g.period.ticks();
@@ -595,8 +597,6 @@ impl ScheduleTable {
                             }
                             // Frame assembled before slot start: slot must
                             // begin at or after producer end.
-                            let bus = BusTimeline::new(arch.bus(), self.horizon)
-                                .expect("table horizon is a multiple of the bus cycle");
                             let occ = bus.occurrence(r.occurrence).map_err(|_| {
                                 TableError::BusViolation {
                                     app: app_id,
@@ -639,8 +639,6 @@ impl ScheduleTable {
         }
 
         // Frame non-overlap per occurrence, in replay order.
-        let bus = BusTimeline::new(arch.bus(), self.horizon)
-            .expect("table horizon is a multiple of the bus cycle");
         for (occ_idx, indices) in frame_replay_order(&self.messages) {
             let first = &self.messages[indices[0]];
             let occ = bus

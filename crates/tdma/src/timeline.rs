@@ -1,6 +1,7 @@
 //! Concrete bus timeline over a scheduling horizon.
 
 use incdes_model::{BusConfig, PeId, Time};
+use incdes_obs::counters::{self, Counter};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -115,7 +116,7 @@ impl fmt::Display for BusTimelineError {
 impl std::error::Error for BusTimelineError {}
 
 /// Per-occurrence occupancy.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct SlotUse {
     used: Time,
     messages: u32,
@@ -123,13 +124,11 @@ struct SlotUse {
 
 /// The bus timeline: slot occurrences over a horizon plus their occupancy.
 ///
-/// Construction is cheap (occupancy is sparse); the mapping heuristics
-/// rebuild a timeline for every candidate solution they evaluate.
-/// Occupancy is a `Vec` sorted by occurrence index rather than a tree:
-/// it stays small (one entry per occupied frame), lookups are a binary
-/// search over contiguous memory, and [`reset_from`](Self::reset_from)
-/// — called once per evaluation by the scheduling engine — restores it
-/// with a flat `clone_from` instead of a node-by-node tree clone.
+/// Occupancy is dense: one fill entry per slot occurrence, allocated
+/// once by [`new`](Self::new) and indexed by occurrence, so probing an
+/// occurrence is plain indexing and
+/// [`reset_from`](Self::reset_from) — called once per evaluation by the
+/// scheduling engine — is one flat `clone_from`.
 #[derive(Debug, Clone)]
 pub struct BusTimeline {
     /// Slot geometry, immutable after construction: every mutating
@@ -142,8 +141,8 @@ pub struct BusTimeline {
     cycle: Time,
     horizon: Time,
     cycles: u64,
-    /// Sorted by occurrence index; only occupied frames have entries.
-    occupancy: Vec<(u64, SlotUse)>,
+    /// Fill of every occurrence, indexed by occurrence.
+    occupancy: Vec<SlotUse>,
 }
 
 impl BusTimeline {
@@ -177,34 +176,15 @@ impl BusTimeline {
             by_owner[s.owner.index()].push(i);
         }
         let cycles = horizon.ticks() / cycle.ticks();
+        let occurrences = (cycles * flat.len() as u64) as usize;
         Ok(BusTimeline {
             flat: flat.into(),
             by_owner: by_owner.into(),
             cycle,
             horizon,
             cycles,
-            occupancy: Vec::new(),
+            occupancy: vec![SlotUse::default(); occurrences],
         })
-    }
-
-    /// Occupancy entry of occurrence `index`, if occupied.
-    fn occupancy_get(&self, index: u64) -> Option<&SlotUse> {
-        self.occupancy
-            .binary_search_by_key(&index, |&(i, _)| i)
-            .ok()
-            .map(|p| &self.occupancy[p].1)
-    }
-
-    /// Occupancy entry of occurrence `index`, inserted empty if absent.
-    fn occupancy_entry(&mut self, index: u64) -> &mut SlotUse {
-        let p = match self.occupancy.binary_search_by_key(&index, |&(i, _)| i) {
-            Ok(p) => p,
-            Err(p) => {
-                self.occupancy.insert(p, (index, SlotUse::default()));
-                p
-            }
-        };
-        &mut self.occupancy[p].1
     }
 
     /// The scheduling horizon.
@@ -243,14 +223,34 @@ impl BusTimeline {
         })
     }
 
-    /// Time already used inside occurrence `index`.
+    /// Time already used inside occurrence `index` (zero beyond the
+    /// horizon).
     pub fn used(&self, index: u64) -> Time {
-        self.occupancy_get(index).map_or(Time::ZERO, |u| u.used)
+        self.occupancy
+            .get(index as usize)
+            .map_or(Time::ZERO, |u| u.used)
     }
 
-    /// Number of messages packed into occurrence `index`.
+    /// Number of messages packed into occurrence `index` (zero beyond
+    /// the horizon).
     pub fn message_count(&self, index: u64) -> u32 {
-        self.occupancy_get(index).map_or(0, |u| u.messages)
+        self.occupancy.get(index as usize).map_or(0, |u| u.messages)
+    }
+
+    /// Every occurrence on the timeline, in index (= time) order.
+    fn occurrences(&self) -> impl Iterator<Item = SlotOccurrence> + '_ {
+        let per = self.flat.len() as u64;
+        (0..self.cycles).flat_map(move |c| {
+            self.flat
+                .iter()
+                .enumerate()
+                .map(move |(fi, s)| SlotOccurrence {
+                    index: c * per + fi as u64,
+                    owner: s.owner,
+                    start: Time::new(c * self.cycle.ticks()) + s.offset,
+                    length: s.length,
+                })
+        })
     }
 
     /// Iterator over the occurrences owned by `pe`, in time order,
@@ -320,43 +320,8 @@ impl BusTimeline {
         duration: Time,
         skip: usize,
     ) -> Result<BusReservation, BusTimelineError> {
-        let fits_any = self
-            .by_owner
-            .get(pe.index())
-            .is_some_and(|slots| slots.iter().any(|&fi| self.flat[fi].length >= duration));
-        if !fits_any {
-            return Err(BusTimelineError::MessageTooLong {
-                owner: pe,
-                duration,
-            });
-        }
-        let mut remaining = skip;
-        let mut chosen: Option<SlotOccurrence> = None;
-        for occ in self.occurrences_of(pe, ready) {
-            let used = self.used(occ.index);
-            if used + duration <= occ.length {
-                if remaining == 0 {
-                    chosen = Some(occ);
-                    break;
-                }
-                remaining -= 1;
-            }
-        }
-        let occ = chosen.ok_or(BusTimelineError::NoSlot {
-            owner: pe,
-            ready,
-            duration,
-        })?;
-        let entry = self.occupancy_entry(occ.index);
-        let transmit_start = occ.start + entry.used;
-        entry.used += duration;
-        entry.messages += 1;
-        Ok(BusReservation {
-            occurrence: occ.index,
-            owner: pe,
-            transmit_start,
-            arrival: transmit_start + duration,
-        })
+        let occ = self.find_occurrence(pe, ready, duration, skip)?;
+        Ok(self.append(pe, occ, duration))
     }
 
     /// Non-mutating version of [`schedule_message`](Self::schedule_message):
@@ -371,6 +336,26 @@ impl BusTimeline {
         ready: Time,
         duration: Time,
     ) -> Result<BusReservation, BusTimelineError> {
+        let occ = self.find_occurrence(pe, ready, duration, 0)?;
+        let transmit_start = occ.start + self.used(occ.index);
+        Ok(BusReservation {
+            occurrence: occ.index,
+            owner: pe,
+            transmit_start,
+            arrival: transmit_start + duration,
+        })
+    }
+
+    /// Shared slot search: the occurrence of `pe` a message of
+    /// `duration` ready at `ready` lands in after skipping `skip`
+    /// feasible ones.
+    fn find_occurrence(
+        &self,
+        pe: PeId,
+        ready: Time,
+        duration: Time,
+        skip: usize,
+    ) -> Result<SlotOccurrence, BusTimelineError> {
         let fits_any = self
             .by_owner
             .get(pe.index())
@@ -381,23 +366,40 @@ impl BusTimeline {
                 duration,
             });
         }
+        let mut remaining = skip;
+        let mut probes = 0u64;
+        let mut chosen = None;
         for occ in self.occurrences_of(pe, ready) {
-            let used = self.used(occ.index);
-            if used + duration <= occ.length {
-                let transmit_start = occ.start + used;
-                return Ok(BusReservation {
-                    occurrence: occ.index,
-                    owner: pe,
-                    transmit_start,
-                    arrival: transmit_start + duration,
-                });
+            probes += 1;
+            if self.occupancy[occ.index as usize].used + duration <= occ.length {
+                if remaining == 0 {
+                    chosen = Some(occ);
+                    break;
+                }
+                remaining -= 1;
             }
         }
-        Err(BusTimelineError::NoSlot {
+        counters::add(Counter::BusProbes, probes);
+        chosen.ok_or(BusTimelineError::NoSlot {
             owner: pe,
             ready,
             duration,
         })
+    }
+
+    /// Appends a message of `duration` to the frame of `occ`, which has
+    /// room for it.
+    fn append(&mut self, pe: PeId, occ: SlotOccurrence, duration: Time) -> BusReservation {
+        let fill = &mut self.occupancy[occ.index as usize];
+        let transmit_start = occ.start + fill.used;
+        fill.used += duration;
+        fill.messages += 1;
+        BusReservation {
+            occurrence: occ.index,
+            owner: pe,
+            transmit_start,
+            arrival: transmit_start + duration,
+        }
     }
 
     /// Replays a committed reservation into this timeline (used when a
@@ -419,23 +421,14 @@ impl BusTimeline {
         if occ.owner != pe {
             return Err(BusTimelineError::BadOccurrence { occurrence });
         }
-        let entry = self.occupancy_entry(occurrence);
-        if entry.used + duration > occ.length {
+        if self.used(occurrence) + duration > occ.length {
             return Err(BusTimelineError::NoSlot {
                 owner: pe,
                 ready: occ.start,
                 duration,
             });
         }
-        let transmit_start = occ.start + entry.used;
-        entry.used += duration;
-        entry.messages += 1;
-        Ok(BusReservation {
-            occurrence,
-            owner: pe,
-            transmit_start,
-            arrival: transmit_start + duration,
-        })
+        Ok(self.append(pe, occ, duration))
     }
 
     /// Resets this timeline to an exact copy of `other`, reusing the
@@ -444,7 +437,7 @@ impl BusTimeline {
     /// rebuilding the timeline from the bus config.
     pub fn reset_from(&mut self, other: &BusTimeline) {
         // Geometry is immutable, so the reset aliases the source's
-        // tables; only the (sparse) occupancy is actually copied.
+        // tables; only the fill array is copied.
         self.flat = Arc::clone(&other.flat);
         self.by_owner = Arc::clone(&other.by_owner);
         self.cycle = other.cycle;
@@ -455,7 +448,7 @@ impl BusTimeline {
 
     /// Total bus time reserved so far.
     pub fn total_used(&self) -> Time {
-        self.occupancy.iter().map(|(_, u)| u.used).sum()
+        self.occupancy.iter().map(|u| u.used).sum()
     }
 
     /// Total slot capacity on the timeline (sum of slot lengths over all
@@ -479,35 +472,25 @@ impl BusTimeline {
     /// in time order. These are the *bus slack* containers handed to the
     /// C1m bin-packer.
     pub fn free_windows(&self) -> Vec<(Time, Time)> {
-        let mut out = Vec::new();
-        for idx in 0..self.occurrence_count() {
-            let occ = self.occurrence(idx).expect("index < count");
-            let used = self.used(idx);
-            if used < occ.length {
-                out.push((occ.start + used, occ.end()));
-            }
-        }
-        out
+        self.occurrences()
+            .zip(&self.occupancy)
+            .filter(|(occ, u)| u.used < occ.length)
+            .map(|(occ, u)| (occ.start + u.used, occ.end()))
+            .collect()
     }
 
     /// Total free slot time inside the window `[from, to)` — used by the
     /// C2m periodic-slack metric.
     pub fn free_time_in(&self, from: Time, to: Time) -> Time {
-        let mut total = Time::ZERO;
-        for idx in 0..self.occurrence_count() {
-            let occ = self.occurrence(idx).expect("index < count");
-            if occ.start >= to {
-                break;
-            }
-            let free_start = occ.start + self.used(idx);
-            let free_end = occ.end();
-            let lo = free_start.max(from);
-            let hi = free_end.min(to);
-            if lo < hi {
-                total += hi - lo;
-            }
-        }
-        total
+        self.occurrences()
+            .zip(&self.occupancy)
+            .take_while(|(occ, _)| occ.start < to)
+            .map(|(occ, u)| {
+                occ.end()
+                    .min(to)
+                    .saturating_sub((occ.start + u.used).max(from))
+            })
+            .sum()
     }
 }
 
@@ -769,10 +752,208 @@ mod tests {
 #[cfg(test)]
 mod prop_tests {
     use super::*;
-    use incdes_model::BusConfig;
+    use incdes_model::{BusConfig, Round, Slot};
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// Reference oracle: a sparse `(occurrence → (used, messages))` map
+    /// searched by a linear scan over every occurrence. Slot geometry
+    /// comes from an untouched timeline, so only the fill is under test.
+    #[derive(Clone)]
+    struct SparseOracle {
+        geometry: BusTimeline,
+        fill: BTreeMap<u64, (Time, u32)>,
+    }
+
+    impl SparseOracle {
+        fn used(&self, idx: u64) -> Time {
+            self.fill.get(&idx).map_or(Time::ZERO, |f| f.0)
+        }
+
+        fn message_count(&self, idx: u64) -> u32 {
+            self.fill.get(&idx).map_or(0, |f| f.1)
+        }
+
+        fn all(&self) -> Vec<SlotOccurrence> {
+            (0..self.geometry.occurrence_count())
+                .map(|i| self.geometry.occurrence(i).unwrap())
+                .collect()
+        }
+
+        fn find(
+            &self,
+            pe: PeId,
+            ready: Time,
+            duration: Time,
+            skip: usize,
+        ) -> Result<SlotOccurrence, BusTimelineError> {
+            let all = self.all();
+            if !all.iter().any(|o| o.owner == pe && o.length >= duration) {
+                return Err(BusTimelineError::MessageTooLong {
+                    owner: pe,
+                    duration,
+                });
+            }
+            all.into_iter()
+                .filter(|o| o.owner == pe && o.start >= ready)
+                .filter(|o| self.used(o.index) + duration <= o.length)
+                .nth(skip)
+                .ok_or(BusTimelineError::NoSlot {
+                    owner: pe,
+                    ready,
+                    duration,
+                })
+        }
+
+        fn append(&mut self, pe: PeId, occ: SlotOccurrence, duration: Time) -> BusReservation {
+            let f = self.fill.entry(occ.index).or_insert((Time::ZERO, 0));
+            let transmit_start = occ.start + f.0;
+            f.0 += duration;
+            f.1 += 1;
+            BusReservation {
+                occurrence: occ.index,
+                owner: pe,
+                transmit_start,
+                arrival: transmit_start + duration,
+            }
+        }
+
+        fn peek(
+            &self,
+            pe: PeId,
+            ready: Time,
+            duration: Time,
+        ) -> Result<BusReservation, BusTimelineError> {
+            let occ = self.find(pe, ready, duration, 0)?;
+            let transmit_start = occ.start + self.used(occ.index);
+            Ok(BusReservation {
+                occurrence: occ.index,
+                owner: pe,
+                transmit_start,
+                arrival: transmit_start + duration,
+            })
+        }
+
+        fn schedule_nth(
+            &mut self,
+            pe: PeId,
+            ready: Time,
+            duration: Time,
+            skip: usize,
+        ) -> Result<BusReservation, BusTimelineError> {
+            let occ = self.find(pe, ready, duration, skip)?;
+            Ok(self.append(pe, occ, duration))
+        }
+
+        fn reserve_in(
+            &mut self,
+            pe: PeId,
+            occurrence: u64,
+            duration: Time,
+        ) -> Result<BusReservation, BusTimelineError> {
+            let occ = self.geometry.occurrence(occurrence)?;
+            if occ.owner != pe {
+                return Err(BusTimelineError::BadOccurrence { occurrence });
+            }
+            if self.used(occurrence) + duration > occ.length {
+                return Err(BusTimelineError::NoSlot {
+                    owner: pe,
+                    ready: occ.start,
+                    duration,
+                });
+            }
+            Ok(self.append(pe, occ, duration))
+        }
+
+        fn free_windows(&self) -> Vec<(Time, Time)> {
+            self.all()
+                .into_iter()
+                .filter(|o| self.used(o.index) < o.length)
+                .map(|o| (o.start + self.used(o.index), o.end()))
+                .collect()
+        }
+
+        /// Free slot time in `[from, to)`, tick by tick.
+        fn free_time_in(&self, from: Time, to: Time) -> Time {
+            let free_ticks = self
+                .all()
+                .into_iter()
+                .flat_map(|o| (o.start + self.used(o.index)).ticks()..o.end().ticks())
+                .filter(|&tick| from.ticks() <= tick && tick < to.ticks())
+                .count();
+            Time::new(free_ticks as u64)
+        }
+    }
+
+    /// Asymmetric two-round cycle of 28 ticks over three nodes.
+    fn asymmetric_bus() -> BusConfig {
+        let r1 = Round::new(vec![
+            Slot::new(PeId(0), Time::new(4)),
+            Slot::new(PeId(1), Time::new(6)),
+            Slot::new(PeId(2), Time::new(3)),
+        ]);
+        let r2 = Round::new(vec![
+            Slot::new(PeId(0), Time::new(8)),
+            Slot::new(PeId(1), Time::new(2)),
+            Slot::new(PeId(2), Time::new(5)),
+        ]);
+        BusConfig::new(vec![r1, r2], 1).unwrap()
+    }
 
     proptest! {
+        /// Differential round-trip of the dense fill against the sparse
+        /// oracle: a random interleaving of skipped slot searches,
+        /// explicit frame replays, peeks, saves and `reset_from`
+        /// restores must match result for result, and every read
+        /// (`used`, `message_count`, `free_windows`, `free_time_in`,
+        /// `total_used`) must agree after each step.
+        #[test]
+        fn prop_dense_fill_matches_sparse_oracle(
+            ops in proptest::collection::vec(
+                (0u8..5, 0u32..4, 0u64..120, 1u64..10, 0usize..4),
+                1..50,
+            )
+        ) {
+            let horizon = Time::new(112);
+            let mut tl = BusTimeline::new(&asymmetric_bus(), horizon).unwrap();
+            let mut oracle = SparseOracle {
+                geometry: tl.clone(),
+                fill: BTreeMap::new(),
+            };
+            let mut saved = (tl.clone(), oracle.clone());
+            for (op, pe, a, b, skip) in ops {
+                let (pe, a, b) = (PeId(pe), Time::new(a), Time::new(b));
+                match op {
+                    0 => prop_assert_eq!(
+                        tl.schedule_message_nth(pe, a, b, skip),
+                        oracle.schedule_nth(pe, a, b, skip)
+                    ),
+                    1 => {
+                        let occ = a.ticks() % (tl.occurrence_count() + 2);
+                        prop_assert_eq!(
+                            tl.reserve_in_occurrence(pe, occ, b),
+                            oracle.reserve_in(pe, occ, b)
+                        );
+                    }
+                    2 => prop_assert_eq!(tl.peek_message(pe, a, b), oracle.peek(pe, a, b)),
+                    3 => saved = (tl.clone(), oracle.clone()),
+                    _ => {
+                        tl.reset_from(&saved.0);
+                        oracle = saved.1.clone();
+                    }
+                }
+                for idx in 0..=tl.occurrence_count() {
+                    prop_assert_eq!(tl.used(idx), oracle.used(idx));
+                    prop_assert_eq!(tl.message_count(idx), oracle.message_count(idx));
+                }
+                prop_assert_eq!(tl.free_windows(), oracle.free_windows());
+                let total: Time = oracle.fill.values().map(|f| f.0).sum();
+                prop_assert_eq!(tl.total_used(), total);
+                let to = a + b * 4;
+                prop_assert_eq!(tl.free_time_in(a, to), oracle.free_time_in(a, to));
+            }
+        }
+
         /// Packing conservation: total used time equals the sum of all
         /// successful reservations, no frame ever overflows its slot, and
         /// reservations within one occurrence are contiguous from the
