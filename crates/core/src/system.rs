@@ -125,10 +125,10 @@ pub struct System {
     /// table.
     base_cache: RefCell<Option<(Time, Arc<FrozenBase>)>>,
     base_reuse: Cell<usize>,
-    /// How search strategies parallelize inside a scenario; handed to
-    /// every [`MappingContext`] this system creates. Defaults to the
-    /// context's environment-derived setting (`INCDES_SEARCH_THREADS`),
-    /// overridden per-system via [`System::set_parallelism`].
+    /// Whether SA runs as a multi-chain portfolio inside a scenario;
+    /// handed to every [`MappingContext`] this system creates. Unset
+    /// keeps the context default ([`SearchParallelism::Sequential`]);
+    /// set it via [`System::set_parallelism`].
     parallelism: Option<SearchParallelism>,
 }
 
@@ -148,10 +148,10 @@ impl System {
         }
     }
 
-    /// Sets how MH/SA parallelize candidate evaluation inside every
-    /// mapping context this system hands out (see
-    /// [`SearchParallelism`]). The default keeps each context's
-    /// environment-derived setting.
+    /// Sets the search parallelism of every mapping context this
+    /// system hands out (see [`SearchParallelism`]; only the SA
+    /// portfolio reads it). The default keeps each context's
+    /// `Sequential` setting.
     pub fn set_parallelism(&mut self, parallelism: SearchParallelism) {
         self.parallelism = Some(parallelism);
     }

@@ -63,12 +63,13 @@ struct Fingerprint {
     future_processes: usize,
     demand_factor: f64,
     check_invariants: bool,
-    /// The spec's [`SearchParallelism`] with `threads` normalized to 1
-    /// and `batch_cutover` to 0: neither changes report bytes (the
-    /// batch protocol reduces in candidate-index order whether the
-    /// dispatch spawned threads or ran inline), but the SA portfolio
-    /// runs different chains, so mode / `sa_chains` /
-    /// `sa_exchange_period` are part of the scenario's identity.
+    /// The spec's [`SearchParallelism`] reduced to the computation it
+    /// selects: `threads` never changes report bytes, so it is
+    /// normalized to 1, and a `Parallel` spec with fewer than two SA
+    /// chains runs exactly the `Sequential` code, so it is keyed as
+    /// `Sequential`. The SA portfolio's `sa_chains` and
+    /// `sa_exchange_period` change its trajectory, so they stay part of
+    /// the scenario's identity.
     parallelism: SearchParallelism,
     script: Vec<ScriptStep>,
     size: usize,
@@ -100,17 +101,16 @@ fn store_key_with(cfg: &SynthConfig, spec: &CampaignSpec, scenario: &ScenarioKey
         demand_factor: spec.demand_factor,
         check_invariants: spec.check_invariants,
         parallelism: match spec.parallelism {
-            SearchParallelism::Sequential => SearchParallelism::Sequential,
             SearchParallelism::Parallel {
                 sa_chains,
                 sa_exchange_period,
                 ..
-            } => SearchParallelism::Parallel {
+            } if sa_chains >= 2 => SearchParallelism::Parallel {
                 threads: 1,
-                batch_cutover: 0,
                 sa_chains,
                 sa_exchange_period,
             },
+            _ => SearchParallelism::Sequential,
         },
         script: spec.script.clone(),
         size: scenario.size,
@@ -558,19 +558,17 @@ mod tests {
         let mut spec = CampaignSpec::small_demo();
         spec.parallelism = SearchParallelism::Parallel {
             threads: 1,
-            batch_cutover: 0,
             sa_chains: 2,
             sa_exchange_period: 16,
         };
         let key = spec.scenarios()[0].clone();
         let a = scenario_store_key(&spec, &key).unwrap();
 
-        // `threads` and `batch_cutover` multiplex execution only; the
-        // report bytes (and therefore the store key) must not move.
+        // `threads` multiplexes execution only; the report bytes (and
+        // therefore the store key) must not move.
         let mut retuned = spec.clone();
         retuned.parallelism = SearchParallelism::Parallel {
             threads: 8,
-            batch_cutover: usize::MAX,
             sa_chains: 2,
             sa_exchange_period: 16,
         };
@@ -581,14 +579,26 @@ mod tests {
         let mut rechained = spec.clone();
         rechained.parallelism = SearchParallelism::Parallel {
             threads: 1,
-            batch_cutover: 0,
             sa_chains: 3,
             sa_exchange_period: 16,
         };
         assert_ne!(a, scenario_store_key(&rechained, &key).unwrap());
         let mut sequential = spec.clone();
         sequential.parallelism = SearchParallelism::Sequential;
-        assert_ne!(a, scenario_store_key(&sequential, &key).unwrap());
+        let seq = scenario_store_key(&sequential, &key).unwrap();
+        assert_ne!(a, seq);
+
+        // Fewer than two SA chains run the sequential code, so such a
+        // spec shares the sequential spec's blob.
+        for sa_chains in [0, 1] {
+            let mut single = spec.clone();
+            single.parallelism = SearchParallelism::Parallel {
+                threads: 4,
+                sa_chains,
+                sa_exchange_period: 16,
+            };
+            assert_eq!(seq, scenario_store_key(&single, &key).unwrap());
+        }
     }
 
     #[test]

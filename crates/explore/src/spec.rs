@@ -145,7 +145,7 @@ pub struct CampaignSpec {
     /// (exhaustive, so meant for test-sized campaigns).
     #[serde(default)]
     pub check_invariants: bool,
-    /// How MH/SA parallelize candidate evaluation *inside* each
+    /// Whether SA runs as a multi-chain portfolio *inside* each
     /// scenario (campaign reports are byte-identical at any thread
     /// count; see `incdes_mapping::SearchParallelism`).
     #[serde(default)]
@@ -401,7 +401,11 @@ mod tests {
     fn misspelled_spec_fields_are_rejected() {
         let mut spec = CampaignSpec::small_demo();
         spec.weight_settings = vec![WeightSetting::default()];
-        spec.parallelism = SearchParallelism::threads(2);
+        spec.parallelism = SearchParallelism::Parallel {
+            threads: 2,
+            sa_chains: 2,
+            sa_exchange_period: 16,
+        };
         let json = serde_json::to_string(&spec).unwrap();
         for (field, typo, ty) in [
             ("check_invariants", "check_invariant", "CampaignSpec"),
@@ -410,11 +414,7 @@ mod tests {
             ("w1_processes", "w1_process", "Weights"),
             ("pe_count", "pe_cnt", "SynthConfig"),
             ("future", "futre", "ScriptStep::Add"),
-            (
-                "batch_cutover",
-                "batch_cutoff",
-                "SearchParallelism::Parallel",
-            ),
+            ("sa_chains", "sa_chain", "SearchParallelism::Parallel"),
         ] {
             let bad = json.replacen(&format!("\"{field}\""), &format!("\"{typo}\""), 1);
             assert_ne!(bad, json, "{field} is in the spec");
@@ -423,6 +423,16 @@ mod tests {
                 .to_string();
             assert!(err.contains(typo) && err.contains(ty), "{typo}: {err}");
         }
+        // A field the type no longer has is as unknown as a typo.
+        let stale = json.replacen("\"sa_chains\"", "\"batch_cutover\":0,\"sa_chains\"", 1);
+        assert_ne!(stale, json);
+        let err = serde_json::from_str::<CampaignSpec>(&stale)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("batch_cutover") && err.contains("SearchParallelism::Parallel"),
+            "{err}"
+        );
     }
 
     #[test]

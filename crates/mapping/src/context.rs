@@ -16,10 +16,11 @@
 //!   candidate differs from the solution the arena describes by at most
 //!   [`DELTA_MAX_CHANGED_VARS`] design variables (the single-move
 //!   neighbors MH and SA explore), and re-expanded otherwise;
-//! * the slack profiles are `Arc`-backed, so untouched resources alias
-//!   the frozen base's gap lists. C2 is measured directly on every
-//!   profile; C1 ([`incdes_metrics::C1Cache`]) keeps the future items
-//!   as `(size, count)` runs and batch-packs them into the containers,
+//! * every run's slack profile is a plain copy of the live timelines'
+//!   free time, in immutable `Arc` storage so the memo's clones are
+//!   reference-count bumps. C2 is measured directly on every profile;
+//!   C1 ([`incdes_metrics::C1Cache`]) keeps the future items as
+//!   `(size, count)` runs and batch-packs them into the containers,
 //!   gathered afresh on every call;
 //! * a **last-result memo** answers an evaluation of the solution the
 //!   engine evaluated last without re-scheduling — every strategy
@@ -32,6 +33,11 @@
 //!   messages) is built only for a design a caller receives — the public
 //!   [`MappingContext::evaluate`] and a strategy's final result — and
 //!   never by re-scheduling.
+//!
+//! MH and SA score their candidates one at a time on the context's
+//! engine; the one parallel search is the SA portfolio
+//! ([`SearchParallelism::Parallel`] with `sa_chains ≥ 2`), whose chains
+//! each run a private engine over the shared frozen base.
 //!
 //! [`MappingContext::evaluation_count`] keeps its historical meaning —
 //! every [`evaluate`](MappingContext::evaluate) call counts, memo hit or
@@ -57,126 +63,41 @@ use incdes_tdma::BusTimeline;
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-/// How a mapping strategy parallelizes trial evaluation within one
-/// scenario.
+/// How a mapping strategy parallelizes its search within one scenario.
 ///
-/// The contract of [`SearchParallelism::Parallel`] is that `threads`
-/// only multiplexes *execution*: every search-visible result — the
-/// accepted MH move, the solutions and costs, `evaluation_count()`, the
-/// iteration counts, every campaign report — is byte-identical for any
-/// thread count ≥ 1. Batch evaluation reduces candidates in
-/// candidate-index order, SA runs a fixed number of chains (set by
-/// `sa_chains`, not by `threads`) with per-chain deterministic RNG
-/// streams, and worker engines evaluate against the shared
-/// `Arc<FrozenBase>` with a full arena expansion per candidate, so no
-/// counter depends on how candidates were partitioned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Only the SA portfolio runs in parallel: MH and the classic
+/// single-chain SA evaluate their candidates one at a time on the
+/// context's own engine in every mode. The contract of
+/// [`SearchParallelism::Parallel`] is that `threads` only multiplexes
+/// *execution*: every search-visible result — the solutions and costs,
+/// `evaluation_count()`, the iteration counts, every campaign report —
+/// is byte-identical for any thread count ≥ 1. SA runs a fixed number
+/// of chains (set by `sa_chains`, not by `threads`) with per-chain
+/// deterministic RNG streams, so no counter depends on how the chains
+/// were spread over threads.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub enum SearchParallelism {
-    /// The historical single-threaded path: candidates are evaluated one
-    /// by one on the context's own engine (last-result memo + arena
-    /// patching). The default; behaves exactly as before this type
-    /// existed.
+    /// Single-threaded search: candidates are evaluated one by one on
+    /// the context's own engine (last-result memo + arena patching).
+    /// The default.
+    #[default]
     Sequential,
-    /// Deterministic parallel in-scenario search.
+    /// The SA portfolio. MH runs exactly as under
+    /// [`Sequential`](SearchParallelism::Sequential).
     Parallel {
-        /// Worker threads for MH candidate batches and SA chain
-        /// multiplexing. Clamped to ≥ 1; `1` runs the identical batch
-        /// semantics inline.
+        /// Worker threads multiplexing the SA chains. Clamped to ≥ 1.
         threads: usize,
-        /// Dispatched batches with fewer deduped candidates than this
-        /// run on the single inline worker instead of spawning
-        /// threads — same batch protocol, same bytes, no per-batch
-        /// thread-spawn cost that used to swamp small-system MH
-        /// batches. `0` (the serde default, so old specs keep their
-        /// key) means [`SearchParallelism::DEFAULT_BATCH_CUTOVER`].
-        /// Like `threads`, this multiplexes execution only and is
-        /// normalized out of campaign fingerprints.
-        #[serde(default)]
-        batch_cutover: usize,
         /// Number of concurrent SA chains (per-chain ChaCha8 streams,
-        /// periodic best-exchange). Clamped to ≥ 1; `1` keeps the
-        /// classic single-chain SA.
+        /// periodic best-exchange). Values below 2 keep the classic
+        /// single-chain SA.
         sa_chains: usize,
         /// Proposals each SA chain runs between best-exchange barriers.
         /// Clamped to ≥ 1.
         sa_exchange_period: usize,
     },
-}
-
-impl Default for SearchParallelism {
-    fn default() -> Self {
-        SearchParallelism::Sequential
-    }
-}
-
-impl SearchParallelism {
-    /// Default [`batch_cutover`](SearchParallelism::Parallel::batch_cutover):
-    /// below ~16 deduped misses the per-batch `thread::scope` spawn
-    /// costs more than the evaluations it parallelizes.
-    pub const DEFAULT_BATCH_CUTOVER: usize = 16;
-
-    /// Parallel candidate evaluation over `n` threads with the classic
-    /// single-chain SA (the configuration the `INCDES_SEARCH_THREADS`
-    /// differential-CI hook uses).
-    #[must_use]
-    pub fn threads(n: usize) -> Self {
-        SearchParallelism::Parallel {
-            threads: n.max(1),
-            batch_cutover: 0,
-            sa_chains: 1,
-            sa_exchange_period: 64,
-        }
-    }
-
-    /// The effective small-batch cutover: the configured value, with
-    /// `0` resolved to [`Self::DEFAULT_BATCH_CUTOVER`].
-    #[must_use]
-    pub fn effective_batch_cutover(&self) -> usize {
-        match *self {
-            SearchParallelism::Sequential => 0,
-            SearchParallelism::Parallel {
-                batch_cutover: 0, ..
-            } => Self::DEFAULT_BATCH_CUTOVER,
-            SearchParallelism::Parallel { batch_cutover, .. } => batch_cutover,
-        }
-    }
-}
-
-/// Deterministic worker count for one dispatched miss batch: one
-/// worker per job up to `threads`, capped at the machine's available
-/// parallelism (oversubscribing a batch of schedules onto fewer cores
-/// only adds context switches), and collapsed to the inline worker for
-/// batches below `cutover`. Pure so the rule is unit-testable; only
-/// wall-clock depends on it — results and counters are identical for
-/// every return value ≥ 1 by the batch-protocol contract.
-fn batch_worker_count(threads: usize, jobs: usize, cutover: usize, hw: usize) -> usize {
-    if jobs < cutover {
-        1
-    } else {
-        threads.min(jobs).min(hw.max(1)).max(1)
-    }
-}
-
-/// Process-wide default parallelism, for differential CI runs:
-/// `INCDES_SEARCH_THREADS=N` makes every context built without an
-/// explicit [`MappingContext::with_parallelism`] evaluate MH batches
-/// over `N` threads (SA stays single-chain so strategy results keep
-/// their sequential trajectories). Unset or `0` means sequential; an
-/// unparsable value warns once on stderr and is ignored.
-fn env_parallelism() -> SearchParallelism {
-    static CACHE: OnceLock<SearchParallelism> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        match incdes_obs::diag::env_usize(
-            "INCDES_SEARCH_THREADS",
-            "expected a thread count (0 or unset = sequential)",
-        ) {
-            Some(0) | None => SearchParallelism::Sequential,
-            Some(n) => SearchParallelism::threads(n),
-        }
-    })
 }
 
 /// Error from a mapping strategy.
@@ -438,9 +359,9 @@ struct EvalEngine {
     base: Option<Result<Arc<FrozenBase>, SchedError>>,
     scheduler: Scheduler,
     /// The memo: the last evaluation that missed it, with its result.
-    /// Kept apart from `arena_key` — after a parallel MH batch it holds
-    /// the batch's last miss, while the scheduler's arena still
-    /// describes this engine's own last run.
+    /// Kept apart from `arena_key`: a miss that fails before scheduling
+    /// (bad horizon, failed bake) becomes the memo's last result but
+    /// leaves the arena as it was.
     last: Option<(MemoKey, Result<Scored, SchedError>)>,
     /// The solution the scheduler's job arena describes: what the patch
     /// hint diffs candidates against.
@@ -483,8 +404,8 @@ impl EvalEngine {
 /// architecture, the current application, the frozen schedule and the
 /// objective inputs. Everything behind these references is plain data
 /// (the workspace forbids interior mutability below `mapping`), so a
-/// `Scene` can be handed to scoped worker threads while each worker
-/// keeps its own private [`EvalEngine`] scratch.
+/// `Scene` can be handed to the SA portfolio's scoped worker threads
+/// while each chain keeps its own private [`EvalEngine`] scratch.
 #[derive(Clone, Copy)]
 struct Scene<'a> {
     arch: &'a Architecture,
@@ -504,15 +425,6 @@ struct EngineCounts {
     evaluations: usize,
     raw_schedules: usize,
     memo_hits: usize,
-}
-
-/// The objective of a freshly scheduled slack profile, with the given
-/// engine's C1 item runs. Shared by the main evaluation path and the
-/// parallel batch workers — the packer state is behavior-transparent,
-/// so whichever engine scores a solution produces bit-identical costs.
-fn score_slack(scene: &Scene<'_>, c1: &mut C1Cache, slack: &SlackProfile) -> DesignCost {
-    let _objective = phase::scope(Phase::Objective);
-    objective::evaluate_with_c1_delta(scene.arch, slack, scene.future, scene.weights, c1)
 }
 
 /// One memoized engine evaluation (the body of
@@ -581,30 +493,13 @@ fn engine_evaluate_raw(
         patch.then_some(vars_scratch.as_slice())
     };
     let (placements, slack) = scheduler.schedule_hinted(scene.arch, &[spec], &base, hint)?;
-    let cost = score_slack(scene, c1, &slack);
-    Ok(Scored {
-        cost,
-        slack,
-        placements,
-    })
-}
-
-/// A batch worker's evaluation: a full arena expansion against the
-/// shared frozen base, no memo. Every call costs exactly one raw
-/// schedule and one expansion, so the batch's counters are a function
-/// of the hit/miss pattern alone — independent of how candidates were
-/// partitioned over threads.
-fn evaluate_shared_full(
-    scene: &Scene<'_>,
-    base: &Arc<FrozenBase>,
-    worker: &mut EvalEngine,
-    solution: &Solution,
-) -> Result<Scored, SchedError> {
-    let spec = AppSpec::new(scene.app_id, scene.app, &solution.mapping, &solution.hints);
-    let (placements, slack) = worker
-        .scheduler
-        .schedule_hinted(scene.arch, &[spec], base, None)?;
-    let cost = score_slack(scene, &mut worker.c1, &slack);
+    // The packer state is behavior-transparent, so whichever engine
+    // scores a solution (the context's or an SA chain's) produces
+    // bit-identical costs.
+    let cost = {
+        let _objective = phase::scope(Phase::Objective);
+        objective::evaluate_with_c1_delta(scene.arch, &slack, scene.future, scene.weights, c1)
+    };
     Ok(Scored {
         cost,
         slack,
@@ -635,8 +530,6 @@ pub struct MappingContext<'a> {
     naive: bool,
     parallelism: SearchParallelism,
     engine: RefCell<EvalEngine>,
-    /// Idle batch-worker engines, recycled across parallel rounds.
-    workers: RefCell<Vec<EvalEngine>>,
 }
 
 impl<'a> MappingContext<'a> {
@@ -661,14 +554,13 @@ impl<'a> MappingContext<'a> {
             weights,
             counts: Cell::new(EngineCounts::default()),
             naive: false,
-            parallelism: env_parallelism(),
+            parallelism: SearchParallelism::Sequential,
             engine: RefCell::new(EvalEngine::default()),
-            workers: RefCell::new(Vec::new()),
         }
     }
 
-    /// Sets how this context parallelizes strategy trial evaluation.
-    /// Overrides the `INCDES_SEARCH_THREADS` process default.
+    /// Sets how this context parallelizes its search (only the SA
+    /// portfolio reads it).
     #[must_use]
     pub fn with_parallelism(mut self, parallelism: SearchParallelism) -> Self {
         self.parallelism = parallelism;
@@ -846,210 +738,6 @@ impl<'a> MappingContext<'a> {
         self.counts.get().memo_hits
     }
 
-    /// Evaluates a whole candidate batch, honoring this context's
-    /// [`SearchParallelism`]. Sequential mode (and the naive pipeline)
-    /// evaluates in candidate-index order through
-    /// [`score`](Self::score), so the results — and every counter
-    /// — are exactly what the per-candidate loop produced before this
-    /// API existed. Parallel mode runs the deterministic batch protocol
-    /// of [`evaluate_batch`](Self::evaluate_batch).
-    pub(crate) fn evaluate_all(&self, trials: &[Solution]) -> Vec<Result<Scored, SchedError>> {
-        match self.parallelism {
-            SearchParallelism::Parallel { threads, .. } if !self.naive && !trials.is_empty() => {
-                self.evaluate_batch(
-                    trials,
-                    threads.max(1),
-                    self.parallelism.effective_batch_cutover(),
-                )
-            }
-            _ => trials.iter().map(|t| self.score(t)).collect(),
-        }
-    }
-
-    /// The deterministic parallel batch protocol. Three ordered passes:
-    ///
-    /// 1. **Prefilter** (main thread, candidate-index order): each
-    ///    candidate counts one evaluation and is checked against the
-    ///    memo's last result as a sequential loop would check it — the
-    ///    result from before the batch, or the batch's latest miss.
-    ///    Hits are answered (or pointed at that miss); misses are
-    ///    horizon-checked and queued.
-    /// 2. **Dispatch**: queued misses are evaluated on worker engines
-    ///    (`std::thread::scope`) against the shared `Arc<FrozenBase>`,
-    ///    each with a full arena expansion — each miss costs exactly one
-    ///    raw schedule, and its result depends only on the shared base,
-    ///    never on which worker ran it or what that worker evaluated
-    ///    before.
-    /// 3. **Reduce** (main thread): hits on in-batch misses copy their
-    ///    results, and the batch's last miss becomes the memo's last
-    ///    result.
-    ///
-    /// Every counter is a function of the hit/miss pattern alone, so the
-    /// returned results *and* all diagnostics are byte-identical for any
-    /// `threads ≥ 1` and any `batch_cutover` — the cutover (and the
-    /// available-parallelism cap) only collapse the dispatch onto the
-    /// inline single-worker arm, which runs the same protocol.
-    fn evaluate_batch(
-        &self,
-        trials: &[Solution],
-        threads: usize,
-        batch_cutover: usize,
-    ) -> Vec<Result<Scored, SchedError>> {
-        let scene = self.scene();
-        let mut engine = self.engine.borrow_mut();
-        let mut counts = self.counts.get();
-        let n = trials.len();
-        let mut out: Vec<Option<Result<Scored, SchedError>>> = vec![None; n];
-        // Hits on an in-batch miss: (candidate, the miss it repeats).
-        let mut repeats: Vec<(usize, usize)> = Vec::new();
-        let mut runs: Vec<usize> = Vec::new();
-        // The batch's latest miss, which a sequential loop would have
-        // left as the memo's last result.
-        let mut last_miss: Option<(usize, MemoKey)> = None;
-
-        // Pass 1: prefilter.
-        let mut key = std::mem::take(&mut engine.key_scratch);
-        for (i, solution) in trials.iter().enumerate() {
-            counts.evaluations += 1;
-            key.assign(solution);
-            let hit = match &last_miss {
-                // Once the batch has missed, the memo a sequential loop
-                // would consult holds that miss.
-                Some((j, miss_key)) => {
-                    let repeat = *miss_key == key;
-                    if repeat {
-                        repeats.push((i, *j));
-                    }
-                    repeat
-                }
-                None => match engine.memo_hit(&key) {
-                    Some(result) => {
-                        out[i] = Some(result.clone());
-                        true
-                    }
-                    None => false,
-                },
-            };
-            if hit {
-                counts.memo_hits += 1;
-                counters::bump(Counter::MemoHits);
-                continue;
-            }
-            let spec = AppSpec::new(scene.app_id, scene.app, &solution.mapping, &solution.hints);
-            match check_horizon(&[spec], scene.horizon) {
-                Ok(()) => runs.push(i),
-                Err(e) => out[i] = Some(Err(e)),
-            }
-            counters::bump(Counter::MemoInserts);
-            match &mut last_miss {
-                Some((j, miss_key)) => {
-                    *j = i;
-                    miss_key.clone_from(&key);
-                }
-                None => last_miss = Some((i, key.clone())),
-            }
-        }
-        engine.key_scratch = key;
-
-        // Pass 2: dispatch the runnable misses to worker engines.
-        if !runs.is_empty() {
-            match engine.base(&scene) {
-                Err(e) => {
-                    // Base errors precede the raw-schedule count, as in
-                    // the sequential path.
-                    for &idx in &runs {
-                        out[idx] = Some(Err(e.clone()));
-                    }
-                }
-                Ok(base) => {
-                    let base = Arc::clone(base);
-                    counts.raw_schedules += runs.len();
-                    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-                    let worker_count = batch_worker_count(threads, runs.len(), batch_cutover, hw);
-                    let mut engines: Vec<EvalEngine> = {
-                        let mut pool = self.workers.borrow_mut();
-                        (0..worker_count)
-                            .map(|_| pool.pop().unwrap_or_default())
-                            .collect()
-                    };
-                    let produced: Vec<(usize, Result<Scored, SchedError>)> = if worker_count == 1 {
-                        let eng = &mut engines[0];
-                        runs.iter()
-                            .map(|&idx| {
-                                (idx, evaluate_shared_full(&scene, &base, eng, &trials[idx]))
-                            })
-                            .collect()
-                    } else {
-                        let runs = &runs;
-                        let scene = &scene;
-                        let base = &base;
-                        let finished: Vec<(EvalEngine, Vec<_>, _, _)> = std::thread::scope(|s| {
-                            let handles: Vec<_> = engines
-                                .drain(..)
-                                .enumerate()
-                                .map(|(w, mut eng)| {
-                                    s.spawn(move || {
-                                        let produced: Vec<_> = runs
-                                            .iter()
-                                            .skip(w)
-                                            .step_by(worker_count)
-                                            .map(|&idx| {
-                                                (
-                                                    idx,
-                                                    evaluate_shared_full(
-                                                        scene,
-                                                        base,
-                                                        &mut eng,
-                                                        &trials[idx],
-                                                    ),
-                                                )
-                                            })
-                                            .collect();
-                                        // A scoped worker is a fresh OS
-                                        // thread, so its thread-local
-                                        // observability cells started at
-                                        // zero: the final snapshot *is*
-                                        // the worker's contribution.
-                                        (eng, produced, counters::snapshot(), phase::snapshot())
-                                    })
-                                })
-                                .collect();
-                            handles
-                                .into_iter()
-                                .map(|h| h.join().expect("search worker panicked"))
-                                .collect()
-                        });
-                        let mut collected = Vec::with_capacity(runs.len());
-                        for (eng, produced, worker_counters, worker_phases) in finished {
-                            engines.push(eng);
-                            collected.extend(produced);
-                            counters::merge_into_current(&worker_counters);
-                            phase::merge_into_current(&worker_phases);
-                        }
-                        collected
-                    };
-                    self.workers.borrow_mut().append(&mut engines);
-                    for (idx, res) in produced {
-                        out[idx] = Some(res);
-                    }
-                }
-            }
-        }
-
-        // Pass 3: reduce.
-        for (i, j) in repeats {
-            out[i] = out[j].clone();
-        }
-        if let Some((j, miss_key)) = last_miss {
-            let result = out[j].clone().expect("miss evaluated in pass 2");
-            engine.memo_store(miss_key, result);
-        }
-        self.counts.set(counts);
-        out.into_iter()
-            .map(|r| r.expect("every candidate planned"))
-            .collect()
-    }
-
     /// Builds `n` private chain lanes for the SA portfolio, each with
     /// its own [`EvalEngine`] sharing this context's `Arc<FrozenBase>`.
     /// Returns `None` when no shareable base exists (naive pipeline, or
@@ -1119,10 +807,10 @@ impl ChainCtx<'_> {
     }
 }
 
-/// Compile-time pins for the guarantees the scoped-thread code relies
-/// on: the scene is shared immutably across workers, engines and
-/// results move between threads. (`thread::scope` would reject the code
-/// anyway — this states the contract in one place.)
+/// Compile-time pins for the guarantees the SA portfolio's scoped
+/// threads rely on: the scene is shared immutably across workers,
+/// engines and results move between threads. (`thread::scope` would
+/// reject the code anyway — this states the contract in one place.)
 #[allow(dead_code)]
 fn parallel_safety_asserts(scene: Scene<'_>, engine: EvalEngine, chain: ChainCtx<'_>) {
     fn assert_send<T: Send>(_: T) {}
@@ -1246,46 +934,5 @@ mod tests {
         mapping.assign(ProcRef::new(0, NodeId(0)), PeId(0));
         let err = ctx.evaluate(&Solution::from_mapping(mapping)).unwrap_err();
         assert!(err.is_infeasible());
-    }
-
-    // `INCDES_SEARCH_THREADS` parsing is covered by the unit tests of
-    // `incdes_obs::diag`.
-
-    #[test]
-    fn batch_worker_count_rule() {
-        // Below the cutover: inline, regardless of threads or cores.
-        assert_eq!(batch_worker_count(8, 3, 16, 64), 1);
-        assert_eq!(batch_worker_count(8, 15, 16, 64), 1);
-        // At or above the cutover: one worker per job up to threads...
-        assert_eq!(batch_worker_count(8, 16, 16, 64), 8);
-        assert_eq!(batch_worker_count(8, 100, 16, 64), 8);
-        assert_eq!(batch_worker_count(8, 20, 16, 64), 8);
-        assert_eq!(batch_worker_count(32, 20, 16, 64), 20);
-        // ...capped at the machine's parallelism.
-        assert_eq!(batch_worker_count(8, 100, 16, 2), 2);
-        assert_eq!(batch_worker_count(8, 100, 16, 1), 1);
-        // Degenerate inputs stay sane.
-        assert_eq!(batch_worker_count(8, 100, 16, 0), 1);
-        assert_eq!(batch_worker_count(0, 100, 0, 4), 1);
-        // Cutover 0 never collapses (`effective_batch_cutover` resolves
-        // the spec-level 0 to the default before this rule runs).
-        assert_eq!(batch_worker_count(4, 1, 0, 4), 1); // min(jobs)
-        assert_eq!(batch_worker_count(4, 2, 0, 4), 2);
-    }
-
-    #[test]
-    fn effective_batch_cutover_resolves_default() {
-        assert_eq!(SearchParallelism::Sequential.effective_batch_cutover(), 0);
-        assert_eq!(
-            SearchParallelism::threads(4).effective_batch_cutover(),
-            SearchParallelism::DEFAULT_BATCH_CUTOVER
-        );
-        let explicit = SearchParallelism::Parallel {
-            threads: 4,
-            batch_cutover: 7,
-            sa_chains: 1,
-            sa_exchange_period: 64,
-        };
-        assert_eq!(explicit.effective_batch_cutover(), 7);
     }
 }

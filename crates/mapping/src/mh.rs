@@ -98,27 +98,22 @@ pub fn mapping_heuristic(
         let mut widened = *cfg;
         let mut tried: HashSet<Move> = HashSet::new();
         loop {
-            let moves = candidate_moves(ctx, &current, &current_eval, &widened);
-            // The round's fresh (not yet tried) moves, in candidate
-            // order, evaluated as one batch: sequentially or over the
-            // context's worker pool, per its `SearchParallelism`. The
-            // reduction below walks the results in candidate-index
-            // order with first-improving acceptance, so the committed
-            // move is identical at any thread count.
-            let fresh: Vec<Move> = moves.into_iter().filter(|mv| tried.insert(*mv)).collect();
-            let trials: Vec<Solution> = fresh.iter().map(|mv| current.with_move(mv)).collect();
-            let results = ctx.evaluate_all(&trials);
+            // Score the round's fresh (not yet tried) moves one at a
+            // time, in candidate order, keeping the best strict
+            // improvement on the incumbent.
             let mut best: Option<(Move, Scored)> = None;
-            for (mv, result) in fresh.iter().zip(results) {
-                let Ok(eval) = result else {
+            for mv in candidate_moves(ctx, &current, &current_eval, &widened) {
+                if !tried.insert(mv) {
+                    continue;
+                }
+                let Ok(eval) = ctx.score(&current.with_move(&mv)) else {
                     continue; // infeasible move — skip
                 };
-                let better = match &best {
-                    None => eval.cost.total < current_eval.cost.total - 1e-9,
-                    Some((_, b)) => eval.cost.total < b.cost.total - 1e-9,
-                };
-                if better {
-                    best = Some((*mv, eval));
+                let bar = best
+                    .as_ref()
+                    .map_or(current_eval.cost.total, |(_, b)| b.cost.total);
+                if eval.cost.total < bar - 1e-9 {
+                    best = Some((mv, eval));
                 }
             }
             if let Some((mv, eval)) = best {

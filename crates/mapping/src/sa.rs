@@ -125,7 +125,6 @@ pub fn simulated_annealing(
         threads,
         sa_chains,
         sa_exchange_period,
-        ..
     } = ctx.parallelism()
     {
         if sa_chains >= 2 {
@@ -615,7 +614,6 @@ mod tests {
             let ctx = ctx_with(&arch, &app, &future, &weights).with_parallelism(
                 SearchParallelism::Parallel {
                     threads,
-                    batch_cutover: 0,
                     sa_chains: 3,
                     sa_exchange_period: 16,
                 },
@@ -645,10 +643,15 @@ mod tests {
         let im = initial_mapping(&ctx_with(&arch, &app, &future, &weights)).unwrap();
         let seq_ctx = ctx_with(&arch, &app, &future, &weights);
         let seq = simulated_annealing(&seq_ctx, im.clone(), &cfg).unwrap();
-        // `threads(n)` keeps `sa_chains: 1`, which must stay on the
-        // classic path bit-for-bit.
-        let par_ctx = ctx_with(&arch, &app, &future, &weights)
-            .with_parallelism(SearchParallelism::threads(4));
+        // One chain must stay on the classic path bit-for-bit, whatever
+        // the thread count.
+        let par_ctx = ctx_with(&arch, &app, &future, &weights).with_parallelism(
+            SearchParallelism::Parallel {
+                threads: 4,
+                sa_chains: 1,
+                sa_exchange_period: 64,
+            },
+        );
         let par = simulated_annealing(&par_ctx, im, &cfg).unwrap();
         assert_eq!(seq.solution, par.solution);
         assert_eq!(
@@ -669,7 +672,6 @@ mod tests {
         let ctx = ctx_with(&arch, &app, &future, &weights).with_parallelism(
             SearchParallelism::Parallel {
                 threads: 2,
-                batch_cutover: 0,
                 sa_chains: 2,
                 sa_exchange_period: 8,
             },

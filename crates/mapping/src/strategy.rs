@@ -221,7 +221,7 @@ mod tests {
 
     /// The search is table-free: whatever its evaluation count, a run
     /// builds exactly one schedule table — the returned design's —
-    /// sequentially and with parallel MH batches and SA chains alike.
+    /// sequentially and with SA portfolio chains alike.
     #[test]
     fn each_strategy_run_materializes_one_table() {
         use crate::context::SearchParallelism;
@@ -248,7 +248,6 @@ mod tests {
         let weights = Weights::default();
         let parallel = SearchParallelism::Parallel {
             threads: 2,
-            batch_cutover: 1,
             sa_chains: 2,
             sa_exchange_period: 8,
         };

@@ -161,7 +161,7 @@ mod tests {
         ));
         let before = counters::snapshot();
         for (pes, bus) in steps {
-            let slack = SlackProfile::from_shared(t(480), pes.into(), bus);
+            let slack = SlackProfile::new(t(480), pes, bus);
             let (c1p, c1m) = cache
                 .c1_terms(&arch, &slack, &future, FitPolicy::BestFit)
                 .unwrap();
@@ -177,7 +177,7 @@ mod tests {
     #[test]
     fn first_fit_reports_unsupported() {
         let arch = arch2();
-        let slack = SlackProfile::from_parts(t(480), vec![vec![], vec![]], vec![]);
+        let slack = SlackProfile::new(t(480), vec![vec![], vec![]], vec![]);
         assert!(C1Cache::new()
             .c1_terms(&arch, &slack, &profile(), FitPolicy::FirstFit)
             .is_none());
@@ -187,7 +187,7 @@ mod tests {
     fn worst_fit_supported_and_exact() {
         let arch = arch2();
         let future = profile();
-        let slack = SlackProfile::from_parts(
+        let slack = SlackProfile::new(
             t(480),
             vec![vec![(t(0), t(25)), (t(100), t(130))], vec![(t(0), t(480))]],
             vec![(t(0), t(10))],
@@ -208,7 +208,7 @@ mod tests {
     #[test]
     fn future_change_rebuilds() {
         let arch = arch2();
-        let slack = SlackProfile::from_parts(
+        let slack = SlackProfile::new(
             t(480),
             vec![vec![(t(0), t(30))], vec![(t(0), t(480))]],
             vec![(t(0), t(10))],
@@ -241,11 +241,11 @@ mod tests {
         let arch = arch2();
         let future = profile();
         let mut cache = C1Cache::new();
-        let slack3 = SlackProfile::from_parts(t(480), vec![vec![]; 3], vec![]);
+        let slack3 = SlackProfile::new(t(480), vec![vec![]; 3], vec![]);
         cache
             .c1_terms(&arch, &slack3, &future, FitPolicy::BestFit)
             .unwrap();
-        let slack2 = SlackProfile::from_parts(t(480), vec![vec![(t(0), t(480))]; 2], vec![]);
+        let slack2 = SlackProfile::new(t(480), vec![vec![(t(0), t(480))]; 2], vec![]);
         let (c1p, _) = cache
             .c1_terms(&arch, &slack2, &future, FitPolicy::BestFit)
             .unwrap();

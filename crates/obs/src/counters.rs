@@ -67,15 +67,12 @@ counters! {
     C2IdentityHits => "c2_identity_hits",
     /// Retired, never bumped (reads 0), like `C2IdentityHits`.
     C2WindowsRecomputed => "c2_windows_recomputed",
-    /// Slack gap lists aliased from the frozen base.
+    /// Retired, never bumped (reads 0): slack profiles no longer alias
+    /// the frozen base's gap lists. Kept registered for existing readers.
     SlackGapsAliased => "slack_gaps_aliased",
-    /// Slack gap lists re-derived from the live timelines.
+    /// Slack gap lists copied from the live timelines: one per PE per
+    /// run (added once per run).
     SlackGapsMaterialized => "slack_gaps_materialized",
-    /// Bus window lists aliased from the frozen base.
-    BusWindowsAliased => "bus_windows_aliased",
-    /// Bus window lists re-derived from the live bus fill (the run
-    /// placed a message).
-    BusWindowsPatched => "bus_windows_patched",
     /// Ready-heap pushes (seeding and successor releases).
     HeapPushes => "heap_pushes",
     /// Ready-heap pops by the list-scheduling loop.

@@ -1,5 +1,6 @@
 //! Shared stderr diagnostics: the warn-once channel and the checked
-//! env-var parsing the `INCDES_SEARCH_THREADS` override uses.
+//! env-var parsing the `INCDES_SCENARIO_RETRIES` and
+//! `INCDES_STORE_LOCK_MS` overrides use.
 
 use std::collections::BTreeSet;
 use std::sync::{Mutex, OnceLock};

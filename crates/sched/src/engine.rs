@@ -11,8 +11,8 @@
 //! This module splits the work in two:
 //!
 //! * [`FrozenBase`] replays and validates the frozen schedule **once**,
-//!   baking the frozen-only slack — per-PE free gaps and free bus
-//!   windows, `Arc`-shared — and a [`BusTimeline`] occupancy snapshot.
+//!   baking the frozen-only per-PE free gaps and a [`BusTimeline`]
+//!   occupancy snapshot.
 //! * [`Scheduler`] holds reusable scratch arenas (job records, the ready
 //!   heap, a per-graph priority cache keyed by the priorities' cost
 //!   inputs) and runs every evaluation in the same three steps:
@@ -28,13 +28,10 @@
 //! Debug builds re-expand every patched arena from scratch and assert
 //! that the two agree.
 //!
-//! The slack profiles every run returns are `Arc`-backed
-//! ([`SlackProfile::from_shared`]): PEs the current application leaves
-//! untouched alias the frozen base's gap lists, and the bus windows
-//! alias the base's when no message was placed, so profile assembly
-//! costs one reference-count bump per untouched resource. A touched PE
-//! costs one slice copy of its live gap list, and a touched bus
-//! re-derives its windows from the live fill.
+//! The slack profile every run returns is a plain copy of the live
+//! timelines: one slice copy of each PE's gap list and the bus fill's
+//! free windows, in immutable `Arc` storage that no base or timeline
+//! shares.
 //!
 //! A run's placements come back as [`Placements`] — jobs in step order,
 //! messages in emission order — not as a table.
@@ -48,8 +45,8 @@ use crate::list::{AppSpec, SchedError};
 use crate::mapping::MsgRef;
 use crate::pe_timeline::PeTimeline;
 use crate::priority::PriorityCosts;
-use crate::slack::{GapList, SlackProfile};
-use crate::table::{ScheduleTable, ScheduledJob, ScheduledMessage};
+use crate::slack::SlackProfile;
+use crate::table::{frame_replay_order, ScheduleTable, ScheduledJob, ScheduledMessage};
 use incdes_model::{AppId, Architecture, PeId, ProcRef, Time};
 use incdes_obs::counters::{self, Counter};
 use incdes_obs::phase::{self, Phase};
@@ -93,11 +90,8 @@ pub struct FrozenBase {
     /// merge. Shared with the caller's table, not copied.
     frozen: ScheduleTable,
     /// Frozen-only free gaps per PE: the state every run's timelines
-    /// are reset to, and shared with every profile that leaves the PE
-    /// untouched.
-    pe_gaps: Vec<GapList>,
-    /// Frozen-only free bus windows, in time order, shared likewise.
-    bus_windows: GapList,
+    /// are reset to.
+    pe_gaps: Vec<Vec<(Time, Time)>>,
 }
 
 impl FrozenBase {
@@ -139,9 +133,8 @@ impl FrozenBase {
                     .map_err(|_| SchedError::FrozenConflict)?;
             }
             // Replay messages in frame order so packing offsets reproduce.
-            let mut ordered: Vec<&ScheduledMessage> = fr.messages().iter().collect();
-            ordered.sort_by_key(|m| (m.reservation.occurrence, m.reservation.transmit_start));
-            for m in ordered {
+            for i in frame_replay_order(fr.messages()) {
+                let m = &fr.messages()[i];
                 let r = bus
                     .reserve_in_occurrence(
                         m.reservation.owner,
@@ -157,12 +150,11 @@ impl FrozenBase {
         counters::bump(Counter::BaseBakes);
         Ok(FrozenBase {
             horizon,
-            bus_windows: bus.free_windows().into(),
             bus,
             frozen: frozen
                 .cloned()
                 .unwrap_or_else(|| ScheduleTable::empty(horizon)),
-            pe_gaps: pes.iter().map(|tl| tl.gaps().into()).collect(),
+            pe_gaps: pes.iter().map(|tl| tl.gaps().to_vec()).collect(),
         })
     }
 
@@ -221,22 +213,6 @@ impl FrozenBase {
     /// Frozen-only idle intervals of `pe`, in time order.
     pub fn gaps_of(&self, pe: PeId) -> &[(Time, Time)] {
         &self.pe_gaps[pe.index()]
-    }
-
-    /// The shared storage behind [`gaps_of`](Self::gaps_of); profiles of
-    /// evaluations that leave `pe` untouched alias it.
-    pub fn gaps_shared(&self, pe: PeId) -> &GapList {
-        &self.pe_gaps[pe.index()]
-    }
-
-    /// Frozen-only free bus windows, in time order.
-    pub fn bus_windows(&self) -> &[(Time, Time)] {
-        &self.bus_windows
-    }
-
-    /// The shared storage behind [`bus_windows`](Self::bus_windows).
-    pub fn bus_windows_shared(&self) -> &GapList {
-        &self.bus_windows
     }
 }
 
@@ -407,8 +383,8 @@ struct PrioEntry {
     prio: Vec<Time>,
 }
 
-/// The reusable scheduling engine: scratch arenas plus bookkeeping of
-/// what the last run touched (consumed by the slack derivation).
+/// The reusable scheduling engine: scratch arenas for the job records,
+/// the ready heap and the timelines.
 ///
 /// One `Scheduler` serves any number of evaluations; it is cheap to
 /// construct but profitable to keep, since all per-evaluation arenas
@@ -439,8 +415,6 @@ pub struct Scheduler {
     prio_cache: Vec<PrioEntry>,
     assign_scratch: Vec<Option<PeId>>,
     cost_scratch: PriorityCosts,
-    /// Which PEs the last run placed a new job on.
-    touched: Vec<bool>,
     /// The last run's jobs in step order.
     placed: Vec<ScheduledJob>,
     /// The last run's messages in emission order.
@@ -454,7 +428,6 @@ pub struct Scheduler {
     arena_horizon: Time,
     arena_valid: bool,
     raw_schedules: usize,
-    fresh_gap_lists: usize,
 }
 
 impl std::fmt::Debug for Scheduler {
@@ -477,30 +450,6 @@ impl Scheduler {
         self.raw_schedules
     }
 
-    /// Test probe: how many gap-list vectors the most recent slack
-    /// derivation materialized (everything else was `Arc`-aliased from
-    /// the frozen base). Only meaningful after a call that returns a
-    /// slack profile.
-    #[doc(hidden)]
-    pub fn fresh_gap_list_count(&self) -> usize {
-        self.fresh_gap_lists
-    }
-
-    /// Which PEs the most recent run placed a new job on (indexed by
-    /// PE). Empty before the first run. A failed run leaves the partial
-    /// placements it made before erroring — only read this after a
-    /// successful run.
-    pub fn touched_pes(&self) -> &[bool] {
-        &self.touched
-    }
-
-    /// True if the most recent run placed any message on the bus. The
-    /// same caveat as [`touched_pes`](Self::touched_pes) applies to
-    /// failed runs.
-    pub fn bus_touched(&self) -> bool {
-        !self.msgs.is_empty()
-    }
-
     /// Schedules `apps` on top of `base`, reusing the scratch arenas.
     /// Produces exactly the table [`crate::schedule`] would produce for
     /// the same inputs.
@@ -519,8 +468,7 @@ impl Scheduler {
     }
 
     /// Like [`schedule`](Self::schedule) but also derives the slack
-    /// profile: untouched PEs alias the baked frozen-only gap lists, and
-    /// so does an untouched bus. The profile is identical to
+    /// profile from the live timelines. The profile is identical to
     /// [`SlackProfile::from_table`] on the returned table.
     ///
     /// # Errors
@@ -533,7 +481,7 @@ impl Scheduler {
         base: &FrozenBase,
     ) -> Result<(ScheduleTable, SlackProfile), SchedError> {
         let placements = self.run(arch, apps, base, None)?;
-        let slack = self.slack_profile(base);
+        let slack = self.slack_profile(base.horizon);
         Ok((base.materialize(&placements), slack))
     }
 
@@ -562,7 +510,7 @@ impl Scheduler {
         changed: Option<&[ChangedVar]>,
     ) -> Result<(Placements, SlackProfile), SchedError> {
         let placements = self.run(arch, apps, base, changed)?;
-        let slack = self.slack_profile(base);
+        let slack = self.slack_profile(base.horizon);
         Ok((placements, slack))
     }
 
@@ -604,7 +552,6 @@ impl Scheduler {
             heap,
             pes,
             bus,
-            touched,
             placed,
             msgs,
             ..
@@ -617,8 +564,6 @@ impl Scheduler {
         }
         let bus = bus.get_or_insert_with(|| base.bus.clone());
         bus.reset_from(&base.bus);
-        touched.clear();
-        touched.resize(base.pe_count(), false);
         placed.clear();
         msgs.clear();
         ready.clone_from(releases);
@@ -645,7 +590,6 @@ impl Scheduler {
             heap,
             pes,
             bus,
-            touched,
             placed,
             msgs,
         )?;
@@ -902,41 +846,17 @@ impl Scheduler {
         Ok(())
     }
 
-    /// The slack of the most recent successful run: untouched PEs and an
-    /// untouched bus alias the base's lists; touched ones copy the live
-    /// timelines' free time.
-    fn slack_profile(&mut self, base: &FrozenBase) -> SlackProfile {
+    /// The slack of the most recent successful run: a copy of every
+    /// PE's live gap list and the live bus fill's free windows.
+    fn slack_profile(&self, horizon: Time) -> SlackProfile {
         let _slack = phase::scope(Phase::Slack);
-        let mut fresh = 0usize;
-        // One shared slab for the whole per-PE table: the profile and
-        // every memo clone downstream share it by reference-count bump
-        // instead of re-cloning `pe_count` inner `Arc`s each.
-        let pe_gaps: Arc<[GapList]> = (0..self.pes.len())
-            .map(|i| {
-                if self.touched[i] {
-                    fresh += 1;
-                    counters::bump(Counter::SlackGapsMaterialized);
-                    self.pes[i].gaps().into()
-                } else {
-                    counters::bump(Counter::SlackGapsAliased);
-                    Arc::clone(&base.pe_gaps[i])
-                }
-            })
-            .collect();
-
-        let bus_arc = match &self.bus {
-            Some(bus) if self.bus_touched() => {
-                counters::bump(Counter::BusWindowsPatched);
-                bus.free_windows().into()
-            }
-            _ => {
-                counters::bump(Counter::BusWindowsAliased);
-                Arc::clone(&base.bus_windows)
-            }
-        };
-
-        self.fresh_gap_lists = fresh;
-        SlackProfile::from_shared(base.horizon, pe_gaps, bus_arc)
+        counters::add(Counter::SlackGapsMaterialized, self.pes.len() as u64);
+        let bus = self.bus.as_ref().expect("a run resets the bus first");
+        SlackProfile::new(
+            horizon,
+            self.pes.iter().map(PeTimeline::gaps),
+            bus.free_windows(),
+        )
     }
 }
 
@@ -971,7 +891,6 @@ fn schedule_loop(
     heap: &mut BinaryHeap<ReadyEntry>,
     pes: &mut [PeTimeline],
     bus: &mut BusTimeline,
-    touched: &mut [bool],
     placed: &mut Vec<ScheduledJob>,
     msgs: &mut Vec<ScheduledMessage>,
 ) -> Result<(), SchedError> {
@@ -983,7 +902,6 @@ fn schedule_loop(
         let start = pes[pe.index()]
             .reserve_earliest(ready[idx], j.wcet, j.gap_hint)
             .map_err(|source| SchedError::NoGap { job: id, source })?;
-        touched[pe.index()] = true;
         let end = start + j.wcet;
         if end > j.deadline {
             return Err(SchedError::DeadlineMiss {
@@ -1111,8 +1029,6 @@ mod tests {
             assert_eq!(slack, SlackProfile::from_table(&arch, &reference));
         }
         assert_eq!(engine.raw_schedule_count(), 3);
-        assert!(engine.touched_pes().iter().any(|&t| t));
-        assert!(engine.bus_touched());
     }
 
     /// A chain of single remaps, each passed as its one-variable hint:
@@ -1368,42 +1284,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_profiles_alias_base_storage() {
-        let arch = arch2();
-        // Current app occupies only PE0; PE1 carries only frozen load.
-        let (fapp, fmap) = chain_app();
-        let hints = Hints::empty();
-        let fspec = AppSpec::new(AppId(0), &fapp, &fmap, &hints);
-        let frozen = crate::schedule(&arch, &[fspec], None, t(100)).unwrap();
-        let base = FrozenBase::new(&arch, Some(&frozen), t(100)).unwrap();
-
-        let mut g = ProcessGraph::new("g", t(100), t(100));
-        let a = g.add_process(Process::new("a").wcet(PeId(0), t(5)));
-        let app = Application::new("solo", vec![g]);
-        let mut mapping = Mapping::new();
-        mapping.assign(ProcRef::new(0, a), PeId(0));
-        let spec = AppSpec::new(AppId(1), &app, &mapping, &hints);
-
-        let mut engine = Scheduler::new();
-        let (_, slack) = engine.schedule_with_slack(&arch, &[spec], &base).unwrap();
-        // PE1 untouched → its gap list is the base's storage, not a copy.
-        assert!(Arc::ptr_eq(
-            slack.gaps_shared(PeId(1)),
-            base.gaps_shared(PeId(1))
-        ));
-        assert!(!Arc::ptr_eq(
-            slack.gaps_shared(PeId(0)),
-            base.gaps_shared(PeId(0))
-        ));
-        // No new message → the bus windows alias the base too.
-        assert!(Arc::ptr_eq(
-            slack.bus_windows_shared(),
-            base.bus_windows_shared()
-        ));
-        assert_eq!(engine.fresh_gap_list_count(), 1, "only PE0 materialized");
-    }
-
-    #[test]
     fn frozen_base_bakes_replay_once() {
         let arch = arch2();
         let (app, mapping) = chain_app();
@@ -1419,7 +1299,10 @@ mod tests {
         // Frozen-only slack matches the profile of the frozen table.
         let frozen_slack = SlackProfile::from_table(&arch, &first);
         assert_eq!(base.gaps_of(PeId(0)), frozen_slack.gaps_of(PeId(0)));
-        assert_eq!(base.bus_windows(), frozen_slack.bus_windows());
+        assert_eq!(
+            base.bus_timeline().free_windows(),
+            frozen_slack.bus_windows()
+        );
 
         // Scheduling a second app on the base matches the naive path.
         let (app2, mapping2) = chain_app();
@@ -1450,33 +1333,6 @@ mod tests {
             FrozenBase::empty(&arch, t(15)).unwrap_err(),
             SchedError::BadHorizon { .. }
         ));
-    }
-
-    #[test]
-    fn untouched_pes_reuse_frozen_gap_lists() {
-        let arch = arch2();
-        // Current app occupies only PE0; PE1 carries only frozen load.
-        let (fapp, fmap) = chain_app();
-        let hints = Hints::empty();
-        let fspec = AppSpec::new(AppId(0), &fapp, &fmap, &hints);
-        let frozen = crate::schedule(&arch, &[fspec], None, t(100)).unwrap();
-        let base = FrozenBase::new(&arch, Some(&frozen), t(100)).unwrap();
-
-        let mut g = ProcessGraph::new("g", t(100), t(100));
-        let a = g.add_process(Process::new("a").wcet(PeId(0), t(5)));
-        let app = Application::new("solo", vec![g]);
-        let mut mapping = Mapping::new();
-        mapping.assign(ProcRef::new(0, a), PeId(0));
-        let spec = AppSpec::new(AppId(1), &app, &mapping, &hints);
-
-        let mut engine = Scheduler::new();
-        let (table, slack) = engine.schedule_with_slack(&arch, &[spec], &base).unwrap();
-        assert!(engine.touched_pes()[0]);
-        assert!(!engine.touched_pes()[1]);
-        assert!(!engine.bus_touched());
-        assert_eq!(slack.gaps_of(PeId(1)), base.gaps_of(PeId(1)));
-        assert_eq!(slack, SlackProfile::from_table(&arch, &table));
-        let _ = table.job(JobId::new(AppId(1), 0, 0, NodeId(0))).unwrap();
     }
 
     /// Reusing one `Scheduler` across *different* applications whose

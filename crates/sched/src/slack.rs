@@ -9,31 +9,29 @@
 //! consumes it to compute C1 (how well the slack is *clustered*) and C2
 //! (how well it is *distributed* in time).
 
+use crate::pe_timeline::PeTimeline;
 use crate::table::ScheduleTable;
 use incdes_model::{Architecture, PeId, Time};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// One shared, immutable gap/window list: a flattened `Arc<[..]>` slab.
+/// One immutable gap/window list: a flattened `Arc<[..]>` slab.
 ///
 /// The flat slice (rather than `Arc<Vec<..>>`) drops one pointer
 /// indirection on every scan — the C1/C2 window kernels walk the spans
 /// straight off the `Arc` allocation — and makes the lists immutable by
-/// construction, which is exactly the aliasing contract the engine's
-/// CoW sharing relies on (see [`SlackProfile`]).
+/// construction, so profile clones can share them (see
+/// [`SlackProfile`]).
 pub type GapList = Arc<[(Time, Time)]>;
 
 /// The slack left by a schedule.
 ///
-/// The gap lists are `Arc`-backed shared storage: the incremental
-/// evaluation engine ([`crate::engine`]) hands out profiles whose
-/// untouched-PE gap lists *share* the frozen base's (or the previous
-/// evaluation's) storage instead of deep-cloning it. Sharing is
-/// invisible through this API — reads return plain slices, equality and
-/// serialization are by content, and the [`GapList`] storage is
-/// immutable (`Arc<[..]>` has no `make_mut`-style mutation path here),
-/// so no profile can be altered through a sibling profile or the
-/// engine's caches.
+/// The [`GapList`] storage is immutable, so clones of one profile share
+/// it and no profile can be altered through another; the engine builds
+/// every profile from a copy of its live timelines, so no base or
+/// timeline shares a profile's storage. Sharing is invisible through
+/// this API: reads return plain slices, and equality and serialization
+/// are by content.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SlackProfile {
     horizon: Time,
@@ -56,62 +54,27 @@ impl SlackProfile {
     /// invalid bus framing); tables produced by [`crate::schedule`] never
     /// are.
     pub fn from_table(arch: &Architecture, table: &ScheduleTable) -> Self {
-        let pe_gaps: Arc<[GapList]> = table
-            .pe_timelines(arch)
-            .iter()
-            .map(|tl| tl.gaps().into())
-            .collect();
-        let bus = table.bus_timeline(arch);
-        SlackProfile {
-            horizon: table.horizon(),
-            pe_gaps,
-            bus_windows: bus.free_windows().into(),
-        }
+        SlackProfile::new(
+            table.horizon(),
+            table.pe_timelines(arch).iter().map(PeTimeline::gaps),
+            table.bus_timeline(arch).free_windows(),
+        )
     }
 
-    /// Assembles a profile from precomputed parts: per-PE gap lists (in
-    /// PE order, each in time order) and bus windows (in time order).
-    ///
-    /// This is the owned-storage constructor; the incremental evaluation
-    /// engine ([`crate::engine`]) uses [`SlackProfile::from_shared`] to
-    /// hand out profiles that share unchanged gap lists instead. The
-    /// parts must be exactly what [`SlackProfile::from_table`] would
-    /// have produced.
-    pub fn from_parts(
+    /// Assembles a profile from its parts: per-PE gap lists (in PE
+    /// order, each in time order) and the bus windows (in time order),
+    /// each stored as an immutable [`GapList`]. The parts must be
+    /// exactly what [`SlackProfile::from_table`] would derive.
+    pub fn new<G: Into<GapList>>(
         horizon: Time,
-        pe_gaps: Vec<Vec<(Time, Time)>>,
-        bus_windows: Vec<(Time, Time)>,
+        pe_gaps: impl IntoIterator<Item = G>,
+        bus_windows: impl Into<GapList>,
     ) -> Self {
         SlackProfile {
             horizon,
             pe_gaps: pe_gaps.into_iter().map(Into::into).collect(),
             bus_windows: bus_windows.into(),
         }
-    }
-
-    /// [`SlackProfile::from_parts`] with the storage supplied as shared
-    /// `Arc`s: the evaluation engine passes the frozen base's (or the
-    /// previous run's) gap lists for resources the current evaluation
-    /// did not change, so building a profile costs one reference-count
-    /// bump per untouched resource instead of a deep clone.
-    pub fn from_shared(horizon: Time, pe_gaps: Arc<[GapList]>, bus_windows: GapList) -> Self {
-        SlackProfile {
-            horizon,
-            pe_gaps,
-            bus_windows,
-        }
-    }
-
-    /// The shared storage behind [`gaps_of`](Self::gaps_of). Exposed so
-    /// the incremental C1 cache (and tests) can detect unchanged gap
-    /// lists by `Arc::ptr_eq` instead of comparing contents.
-    pub fn gaps_shared(&self, pe: PeId) -> &GapList {
-        &self.pe_gaps[pe.index()]
-    }
-
-    /// The shared storage behind [`bus_windows`](Self::bus_windows).
-    pub fn bus_windows_shared(&self) -> &GapList {
-        &self.bus_windows
     }
 
     /// The hyperperiod the profile covers.

@@ -19,7 +19,7 @@ use incdes_model::{AppId, Application, Architecture, PeId, Time};
 use incdes_obs::counters::{self, Counter};
 use incdes_tdma::{BusReservation, BusTimeline};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -176,10 +176,10 @@ impl std::error::Error for TableError {}
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ScheduleTable {
     horizon: Time,
-    /// `Arc`-backed so cloning a table (the evaluation memo does it on
-    /// every raw schedule and every hit) is a reference-count bump, not
-    /// an `O(frozen + current)` copy. Content-immutable after
-    /// construction; [`ScheduleTable::merge`] copies-on-write.
+    /// `Arc`-backed so cloning a table (a `FrozenBase` keeping the
+    /// frozen table, a same-horizon `replicate_to`) is a reference-count
+    /// bump, not an `O(frozen + current)` copy. Content-immutable after
+    /// construction.
     jobs: Arc<Vec<ScheduledJob>>,
     messages: Arc<Vec<ScheduledMessage>>,
 }
@@ -316,28 +316,6 @@ impl ScheduleTable {
         self.jobs_on(pe).map(|j| j.end - j.start).sum()
     }
 
-    /// Merges another table (over the same horizon) into this one.
-    ///
-    /// Used when committing a newly scheduled application on top of the
-    /// frozen tables of existing ones. No validity checking happens here;
-    /// run [`validate`](Self::validate) afterwards in tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the horizons differ.
-    pub fn merge(&mut self, other: &ScheduleTable) {
-        assert_eq!(
-            self.horizon, other.horizon,
-            "cannot merge tables over different horizons"
-        );
-        let jobs = Arc::make_mut(&mut self.jobs);
-        jobs.extend(other.jobs.iter().copied());
-        jobs.sort_by_key(|j| (j.pe, j.start, j.job));
-        let messages = Arc::make_mut(&mut self.messages);
-        messages.extend(other.messages.iter().copied());
-        messages.sort_by_key(|m| (m.reservation.transmit_start, m.app, m.msg, m.instance));
-    }
-
     /// Replicates this table onto a longer horizon: every job and message
     /// is copied `new/old` times, shifted by multiples of the old horizon.
     /// Bus occurrence indices are shifted using the bus geometry from
@@ -433,14 +411,16 @@ impl ScheduleTable {
             .collect();
         let mut bus = BusTimeline::new(arch.bus(), self.horizon)
             .expect("table horizon is a multiple of the bus cycle");
-        for (occ, indices) in frame_replay_order(&messages) {
-            for i in indices {
-                let m = &mut messages[i];
-                let r = bus
-                    .reserve_in_occurrence(m.reservation.owner, occ, m.reservation.duration())
-                    .expect("a compacted frame always fits its own slot");
-                m.reservation = r;
-            }
+        for i in frame_replay_order(&messages) {
+            let m = &mut messages[i];
+            let r = bus
+                .reserve_in_occurrence(
+                    m.reservation.owner,
+                    m.reservation.occurrence,
+                    m.reservation.duration(),
+                )
+                .expect("a compacted frame always fits its own slot");
+            m.reservation = r;
         }
         ScheduleTable::new(self.horizon, jobs, messages)
     }
@@ -468,14 +448,16 @@ impl ScheduleTable {
     pub fn bus_timeline(&self, arch: &Architecture) -> BusTimeline {
         let mut bus = BusTimeline::new(arch.bus(), self.horizon)
             .expect("table horizon is a multiple of the bus cycle");
-        for (occ, indices) in frame_replay_order(&self.messages) {
-            for i in indices {
-                let m = &self.messages[i];
-                let r = bus
-                    .reserve_in_occurrence(m.reservation.owner, occ, m.reservation.duration())
-                    .expect("validated tables replay cleanly");
-                debug_assert_eq!(r.transmit_start, m.reservation.transmit_start);
-            }
+        for i in frame_replay_order(&self.messages) {
+            let m = &self.messages[i];
+            let r = bus
+                .reserve_in_occurrence(
+                    m.reservation.owner,
+                    m.reservation.occurrence,
+                    m.reservation.duration(),
+                )
+                .expect("validated tables replay cleanly");
+            debug_assert_eq!(r.transmit_start, m.reservation.transmit_start);
         }
         bus
     }
@@ -639,17 +621,19 @@ impl ScheduleTable {
         }
 
         // Frame non-overlap per occurrence, in replay order.
-        for (occ_idx, indices) in frame_replay_order(&self.messages) {
+        let order = frame_replay_order(&self.messages);
+        let occurrence_of = |i: usize| self.messages[i].reservation.occurrence;
+        for indices in order.chunk_by(|&a, &b| occurrence_of(a) == occurrence_of(b)) {
             let first = &self.messages[indices[0]];
-            let occ = bus
-                .occurrence(occ_idx)
-                .map_err(|_| TableError::BusViolation {
+            let occ = bus.occurrence(first.reservation.occurrence).map_err(|_| {
+                TableError::BusViolation {
                     app: first.app,
                     msg: first.msg,
                     instance: first.instance,
-                })?;
+                }
+            })?;
             let mut cursor = occ.start;
-            for i in indices {
+            for &i in indices {
                 let m = &self.messages[i];
                 let r = m.reservation;
                 if r.owner != occ.owner || r.transmit_start < cursor || r.arrival > occ.end() {
@@ -707,22 +691,18 @@ impl ScheduleTable {
     }
 }
 
-/// Frame replay order: message indices grouped by slot occurrence, each
-/// group sorted by transmission start. Every frame walk (rebuilding a
-/// bus timeline, compacting after a removal, validating) uses this one
-/// ordering so they can never diverge.
-fn frame_replay_order(messages: &[ScheduledMessage]) -> BTreeMap<u64, Vec<usize>> {
-    let mut by_occurrence: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-    for (i, m) in messages.iter().enumerate() {
-        by_occurrence
-            .entry(m.reservation.occurrence)
-            .or_default()
-            .push(i);
-    }
-    for indices in by_occurrence.values_mut() {
-        indices.sort_by_key(|&i| messages[i].reservation.transmit_start);
-    }
-    by_occurrence
+/// Frame replay order: message indices sorted by slot occurrence, then
+/// by transmission start, so each occurrence's frame is one contiguous
+/// run. Every frame walk (rebuilding a bus timeline, baking a frozen
+/// base, compacting after a removal, validating) uses this one ordering
+/// so they can never diverge.
+pub(crate) fn frame_replay_order(messages: &[ScheduledMessage]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..messages.len()).collect();
+    order.sort_by_key(|&i| {
+        let r = &messages[i].reservation;
+        (r.occurrence, r.transmit_start)
+    });
+    order
 }
 
 fn label_char(app: AppId) -> u8 {
@@ -838,23 +818,6 @@ mod tests {
     fn deadline_clean_detects_miss() {
         let table = ScheduleTable::new(t(100), vec![job(0, 0, 0, 0, 0, 0, 60, 0, 50)], vec![]);
         assert!(!table.is_deadline_clean());
-    }
-
-    #[test]
-    fn merge_combines_sorted() {
-        let mut a = ScheduleTable::new(t(100), vec![job(0, 0, 0, 0, 0, 20, 30, 0, 100)], vec![]);
-        let b = ScheduleTable::new(t(100), vec![job(1, 0, 0, 0, 0, 0, 10, 0, 100)], vec![]);
-        a.merge(&b);
-        assert_eq!(a.jobs().len(), 2);
-        assert_eq!(a.jobs()[0].job.app, AppId(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "different horizons")]
-    fn merge_rejects_horizon_mismatch() {
-        let mut a = ScheduleTable::empty(t(100));
-        let b = ScheduleTable::empty(t(200));
-        a.merge(&b);
     }
 
     /// One job and one message over a 20-tick (one bus cycle) horizon.

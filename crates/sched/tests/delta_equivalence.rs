@@ -13,11 +13,6 @@
 //! additionally re-expand every patched arena and compare it with the
 //! patch. Failures shrink to a minimal failing move chain via the
 //! proptest harness.
-//!
-//! The `Arc`-sharing property pins the other half of the contract:
-//! profiles alias the frozen base's storage, and mutating a returned
-//! profile is copy-on-write — never observable through the base or a
-//! sibling profile.
 
 use incdes_graph::{EdgeId, NodeId};
 use incdes_model::{
@@ -26,10 +21,8 @@ use incdes_model::{
 };
 use incdes_obs::counters::{self, Counter};
 use incdes_sched::engine::{ChangedVar, FrozenBase, Scheduler};
-use incdes_sched::slack::GapList;
 use incdes_sched::{schedule, AppSpec, Hints, Mapping, MsgRef, SlackProfile};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// 3 PEs, 10-tick slots, cycle 30.
 fn arch3() -> Architecture {
@@ -296,82 +289,6 @@ proptest! {
         }
         let d = counters::snapshot().delta_since(&before);
         prop_assert_eq!(d.get(Counter::ArenaPatched), visits.len() as u64 - 1);
-    }
-
-    /// Shared-storage aliasing property: however a chain of evaluations
-    /// shares gap-list storage, deriving a *modified* profile from one
-    /// of them (copying the storage out, editing it, rebuilding via
-    /// `from_shared` — the only way to "mutate" the immutable
-    /// `Arc<[..]>` lists) is never observable through the frozen base
-    /// or a sibling profile.
-    #[test]
-    fn mutating_a_profile_never_leaks_into_base_or_siblings(
-        layers in proptest::collection::vec(1usize..3, 1..3),
-        wcets in proptest::collection::vec(0u64..8, 4),
-        parents in proptest::collection::vec(0usize..7, 4),
-        msg_bytes in proptest::collection::vec(0u32..8, 4),
-        initial_pes in proptest::collection::vec(0u32..3, 8),
-        moves in proptest::collection::vec((0u8..3, 0usize..64, 0u32..8), 1..6),
-        poison_pe in 0u32..3,
-    ) {
-        let arch = arch3();
-        let horizon = Time::new(240);
-        let g = build_graph(&layers, &wcets, &parents, &msg_bytes, Time::new(240));
-        let app = Application::new("current", vec![g]);
-        let mut mapping = Mapping::new();
-        for (i, (pr, _)) in app.processes().enumerate() {
-            mapping.assign(pr, PeId(initial_pes[i % initial_pes.len()]));
-        }
-        let mut hints = Hints::empty();
-        let base = FrozenBase::empty(&arch, horizon).unwrap();
-        let mut engine = Scheduler::new();
-
-        let mut profiles: Vec<SlackProfile> = Vec::new();
-        for step in 0..=moves.len() {
-            if step > 0 {
-                apply_move(&app, &mut mapping, &mut hints, moves[step - 1]);
-            }
-            let spec = AppSpec::new(AppId(1), &app, &mapping, &hints);
-            if let Ok((_, slack)) = engine.schedule_with_slack(&arch, &[spec], &base) {
-                profiles.push(slack);
-            }
-        }
-        prop_assert!(!profiles.is_empty(), "some step should be feasible");
-
-        // Snapshot everything, then poison the *last* profile in place.
-        let base_snapshot: Vec<Vec<(Time, Time)>> =
-            (0..3).map(|i| base.gaps_of(PeId(i)).to_vec()).collect();
-        let base_bus_snapshot = base.bus_windows().to_vec();
-        let sibling_snapshots: Vec<SlackProfile> = profiles.clone();
-
-        let last = profiles.last().unwrap();
-        let mut poisoned_gaps: Vec<GapList> = (0..3)
-            .map(|i| Arc::clone(last.gaps_shared(PeId(i))))
-            .collect();
-        let mut edited = poisoned_gaps[poison_pe as usize].to_vec();
-        edited.push((Time::new(7), Time::new(9)));
-        poisoned_gaps[poison_pe as usize] = edited.into();
-        let poisoned = SlackProfile::from_shared(last.horizon(), poisoned_gaps.into(), Vec::new().into());
-        *profiles.last_mut().unwrap() = poisoned;
-
-        for i in 0..3u32 {
-            prop_assert_eq!(
-                base.gaps_of(PeId(i)),
-                &base_snapshot[i as usize][..],
-                "base gap list of PE{} changed through a profile mutation", i
-            );
-        }
-        prop_assert_eq!(base.bus_windows(), &base_bus_snapshot[..]);
-        for (k, (sib, snap)) in profiles[..profiles.len() - 1]
-            .iter()
-            .zip(&sibling_snapshots)
-            .enumerate()
-        {
-            prop_assert_eq!(sib, snap, "sibling profile {} changed", k);
-        }
-        // And the poisoned profile itself really changed (CoW happened,
-        // not a silent no-op).
-        prop_assert!(profiles.last().unwrap().bus_windows().is_empty());
     }
 }
 

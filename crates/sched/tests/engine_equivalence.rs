@@ -153,16 +153,6 @@ proptest! {
                     prop_assert_eq!(&table, &reference, "tables diverged (salt {})", salt);
                     let reference_slack = SlackProfile::from_table(&arch, &reference);
                     prop_assert_eq!(&slack, &reference_slack, "slack diverged (salt {})", salt);
-                    // The touched-PE bookkeeping is sound: untouched PEs
-                    // must show exactly the frozen-only gaps.
-                    for (i, touched) in engine.touched_pes().iter().enumerate() {
-                        if !touched {
-                            prop_assert_eq!(
-                                slack.gaps_of(PeId(i as u32)),
-                                base.gaps_of(PeId(i as u32))
-                            );
-                        }
-                    }
                 }
                 (Err(a), Err(b)) => prop_assert_eq!(a, b, "errors diverged (salt {})", salt),
                 (a, b) => prop_assert!(
@@ -205,7 +195,7 @@ proptest! {
         for pe in arch.pe_ids() {
             prop_assert_eq!(base.gaps_of(pe), naive_slack.gaps_of(pe));
         }
-        prop_assert_eq!(base.bus_windows(), naive_slack.bus_windows());
+        prop_assert_eq!(base.bus_timeline().free_windows(), naive_slack.bus_windows());
         // Scheduling *nothing* on the base reproduces the frozen table.
         let mut engine = Scheduler::new();
         let (table, slack) = engine.schedule_with_slack(&arch, &[], &base).unwrap();

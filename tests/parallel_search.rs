@@ -1,9 +1,10 @@
-//! Byte-identity guarantees of the parallel in-scenario search: the
-//! same spec must produce the same bytes — solution, cost bits, every
-//! deterministic counter, the full campaign report — at any search
-//! thread count. Thread count is a wall-clock knob, never a semantic
-//! one; `sa_chains`/`sa_exchange_period` (which *do* change SA's
-//! trajectory) are held fixed while threads vary.
+//! Byte-identity guarantees of the parallel in-scenario search (the SA
+//! portfolio): the same spec must produce the same bytes — solution,
+//! cost bits, every deterministic counter, the full campaign report —
+//! at any search thread count. Thread count is a wall-clock knob, never
+//! a semantic one; `sa_chains`/`sa_exchange_period` (which *do* change
+//! SA's trajectory) are held fixed while threads vary, and MH runs its
+//! sequential search in every mode.
 
 use incdes::explore::{run_campaign, CampaignSpec};
 use incdes::mapping::{
@@ -53,9 +54,9 @@ fn run_bytes(out: &incdes::mapping::Outcome) -> (String, u64, [usize; 3]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// MH (batched widening rounds) and SA (portfolio chains) produce
-    /// identical results — solution, cost bits, all counters — at
-    /// search thread counts 1, 2 and 8.
+    /// MH and SA (portfolio chains) produce identical results —
+    /// solution, cost bits, all counters — at search thread counts 1, 2
+    /// and 8.
     #[test]
     fn search_results_identical_across_thread_counts(
         seed in 0u64..2000,
@@ -76,11 +77,10 @@ proptest! {
             max_evaluations: 120,
             ..SaConfig::quick()
         });
-        let run = |threads: usize, batch_cutover: usize| {
+        let run = |threads: usize| {
             let ctx = MappingContext::new(&arch, AppId(0), &app, None, horizon, &future, &weights)
                 .with_parallelism(SearchParallelism::Parallel {
                     threads,
-                    batch_cutover,
                     sa_chains: 2,
                     sa_exchange_period: 16,
                 });
@@ -91,13 +91,9 @@ proptest! {
                 _ => None, // overloaded instance: infeasible at every thread count below
             }
         };
-        let baseline = run(1, 0);
-        prop_assert_eq!(&baseline, &run(2, 0), "2 threads diverged from 1");
-        prop_assert_eq!(&baseline, &run(8, 0), "8 threads diverged from 1");
-        // The small-batch cutover multiplexes execution only: forcing
-        // every batch inline (max) or none (1) must not change a byte.
-        prop_assert_eq!(&baseline, &run(8, usize::MAX), "always-inline cutover diverged");
-        prop_assert_eq!(&baseline, &run(8, 1), "never-inline cutover diverged");
+        let baseline = run(1);
+        prop_assert_eq!(&baseline, &run(2), "2 threads diverged from 1");
+        prop_assert_eq!(&baseline, &run(8), "8 threads diverged from 1");
     }
 }
 
@@ -105,11 +101,10 @@ proptest! {
 /// {1, 2, 8}, reports compared as bytes.
 #[test]
 fn campaign_reports_byte_identical_across_search_thread_counts() {
-    let with_threads = |threads: usize, batch_cutover: usize| {
+    let with_threads = |threads: usize| {
         let mut spec = CampaignSpec::small_demo();
         spec.parallelism = SearchParallelism::Parallel {
             threads,
-            batch_cutover,
             sa_chains: 2,
             sa_exchange_period: 16,
         };
@@ -119,20 +114,20 @@ fn campaign_reports_byte_identical_across_search_thread_counts() {
             .to_json_pretty()
             .expect("report serializes")
     };
-    let baseline = with_threads(1, 0);
-    for (threads, batch_cutover) in [(2, 0), (8, 0), (8, 1), (2, usize::MAX)] {
+    let baseline = with_threads(1);
+    for threads in [2, 8] {
         assert_eq!(
             baseline,
-            with_threads(threads, batch_cutover),
-            "search threads={threads}/cutover={batch_cutover} changed the campaign report"
+            with_threads(threads),
+            "search threads={threads} changed the campaign report"
         );
     }
 }
 
-/// A parallel-mode MH run finds the same solution at the same cost as
-/// the sequential mode, with the same memo hits: the batch protocol
-/// checks each candidate against the last result as the sequential
-/// loop does.
+/// MH runs its sequential search in every mode: under an SA-portfolio
+/// configuration it finds the same solution at the same cost as the
+/// sequential mode, with the same evaluations, iterations and raw
+/// schedules.
 #[test]
 fn parallel_mh_matches_sequential_solution() {
     let cfg = small_cfg(3, 10);
@@ -148,7 +143,11 @@ fn parallel_mh_matches_sequential_solution() {
         run_strategy(&ctx, &Strategy::mh()).expect("instance is feasible")
     };
     let seq = run(SearchParallelism::Sequential);
-    let par = run(SearchParallelism::threads(4));
+    let par = run(SearchParallelism::Parallel {
+        threads: 4,
+        sa_chains: 2,
+        sa_exchange_period: 16,
+    });
     assert_eq!(format!("{:?}", seq.solution), format!("{:?}", par.solution));
     assert_eq!(
         seq.evaluation.cost.total.to_bits(),
@@ -160,8 +159,7 @@ fn parallel_mh_matches_sequential_solution() {
 }
 
 /// `RunStats::merge` folds per-worker tallies; order independence is
-/// what lets reductions happen in candidate-index order regardless of
-/// which worker finished first.
+/// what keeps the totals independent of which worker finished first.
 #[test]
 fn run_stats_merge_folds_worker_tallies() {
     let stats = |k: usize| RunStats {
