@@ -126,10 +126,10 @@ pub struct System {
     base_cache: RefCell<Option<(Time, Arc<FrozenBase>)>>,
     base_reuse: Cell<usize>,
     /// Whether SA runs as a multi-chain portfolio inside a scenario;
-    /// handed to every [`MappingContext`] this system creates. Unset
-    /// keeps the context default ([`SearchParallelism::Sequential`]);
-    /// set it via [`System::set_parallelism`].
-    parallelism: Option<SearchParallelism>,
+    /// handed to every [`MappingContext`] this system creates.
+    /// [`SearchParallelism::Sequential`] unless set via
+    /// [`System::set_parallelism`].
+    parallelism: SearchParallelism,
 }
 
 impl System {
@@ -144,20 +144,20 @@ impl System {
             table,
             base_cache: RefCell::new(None),
             base_reuse: Cell::new(0),
-            parallelism: None,
+            parallelism: SearchParallelism::Sequential,
         }
     }
 
     /// Sets the search parallelism of every mapping context this
     /// system hands out (see [`SearchParallelism`]; only the SA
-    /// portfolio reads it). The default keeps each context's
-    /// `Sequential` setting.
+    /// portfolio reads it). The default is `Sequential`.
     pub fn set_parallelism(&mut self, parallelism: SearchParallelism) {
-        self.parallelism = Some(parallelism);
+        self.parallelism = parallelism;
     }
 
-    /// The search parallelism override, if one was set.
-    pub fn parallelism(&self) -> Option<SearchParallelism> {
+    /// The search parallelism every mapping context of this system
+    /// runs under.
+    pub fn parallelism(&self) -> SearchParallelism {
         self.parallelism
     }
 
@@ -299,9 +299,7 @@ impl System {
         if let Some(base) = self.shared_base(&frozen, new_horizon) {
             ctx = ctx.with_frozen_base(base);
         }
-        if let Some(par) = self.parallelism {
-            ctx = ctx.with_parallelism(par);
-        }
+        ctx = ctx.with_parallelism(self.parallelism);
         let outcome = run_strategy(&ctx, strategy)?;
         self.table = outcome.evaluation.table;
         *self.base_cache.borrow_mut() = None;
@@ -354,9 +352,7 @@ impl System {
         if let Some(base) = self.shared_base(&frozen, new_horizon) {
             ctx = ctx.with_frozen_base(base);
         }
-        if let Some(par) = self.parallelism {
-            ctx = ctx.with_parallelism(par);
-        }
+        ctx = ctx.with_parallelism(self.parallelism);
         match run_strategy(&ctx, strategy) {
             Ok(outcome) => Ok(ProbeReport {
                 feasible: true,
@@ -398,7 +394,7 @@ impl System {
             table,
             base_cache: RefCell::new(None),
             base_reuse: Cell::new(0),
-            parallelism: None,
+            parallelism: SearchParallelism::Sequential,
         }
     }
 

@@ -100,17 +100,13 @@ fn store_key_with(cfg: &SynthConfig, spec: &CampaignSpec, scenario: &ScenarioKey
         future_processes: spec.future_processes,
         demand_factor: spec.demand_factor,
         check_invariants: spec.check_invariants,
-        parallelism: match spec.parallelism {
-            SearchParallelism::Parallel {
-                sa_chains,
-                sa_exchange_period,
-                ..
-            } if sa_chains >= 2 => SearchParallelism::Parallel {
+        parallelism: match spec.parallelism.sa_portfolio() {
+            Some((_, sa_chains, sa_exchange_period)) => SearchParallelism::Parallel {
                 threads: 1,
                 sa_chains,
                 sa_exchange_period,
             },
-            _ => SearchParallelism::Sequential,
+            None => SearchParallelism::Sequential,
         },
         script: spec.script.clone(),
         size: scenario.size,

@@ -10,12 +10,13 @@
 //!   [`MappingContext::with_frozen_base`] so the campaign runner's
 //!   per-step contexts share one bake per system state;
 //! * a persistent [`Scheduler`] reuses its scratch arenas (job records,
-//!   ready heap, per-graph priority cache) across evaluations. Every raw
-//!   schedule resets the timelines from the base and re-places the whole
-//!   current application; the job arena is **patched in place** when the
-//!   candidate differs from the solution the arena describes by at most
-//!   [`DELTA_MAX_CHANGED_VARS`] design variables (the single-move
-//!   neighbors MH and SA explore), and re-expanded otherwise;
+//!   successor table, ready queue, per-graph priority cache) across
+//!   evaluations. Every raw schedule resets the timelines from the base
+//!   and re-places the whole current application; the job arena is
+//!   **patched in place** when the candidate differs from the solution
+//!   the arena describes by at most [`DELTA_MAX_CHANGED_VARS`] design
+//!   variables (the single-move neighbors MH and SA explore), and
+//!   re-expanded otherwise;
 //! * every run's slack profile is a plain copy of the live timelines'
 //!   free time, in immutable `Arc` storage so the memo's clones are
 //!   reference-count bumps. C2 is measured directly on every profile;
@@ -98,6 +99,23 @@ pub enum SearchParallelism {
         /// Clamped to ≥ 1.
         sa_exchange_period: usize,
     },
+}
+
+impl SearchParallelism {
+    /// The SA portfolio this setting runs, as `(threads, sa_chains,
+    /// sa_exchange_period)`. `None` for `Sequential` and for a
+    /// `Parallel` setting with fewer than two chains: both run the
+    /// classic single-chain search.
+    pub fn sa_portfolio(self) -> Option<(usize, usize, usize)> {
+        match self {
+            SearchParallelism::Parallel {
+                threads,
+                sa_chains,
+                sa_exchange_period,
+            } if sa_chains >= 2 => Some((threads, sa_chains, sa_exchange_period)),
+            _ => None,
+        }
+    }
 }
 
 /// Error from a mapping strategy.

@@ -6,7 +6,7 @@
 //! objective; the paper uses it as the yardstick the other strategies'
 //! *average deviation* is measured against.
 
-use crate::context::{ChainCtx, Evaluation, MapError, MappingContext, Scored, SearchParallelism};
+use crate::context::{ChainCtx, Evaluation, MapError, MappingContext, Scored};
 use crate::solution::{Move, Solution};
 use incdes_metrics::DesignCost;
 use incdes_model::{PeId, ProcRef};
@@ -121,29 +121,22 @@ pub fn simulated_annealing(
         .flat_map(|(gi, g)| g.dag().edge_ids().map(move |e| MsgRef::new(gi, e)))
         .collect();
 
-    if let SearchParallelism::Parallel {
-        threads,
-        sa_chains,
-        sa_exchange_period,
-    } = ctx.parallelism()
-    {
-        if sa_chains >= 2 {
-            // Falls back to the classic path when no shareable base
-            // exists (naive pipeline); a single chain IS the classic
-            // path, so it never takes this branch.
-            if let Some(chains) = ctx.chain_contexts(sa_chains) {
-                return Ok(anneal_portfolio(
-                    ctx,
-                    chains,
-                    initial,
-                    current_eval,
-                    &procs,
-                    &msgs,
-                    cfg,
-                    threads,
-                    sa_exchange_period,
-                ));
-            }
+    if let Some((threads, sa_chains, sa_exchange_period)) = ctx.parallelism().sa_portfolio() {
+        // Falls back to the classic path when no shareable base exists
+        // (naive pipeline); a single chain IS the classic path, so it
+        // never takes this branch.
+        if let Some(chains) = ctx.chain_contexts(sa_chains) {
+            return Ok(anneal_portfolio(
+                ctx,
+                chains,
+                initial,
+                current_eval,
+                &procs,
+                &msgs,
+                cfg,
+                threads,
+                sa_exchange_period,
+            ));
         }
     }
     Ok(anneal_classic(
@@ -521,6 +514,7 @@ fn propose_move(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::SearchParallelism;
     use crate::im::initial_mapping;
     use incdes_metrics::Weights;
     use incdes_model::prelude::*;

@@ -135,7 +135,8 @@ pub fn item_runs(items: &[Time]) -> Vec<(Time, u64)> {
 /// Packing totals of [`pack`] for items given as [`item_runs`], computed
 /// against the capacity *multiset* `caps`. The call sorts `caps` and
 /// packs into it destructively: on return it holds the remaining
-/// capacities.
+/// capacities, sorted. `residuals` is scratch space whose contents are
+/// overwritten (a caller packing many times keeps one allocation).
 ///
 /// Returns `(packed, unpacked)`, exactly the totals [`pack`] reports
 /// for the same items and containers: best-fit picks the smallest
@@ -150,16 +151,23 @@ pub fn item_runs(items: &[Time]) -> Vec<(Time, u64)> {
 /// (the smallest that fits), the residual `c − s` is smaller than `c`,
 /// so it is the best fit for the next item of the run whenever it fits
 /// at all: per-item best-fit gives `c` exactly `q = min(count, ⌊c/s⌋)`
-/// items in a row, then moves on to the next larger capacity. One step
-/// per container touched, each re-sorting the residual into the smaller
-/// capacities with one `rotate`, costs `O(runs × containers touched)`
-/// instead of `O(items × log bins)`. Worst-fit stays per item.
+/// items in a row, then moves on to the next larger capacity, and the
+/// residual `c − q·s` fits no further item of the run unless the run
+/// ends inside `c`. So one run walks the capacities from the first that
+/// fits, once, collecting each residual (no division when `c < 2s`,
+/// where `q` is 1). The walked capacities are then replaced by their
+/// residuals: the residuals are sorted and merged into the smaller,
+/// untouched capacities in one backward pass, which leaves the same
+/// sorted array that per-item best-fit would. A run costs
+/// `O(containers below the run's size + k log k)` for `k` containers
+/// touched, instead of `O(items × log bins)`. Worst-fit stays per item.
 ///
 /// `runs` must be sorted by decreasing size ([`pack`] considers items
 /// that way); zero-sized items pack trivially and consume nothing.
 pub fn pack_totals(
     runs: &[(Time, u64)],
     caps: &mut [Time],
+    residuals: &mut Vec<Time>,
     policy: FitPolicy,
 ) -> Option<(Time, Time)> {
     if matches!(policy, FitPolicy::FirstFit) {
@@ -179,20 +187,23 @@ pub fn pack_totals(
         let mut left = count;
         match policy {
             FitPolicy::BestFit => {
-                // `caps[..p]` are all smaller than `size` throughout:
-                // the residual of a filled container drops below `size`
-                // unless the run ends inside it.
-                let mut p = caps.partition_point(|&c| c < size);
-                while left > 0 && p < caps.len() {
-                    let c = caps[p];
-                    let q = left.min(c.ticks() / size.ticks());
+                // `caps[..fit]` are smaller than `size`; walk the
+                // capacities from `fit` until the run is used up.
+                let fit = caps.partition_point(|&c| c < size);
+                residuals.clear();
+                for &c in &caps[fit..] {
+                    if left == 0 {
+                        break;
+                    }
+                    let q = if c - size < size {
+                        1
+                    } else {
+                        left.min(c.ticks() / size.ticks())
+                    };
                     left -= q;
-                    let rem = c - size * q;
-                    let at = caps[..p].partition_point(|&x| x < rem);
-                    caps[at..=p].rotate_right(1);
-                    caps[at] = rem;
-                    p += 1;
+                    residuals.push(c - size * q);
                 }
+                merge_residuals(caps, fit, residuals);
             }
             FitPolicy::WorstFit => {
                 // Worst fit = the largest capacity, the last element.
@@ -216,6 +227,28 @@ pub fn pack_totals(
         unpacked += size * left;
     }
     Some((packed, unpacked))
+}
+
+/// Replaces the capacities `caps[fit..fit + residuals.len()]` that one
+/// best-fit run walked by their `residuals`, keeping `caps` sorted:
+/// sorts the residuals, then merges them with the untouched sorted
+/// prefix `caps[..fit]` from the back, writing into the walked range's
+/// end. Every residual is below its capacity, so the capacities after
+/// the walked range stay the largest.
+fn merge_residuals(caps: &mut [Time], fit: usize, residuals: &mut [Time]) {
+    residuals.sort_unstable();
+    let (mut i, mut k) = (fit, residuals.len());
+    while k > 0 {
+        // Writes land at `i + k - 1`, at or after every unread prefix
+        // element.
+        if i > 0 && caps[i - 1] > residuals[k - 1] {
+            caps[i + k - 1] = caps[i - 1];
+            i -= 1;
+        } else {
+            caps[i + k - 1] = residuals[k - 1];
+            k -= 1;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -321,11 +354,11 @@ mod tests {
         let mut caps = ts(bins);
         let reference = pack(&items, &caps, policy);
         let (packed, unpacked) =
-            pack_totals(&item_runs(&items), &mut caps, policy).expect("multiset policy");
+            pack_totals(&item_runs(&items), &mut caps, &mut Vec::new(), policy)
+                .expect("multiset policy");
         assert_eq!((packed, unpacked), (reference.packed, reference.unpacked));
         let mut remaining = reference.remaining;
         remaining.sort_unstable();
-        caps.sort_unstable();
         assert_eq!(caps, remaining, "remaining capacities diverged");
     }
 
@@ -427,7 +460,8 @@ mod tests {
         #[test]
         fn prop_multiset_rejects_first_fit(bins in proptest::collection::vec(1u64..10, 0..5)) {
             prop_assert!(
-                pack_totals(&[(t(1), 1)], &mut ts(&bins), FitPolicy::FirstFit).is_none()
+                pack_totals(&[(t(1), 1)], &mut ts(&bins), &mut Vec::new(), FitPolicy::FirstFit)
+                    .is_none()
             );
         }
 

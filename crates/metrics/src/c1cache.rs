@@ -12,13 +12,14 @@
 //! a few-point WCET histogram is thousands of items but a handful of
 //! runs. Each call gathers every container size into a reused scratch
 //! vector and runs the batched packer [`crate::binpack::pack_totals`],
-//! whose best-fit costs `O(runs × containers touched)`. Nothing is keyed
-//! on gap-list storage identity: an evaluation re-derives the list of
-//! every PE it touches, so patching the containers by `Arc` identity
-//! could not pay. The totals are **exactly** the indexed packer's (see
-//! [`crate::binpack::pack_totals`] for why, for best-fit and
-//! worst-fit), and the order-dependent first-fit policy reports itself
-//! unsupported so callers fall back to the full packer.
+//! whose best-fit walks each run's containers once and merges their
+//! residuals (kept in a third scratch vector) back in one pass. Nothing
+//! is keyed on gap-list storage identity: an evaluation re-derives the
+//! list of every PE it touches, so patching the containers by `Arc`
+//! identity could not pay. The totals are **exactly** the indexed
+//! packer's (see [`crate::binpack::pack_totals`] for why, for best-fit
+//! and worst-fit), and the order-dependent first-fit policy reports
+//! itself unsupported so callers fall back to the full packer.
 
 use crate::binpack::{item_runs, pack_totals, unpacked_percent, FitPolicy};
 use incdes_model::{Architecture, FutureProfile, PeId, Time};
@@ -28,7 +29,8 @@ use incdes_sched::SlackProfile;
 /// C1 packing state for one evaluation context: the future item runs,
 /// rebuilt (bumping `c1_repacked`) whenever the future profile, the
 /// horizon or the bus rate change — so reuse across contexts is safe,
-/// just not profitable — plus two reused capacity scratch vectors.
+/// just not profitable — plus reused capacity and residual scratch
+/// vectors.
 #[derive(Debug, Default)]
 pub struct C1Cache {
     /// What the runs were built for: the items depend on the future
@@ -45,6 +47,8 @@ pub struct C1Cache {
     pe_caps: Vec<Time>,
     /// Scratch: every bus window size, then the remaining capacities.
     bus_caps: Vec<Time>,
+    /// Scratch: the residuals of the containers one best-fit run fills.
+    residuals: Vec<Time>,
 }
 
 impl C1Cache {
@@ -89,8 +93,18 @@ impl C1Cache {
         self.bus_caps.clear();
         self.bus_caps
             .extend(slack.bus_windows().iter().map(|&(s, e)| e - s));
-        let (pp, pu) = pack_totals(&self.proc_runs, &mut self.pe_caps, policy)?;
-        let (mp, mu) = pack_totals(&self.msg_runs, &mut self.bus_caps, policy)?;
+        let (pp, pu) = pack_totals(
+            &self.proc_runs,
+            &mut self.pe_caps,
+            &mut self.residuals,
+            policy,
+        )?;
+        let (mp, mu) = pack_totals(
+            &self.msg_runs,
+            &mut self.bus_caps,
+            &mut self.residuals,
+            policy,
+        )?;
         Some((unpacked_percent(pp, pu), unpacked_percent(mp, mu)))
     }
 }

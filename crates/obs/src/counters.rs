@@ -73,9 +73,12 @@ counters! {
     /// Slack gap lists copied from the live timelines: one per PE per
     /// run (added once per run).
     SlackGapsMaterialized => "slack_gaps_materialized",
-    /// Ready-heap pushes (seeding and successor releases).
+    /// Ready-queue pushes (seeding and successor releases). The queue
+    /// was a binary heap when the counter was named.
     HeapPushes => "heap_pushes",
-    /// Ready-heap pops by the list-scheduling loop.
+    /// Ready-queue pops by the list-scheduling loop (one per job it
+    /// tries to place). Named, like `heap_pushes`, after the old binary
+    /// heap.
     HeapPops => "heap_pops",
     /// Free gaps examined by `PeTimeline`'s gap search (added once per
     /// search).

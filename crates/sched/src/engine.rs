@@ -13,9 +13,10 @@
 //! * [`FrozenBase`] replays and validates the frozen schedule **once**,
 //!   baking the frozen-only per-PE free gaps and a [`BusTimeline`]
 //!   occupancy snapshot.
-//! * [`Scheduler`] holds reusable scratch arenas (job records, the ready
-//!   heap, a per-graph priority cache keyed by the priorities' cost
-//!   inputs) and runs every evaluation in the same three steps:
+//! * [`Scheduler`] holds reusable scratch arenas (job records, a flat
+//!   successor table, the ready queue, a per-graph priority cache keyed
+//!   by the priorities' cost inputs) and runs every evaluation in the
+//!   same three steps:
 //!   1. **patch** the job arena in place from the caller's
 //!      changed-variable hint ([`ChangedVar`]) — or **expand** it from
 //!      scratch when no hint applies;
@@ -27,6 +28,20 @@
 //! A failed run needs no rollback: the next run resets from the base.
 //! Debug builds re-expand every patched arena from scratch and assert
 //! that the two agree.
+//!
+//! The list-scheduling loop touches no application data. Each graph's
+//! out-edges are expanded once per arena into a flat successor table
+//! of `(target node, edge, transmission time, slot hint)` records, and
+//! each job record stores its instance's first arena index and its
+//! node's slice of that table: a successor is one add away, and a
+//! message's duration and slot hint are one load. The ready queue is a
+//! monotone radix queue on urgency (`deadline − partial critical
+//! path`). It is exact because a node's partial critical path is at
+//! least its successor's plus its own cost and both share the instance
+//! deadline, so a released successor is never more urgent than the job
+//! that released it. Entries of equal urgency sit in a small binary
+//! heap under the tie-break, so the pop order is the one a single
+//! binary heap over [`ReadyEntry`]'s order gives.
 //!
 //! The slack profile every run returns is a plain copy of the live
 //! timelines: one slice copy of each PE's gap list and the bus fill's
@@ -47,6 +62,7 @@ use crate::pe_timeline::PeTimeline;
 use crate::priority::PriorityCosts;
 use crate::slack::SlackProfile;
 use crate::table::{frame_replay_order, ScheduleTable, ScheduledJob, ScheduledMessage};
+use incdes_graph::EdgeId;
 use incdes_model::{AppId, Architecture, PeId, ProcRef, Time};
 use incdes_obs::counters::{self, Counter};
 use incdes_obs::phase::{self, Phase};
@@ -308,9 +324,10 @@ pub enum ChangedVar {
 /// Deliberately *static* per run: the dynamic fields the scheduling
 /// loop rewrites on every step (`ready`, `preds_remaining`) live in
 /// dense parallel arrays on [`Scheduler`] instead, so the hot successor
-/// updates and the heap seed touch two packed arrays rather than
+/// updates and the queue seed touch two packed arrays rather than
 /// striding through this fat record — and the loop can hold the arena
 /// immutably while mutating the per-run state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct JobRec {
     id: JobId,
     pe: PeId,
@@ -319,8 +336,25 @@ struct JobRec {
     deadline: Time,
     priority: Time,
     gap_hint: u32,
-    /// Index of the owning `AppSpec` in the input slice.
-    spec: usize,
+    /// Arena index of this instance's first job: a successor's index is
+    /// this plus its node index.
+    inst_base: u32,
+    /// This node's out-edges: `succs[succ_lo..succ_hi]`.
+    succ_lo: u32,
+    succ_hi: u32,
+}
+
+/// One out-edge of a graph node in the successor table, shared by every
+/// instance of the graph.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SuccRec {
+    /// The message's bus transmission time.
+    tx: Time,
+    /// The target node's index inside its instance.
+    target: u32,
+    /// The message's slot hint (feasible slot occurrences to skip).
+    slot: u32,
+    edge: EdgeId,
 }
 
 /// Ready-queue entry. Jobs are ordered by *urgency* — the latest start
@@ -328,6 +362,7 @@ struct JobRec {
 /// tight-deadline instances are not crowded out by lax ones sharing the
 /// hyperperiod. Ties fall back to the longer critical path, then earliest
 /// ready, then the smallest job index (full determinism).
+#[derive(Clone, Copy)]
 struct ReadyEntry {
     /// `deadline − pcp`, saturating at zero.
     urgency: Time,
@@ -372,6 +407,113 @@ impl Ord for ReadyEntry {
     }
 }
 
+/// The ready queue: a monotone radix queue on urgency. Pops come out in
+/// the order a `BinaryHeap<ReadyEntry>` gives, provided no push is more
+/// urgent than the last pop (debug builds assert it; see the module docs
+/// for why the list scheduler keeps to it).
+///
+/// Bucket `b` holds the entries whose urgency first differs from the
+/// last popped urgency in bit `b`, so every entry of a lower bucket is
+/// more urgent than every entry of a higher one. Entries exactly as
+/// urgent as the last pop sit in `equal`, a binary heap under the
+/// tie-break. When `equal` runs dry, the lowest non-empty bucket is
+/// redistributed around its smallest urgency; each entry moves down a
+/// bucket at most 64 times over its life.
+///
+/// The buckets are linked lists through one slab, so a cold queue (a
+/// fresh engine's first run, as in every probe) grows one allocation,
+/// like a binary heap, instead of one per bucket.
+struct ReadyQueue {
+    /// The last popped urgency (0 before the first pop).
+    last: u64,
+    equal: BinaryHeap<ReadyEntry>,
+    /// Every entry pushed into a bucket since the last clear, with the
+    /// slab index of the next entry of its bucket.
+    slab: Vec<(ReadyEntry, u32)>,
+    /// Slab index of each bucket's first entry; only meaningful while
+    /// the bucket's bit in `occupied` is set.
+    heads: [u32; 64],
+    occupied: u64,
+}
+
+impl Default for ReadyQueue {
+    fn default() -> Self {
+        ReadyQueue {
+            last: 0,
+            equal: BinaryHeap::new(),
+            slab: Vec::new(),
+            heads: [0; 64],
+            occupied: 0,
+        }
+    }
+}
+
+impl ReadyQueue {
+    /// Ends a bucket's list.
+    const NIL: u32 = u32::MAX;
+
+    fn clear(&mut self) {
+        self.last = 0;
+        self.equal.clear();
+        self.slab.clear();
+        self.occupied = 0;
+    }
+
+    fn push(&mut self, entry: ReadyEntry) {
+        let u = entry.urgency.ticks();
+        debug_assert!(
+            u >= self.last,
+            "ready queue push of urgency {u} below the last pop {}",
+            self.last
+        );
+        let at = self.slab.len() as u32;
+        self.slab.push((entry, Self::NIL));
+        self.file(at);
+    }
+
+    /// Files slab entry `at` into `equal` or the head of its bucket.
+    fn file(&mut self, at: u32) {
+        let (entry, next) = &mut self.slab[at as usize];
+        let diff = entry.urgency.ticks() ^ self.last;
+        if diff == 0 {
+            self.equal.push(*entry);
+        } else {
+            let b = 63 - diff.leading_zeros() as usize;
+            let bit = 1u64 << b;
+            *next = if self.occupied & bit != 0 {
+                self.heads[b]
+            } else {
+                Self::NIL
+            };
+            self.heads[b] = at;
+            self.occupied |= bit;
+        }
+    }
+
+    fn pop(&mut self) -> Option<ReadyEntry> {
+        if self.equal.is_empty() && self.occupied != 0 {
+            let b = self.occupied.trailing_zeros() as usize;
+            self.occupied &= !(1 << b);
+            let head = self.heads[b];
+            let mut last = u64::MAX;
+            let mut at = head;
+            while at != Self::NIL {
+                let (entry, next) = self.slab[at as usize];
+                last = last.min(entry.urgency.ticks());
+                at = next;
+            }
+            self.last = last;
+            let mut at = head;
+            while at != Self::NIL {
+                let next = self.slab[at as usize].1;
+                self.file(at);
+                at = next;
+            }
+        }
+        self.equal.pop()
+    }
+}
+
 /// Cached partial-critical-path priorities of one graph slot, keyed by
 /// the exact cost inputs ([`PriorityCosts`]) the priorities are a pure
 /// function of — so the cache stays sound even when one `Scheduler` is
@@ -384,14 +526,17 @@ struct PrioEntry {
 }
 
 /// The reusable scheduling engine: scratch arenas for the job records,
-/// the ready heap and the timelines.
+/// the successor table, the ready queue and the timelines.
 ///
 /// One `Scheduler` serves any number of evaluations; it is cheap to
 /// construct but profitable to keep, since all per-evaluation arenas
-/// (job records, ready heap, timelines, priority cache) are reused.
+/// (job records, ready queue, timelines, priority cache) are reused.
 #[derive(Default)]
 pub struct Scheduler {
     jobs: Vec<JobRec>,
+    /// Every graph's out-edges, node by node, expanded with the arena;
+    /// each [`JobRec`] names its node's slice.
+    succs: Vec<SuccRec>,
     /// Dynamic per-job state, parallel to `jobs`: the earliest time the
     /// job's input data is available in the current run. Structure-of-
     /// arrays on purpose — see [`JobRec`].
@@ -408,7 +553,7 @@ pub struct Scheduler {
     graph_bases: Vec<usize>,
     /// Offset of each spec's first graph in `graph_bases`.
     spec_offsets: Vec<usize>,
-    heap: BinaryHeap<ReadyEntry>,
+    queue: ReadyQueue,
     pes: Vec<PeTimeline>,
     bus: Option<BusTimeline>,
     /// Priority cache, flattened parallel to `graph_bases`.
@@ -495,7 +640,9 @@ impl Scheduler {
     /// of rebuilt: it must list **every** design variable (process
     /// mapping/gap hint, message slot hint) that differs from the
     /// previous call, in sorted order, and `apps` must reference the
-    /// *same* `Application` objects as the previous call. The arena is
+    /// *same* `Application` objects on the same architecture as the
+    /// previous call (the arena holds priorities and message
+    /// transmission times derived from both). The arena is
     /// re-expanded (with identical results) when `changed` is `None` or
     /// the arena's provenance does not match.
     ///
@@ -543,13 +690,12 @@ impl Scheduler {
         let _replace = phase::scope(Phase::RePlace);
         let Scheduler {
             jobs,
+            succs,
             ready,
             preds_remaining,
             releases,
             in_degs,
-            graph_bases,
-            spec_offsets,
-            heap,
+            queue,
             pes,
             bus,
             placed,
@@ -569,25 +715,22 @@ impl Scheduler {
         ready.clone_from(releases);
         preds_remaining.clone_from(in_degs);
 
-        heap.clear();
+        queue.clear();
         let mut seeded = 0u64;
         for (i, &p) in preds_remaining.iter().enumerate() {
             if p == 0 {
-                heap.push(ReadyEntry::of(jobs, ready, i));
+                queue.push(ReadyEntry::of(jobs, ready, i));
                 seeded += 1;
             }
         }
         counters::add(Counter::HeapPushes, seeded);
 
         schedule_loop(
-            arch,
-            apps,
             jobs,
+            succs,
             ready,
             preds_remaining,
-            graph_bases,
-            spec_offsets,
-            heap,
+            queue,
             pes,
             bus,
             placed,
@@ -614,6 +757,7 @@ impl Scheduler {
             .extend(apps.iter().map(|s| (s.app as *const _ as usize, s.id)));
         let Scheduler {
             jobs,
+            succs,
             releases,
             in_degs,
             graph_bases,
@@ -624,11 +768,12 @@ impl Scheduler {
             ..
         } = self;
         jobs.clear();
+        succs.clear();
         releases.clear();
         in_degs.clear();
         graph_bases.clear();
         spec_offsets.clear();
-        for (si, spec) in apps.iter().enumerate() {
+        for spec in apps {
             spec_offsets.push(graph_bases.len());
             for (gi, g) in spec.app.graphs.iter().enumerate() {
                 let flat = graph_bases.len();
@@ -654,11 +799,29 @@ impl Scheduler {
                 }
                 let prio = &entry.prio;
 
+                // The graph's successor table, shared by its instances.
+                let succ_base =
+                    u32::try_from(succs.len()).expect("successor table indices fit in u32");
+                for n in g.dag().node_ids() {
+                    for &e in g.dag().out_edges(n) {
+                        succs.push(SuccRec {
+                            tx: arch.bus().transmission_time(g.message(e).bytes),
+                            target: g.dag().target(e).index() as u32,
+                            slot: spec.hints.msg_slot(MsgRef::new(gi, e)),
+                            edge: e,
+                        });
+                    }
+                }
+
                 let instances = horizon.ticks() / g.period.ticks();
                 for k in 0..instances as u32 {
                     let release = Time::new(k as u64 * g.period.ticks());
                     let deadline = release + g.deadline;
+                    let inst_base =
+                        u32::try_from(jobs.len()).expect("job arena indices fit in u32");
+                    let mut succ_lo = succ_base;
                     for n in g.dag().node_ids() {
+                        let succ_hi = succ_lo + g.dag().out_degree(n) as u32;
                         let pr = ProcRef::new(gi, n);
                         let pe = spec
                             .mapping
@@ -680,10 +843,13 @@ impl Scheduler {
                             deadline,
                             priority: prio[n.index()],
                             gap_hint: spec.hints.proc_gap(pr),
-                            spec: si,
+                            inst_base,
+                            succ_lo,
+                            succ_hi,
                         });
                         releases.push(release);
                         in_degs.push(g.dag().in_degree(n) as u32);
+                        succ_lo = succ_hi;
                     }
                 }
             }
@@ -694,8 +860,9 @@ impl Scheduler {
 
     /// Patches the existing job arena with `changed` design variables
     /// instead of re-expanding: only the listed processes re-resolve
-    /// their PE/WCET/hint, and only graphs with a mapping change refresh
-    /// priorities. Returns `Ok(false)` when the arena cannot be reused
+    /// their PE/WCET/hint, only the listed messages re-read their slot
+    /// hint, and only graphs with a mapping change refresh priorities.
+    /// Returns `Ok(false)` when the arena cannot be reused
     /// (different apps, different horizon, or a previous expansion
     /// error) — the caller then falls back to a full expansion.
     ///
@@ -735,10 +902,22 @@ impl Scheduler {
         // processes stayed valid since they were last expanded).
         let mut prio_dirty_prev = usize::MAX;
         for &var in changed {
-            // Message slot hints are read from the spec at placement
-            // time; no arena field depends on them.
-            let ChangedVar::Proc { spec, graph, node } = var else {
-                continue;
+            let (spec, graph, node) = match var {
+                ChangedVar::Proc { spec, graph, node } => (spec, graph, node),
+                ChangedVar::Msg { spec, graph, edge } => {
+                    // One successor-table entry, found through the
+                    // source node's slice (instance 0 names it).
+                    let sp = &apps[spec];
+                    let source = sp.app.graphs[graph].dag().source(edge);
+                    let j = &self.jobs
+                        [self.graph_bases[self.spec_offsets[spec] + graph] + source.index()];
+                    let rec = self.succs[j.succ_lo as usize..j.succ_hi as usize]
+                        .iter_mut()
+                        .find(|s| s.edge == edge)
+                        .expect("a changed message is an out-edge of its source");
+                    rec.slot = sp.hints.msg_slot(MsgRef::new(graph, edge));
+                    continue;
+                }
             };
             let sp = &apps[spec];
             let g = &sp.app.graphs[graph];
@@ -828,21 +1007,21 @@ impl Scheduler {
         apps: &[AppSpec<'_>],
         horizon: Time,
     ) -> Result<(), SchedError> {
-        let snap: Vec<(PeId, Time, Time, u32)> = self
-            .jobs
-            .iter()
-            .map(|j| (j.pe, j.wcet, j.priority, j.gap_hint))
-            .collect();
+        let jobs = self.jobs.clone();
+        let succs = self.succs.clone();
         self.expand(arch, apps, horizon)?;
-        assert_eq!(self.jobs.len(), snap.len(), "patched arena lost jobs");
-        for (j, s) in self.jobs.iter().zip(&snap) {
+        assert_eq!(self.jobs.len(), jobs.len(), "patched arena lost jobs");
+        for (j, s) in self.jobs.iter().zip(&jobs) {
             assert_eq!(
-                (j.pe, j.wcet, j.priority, j.gap_hint),
-                *s,
+                j, s,
                 "incremental expansion diverged from full expansion for {:?}",
                 j.id
             );
         }
+        assert_eq!(
+            self.succs, succs,
+            "patched successor table diverged from full expansion"
+        );
         Ok(())
     }
 
@@ -860,41 +1039,24 @@ impl Scheduler {
     }
 }
 
-/// Flat index of job `(si, gi, instance, node)` in the arena.
-fn job_index(
-    apps: &[AppSpec<'_>],
-    graph_bases: &[usize],
-    spec_offsets: &[usize],
-    si: usize,
-    gi: usize,
-    instance: u32,
-    node: incdes_graph::NodeId,
-) -> usize {
-    let g = &apps[si].app.graphs[gi];
-    graph_bases[spec_offsets[si] + gi] + instance as usize * g.process_count() + node.index()
-}
-
-/// The list-scheduling loop: pops ready jobs from `heap` until none
+/// The list-scheduling loop: pops ready jobs from `queue` until none
 /// remain, reserving processor time and bus slots and appending each
 /// placed job and message. The caller has reset the timelines and
-/// seeded the heap. A failure leaves a partial run in the timelines;
+/// seeded the queue. A failure leaves a partial run in the timelines;
 /// the next run resets them from the base.
 #[allow(clippy::too_many_arguments)]
 fn schedule_loop(
-    arch: &Architecture,
-    apps: &[AppSpec<'_>],
     jobs: &[JobRec],
+    succs: &[SuccRec],
     ready: &mut [Time],
     preds_remaining: &mut [u32],
-    graph_bases: &[usize],
-    spec_offsets: &[usize],
-    heap: &mut BinaryHeap<ReadyEntry>,
+    queue: &mut ReadyQueue,
     pes: &mut [PeTimeline],
     bus: &mut BusTimeline,
     placed: &mut Vec<ScheduledJob>,
     msgs: &mut Vec<ScheduledMessage>,
 ) -> Result<(), SchedError> {
-    while let Some(entry) = heap.pop() {
+    while let Some(entry) = queue.pop() {
         counters::bump(Counter::HeapPops);
         let idx = entry.job_idx;
         let j = &jobs[idx];
@@ -912,33 +1074,22 @@ fn schedule_loop(
         }
 
         // Propagate to successors: messages over the bus where needed.
-        let spec = &apps[j.spec];
-        let g = &spec.app.graphs[id.graph];
-        for &e in g.dag().out_edges(id.node) {
-            let succ_idx = job_index(
-                apps,
-                graph_bases,
-                spec_offsets,
-                j.spec,
-                id.graph,
-                id.instance,
-                g.dag().target(e),
-            );
+        for s in &succs[j.succ_lo as usize..j.succ_hi as usize] {
+            let succ_idx = (j.inst_base + s.target) as usize;
             let data_ready = if jobs[succ_idx].pe == pe {
                 end
             } else {
-                let mref = MsgRef::new(id.graph, e);
-                let tx = arch.bus().transmission_time(g.message(e).bytes);
+                let msg = MsgRef::new(id.graph, s.edge);
                 let r = bus
-                    .schedule_message_nth(pe, end, tx, spec.hints.msg_slot(mref) as usize)
+                    .schedule_message_nth(pe, end, s.tx, s.slot as usize)
                     .map_err(|source| SchedError::NoSlot {
                         job: id,
-                        msg: mref,
+                        msg,
                         source,
                     })?;
                 msgs.push(ScheduledMessage {
-                    app: spec.id,
-                    msg: mref,
+                    app: id.app,
+                    msg,
                     instance: id.instance,
                     reservation: r,
                 });
@@ -947,7 +1098,7 @@ fn schedule_loop(
             ready[succ_idx] = ready[succ_idx].max(data_ready);
             preds_remaining[succ_idx] -= 1;
             if preds_remaining[succ_idx] == 0 {
-                heap.push(ReadyEntry::of(jobs, ready, succ_idx));
+                queue.push(ReadyEntry::of(jobs, ready, succ_idx));
                 counters::bump(Counter::HeapPushes);
             }
         }
@@ -970,6 +1121,7 @@ mod tests {
     use crate::mapping::{Hints, Mapping};
     use incdes_graph::NodeId;
     use incdes_model::{AppId, Application, BusConfig, Message, Process, ProcessGraph};
+    use proptest::prelude::*;
 
     fn t(v: u64) -> Time {
         Time::new(v)
@@ -1085,6 +1237,56 @@ mod tests {
         assert_eq!(engine.raw_schedule_count(), assignments.len());
         assert_eq!(expansions, 1);
         assert_eq!(patches, assignments.len() as u64 - 1);
+    }
+
+    /// A chain of message slot-hint changes, each passed as its
+    /// one-variable `ChangedVar::Msg` hint: every run after the first
+    /// patches the successor table in the arena, and every result
+    /// equals the one-shot oracle.
+    #[test]
+    fn delta_path_tracks_slot_hint_moves() {
+        let arch = arch2();
+        let app = movable_app();
+        let mut mapping = Mapping::new();
+        mapping.assign(ProcRef::new(0, NodeId(0)), PeId(0));
+        mapping.assign(ProcRef::new(0, NodeId(1)), PeId(1));
+        let base = FrozenBase::empty(&arch, t(100)).unwrap();
+        let mut engine = Scheduler::new();
+        let msg = MsgRef::new(0, EdgeId(0));
+        let moved = [ChangedVar::Msg {
+            spec: 0,
+            graph: 0,
+            edge: EdgeId(0),
+        }];
+
+        let slots = [0, 2, 1, 3, 0, 1];
+        let mut patches = 0;
+        let mut starts = Vec::new();
+        for (i, slot) in slots.into_iter().enumerate() {
+            let mut hints = Hints::empty();
+            hints.set_msg_slot(msg, slot);
+            let spec = AppSpec::new(AppId(0), &app, &mapping, &hints);
+            let changed = (i > 0).then_some(&moved[..]);
+            let before = counters::snapshot();
+            let (placements, slack) = engine
+                .schedule_hinted(&arch, &[spec], &base, changed)
+                .unwrap();
+            patches += counters::snapshot()
+                .delta_since(&before)
+                .get(Counter::ArenaPatched);
+            let reference = crate::schedule(&arch, &[spec], None, t(100)).unwrap();
+            assert_eq!(base.materialize(&placements), reference, "slot hint {slot}");
+            assert_eq!(
+                slack,
+                SlackProfile::from_table(&arch, &reference),
+                "slot hint {slot}"
+            );
+            starts.push(placements.messages()[0].reservation.transmit_start);
+        }
+        assert_eq!(patches, slots.len() as u64 - 1);
+        starts.sort_unstable();
+        starts.dedup();
+        assert_eq!(starts.len(), 4, "every slot hint moves the message");
     }
 
     /// A→B→A through the hinted entry point, pinned through the
@@ -1405,6 +1607,72 @@ mod tests {
             let engine_table = engine.schedule(&arch, &[spec], &base).unwrap();
             let naive = crate::schedule(&arch, &[spec], None, t(100)).unwrap();
             assert_eq!(engine_table, naive, "assignment {assignment:?}");
+        }
+    }
+
+    /// An urgency drawn by `kind` from `raw`, at or above `floor`:
+    /// `floor` itself (an equal urgency; a saturated 0 while `floor` is
+    /// 0), a near tie, a mid-range step or anything up to `u64::MAX`.
+    fn urgency(kind: u8, raw: u64, floor: u64) -> u64 {
+        match kind {
+            0 => floor,
+            1 => floor.saturating_add(raw % 4),
+            2 => floor.saturating_add(raw % (1 << 20)),
+            _ => floor.saturating_add(raw),
+        }
+    }
+
+    fn entry_key(e: ReadyEntry) -> (Time, Time, Time, usize) {
+        (e.urgency, e.priority, e.ready, e.job_idx)
+    }
+
+    proptest! {
+        /// The radix ready queue pops exactly the sequence a binary heap
+        /// under `ReadyEntry`'s order pops: a random seed set, then after
+        /// every pop a few pushes no more urgent than that pop (equal
+        /// urgencies, saturated zeros and far urgencies included).
+        /// Priorities and ready times come from tiny ranges so the
+        /// tie-break decides often.
+        #[test]
+        fn prop_ready_queue_matches_binary_heap(
+            seeds in proptest::collection::vec((0u8..4, any::<u64>(), 0u64..3, 0u64..3), 0..48),
+            rounds in proptest::collection::vec(
+                proptest::collection::vec((0u8..4, any::<u64>(), 0u64..3, 0u64..3), 0..4),
+                0..64,
+            ),
+        ) {
+            let mut queue = ReadyQueue::default();
+            let mut heap = BinaryHeap::new();
+            let mut next = 0usize;
+            let mut push = |queue: &mut ReadyQueue, heap: &mut BinaryHeap<ReadyEntry>, u, p, r| {
+                let e = ReadyEntry {
+                    urgency: t(u),
+                    priority: t(p),
+                    ready: t(r),
+                    job_idx: next,
+                };
+                next += 1;
+                queue.push(e);
+                heap.push(e);
+            };
+            for &(kind, raw, p, r) in &seeds {
+                push(&mut queue, &mut heap, urgency(kind, raw, 0), p, r);
+            }
+            let mut rounds = rounds.into_iter();
+            loop {
+                let popped = queue.pop();
+                prop_assert_eq!(popped.map(entry_key), heap.pop().map(entry_key));
+                let Some(e) = popped else { break };
+                for (kind, raw, p, r) in rounds.next().unwrap_or_default() {
+                    push(&mut queue, &mut heap, urgency(kind, raw, e.urgency.ticks()), p, r);
+                }
+            }
+            // A cleared queue starts over from urgency 0.
+            push(&mut queue, &mut heap, u64::MAX, 0, 0);
+            queue.clear();
+            prop_assert!(queue.pop().is_none());
+            push(&mut queue, &mut heap, 0, 0, 0);
+            prop_assert_eq!(queue.pop().map(|e| e.urgency), Some(Time::ZERO));
         }
     }
 }
