@@ -33,9 +33,7 @@ use incdes_core::System;
 use incdes_explore::{
     run_campaign, BaseSpec, CampaignSpec, CompletedScenario, Count, ScriptStep, StepAction,
 };
-use incdes_mapping::{
-    run_strategy, MappingContext, MhConfig, SaConfig, SearchParallelism, Strategy,
-};
+use incdes_mapping::{run_strategy, MappingContext, MhConfig, SaConfig, Strategy};
 use incdes_metrics::{FitPolicy, Weights};
 use incdes_model::time::hyperperiod;
 use incdes_model::{AppId, Application, FutureProfile, Time};
@@ -232,7 +230,6 @@ pub fn quality_campaign_spec(
         weight_settings: Vec::new(),
         script,
         check_invariants: false,
-        parallelism: SearchParallelism::default(),
     }
 }
 

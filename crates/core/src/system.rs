@@ -125,11 +125,6 @@ pub struct System {
     /// table.
     base_cache: RefCell<Option<(Time, Arc<FrozenBase>)>>,
     base_reuse: Cell<usize>,
-    /// Whether SA runs as a multi-chain portfolio inside a scenario;
-    /// handed to every [`MappingContext`] this system creates.
-    /// [`SearchParallelism::Sequential`] unless set via
-    /// [`System::set_parallelism`].
-    parallelism: SearchParallelism,
 }
 
 impl System {
@@ -144,22 +139,12 @@ impl System {
             table,
             base_cache: RefCell::new(None),
             base_reuse: Cell::new(0),
-            parallelism: SearchParallelism::Sequential,
         }
     }
 
-    /// Sets the search parallelism of every mapping context this
-    /// system hands out (see [`SearchParallelism`]; only the SA
-    /// portfolio reads it). The default is `Sequential`.
-    pub fn set_parallelism(&mut self, parallelism: SearchParallelism) {
-        self.parallelism = parallelism;
-    }
-
-    /// The search parallelism every mapping context of this system
-    /// runs under.
-    pub fn parallelism(&self) -> SearchParallelism {
-        self.parallelism
-    }
+    /// Does nothing: every mapping context searches sequentially (see
+    /// [`SearchParallelism`]).
+    pub fn set_parallelism(&mut self, _parallelism: SearchParallelism) {}
 
     /// The shared frozen base for the current table replicated to
     /// `horizon`, baking it on first use. `None` when baking fails —
@@ -299,7 +284,6 @@ impl System {
         if let Some(base) = self.shared_base(&frozen, new_horizon) {
             ctx = ctx.with_frozen_base(base);
         }
-        ctx = ctx.with_parallelism(self.parallelism);
         let outcome = run_strategy(&ctx, strategy)?;
         self.table = outcome.evaluation.table;
         *self.base_cache.borrow_mut() = None;
@@ -352,7 +336,6 @@ impl System {
         if let Some(base) = self.shared_base(&frozen, new_horizon) {
             ctx = ctx.with_frozen_base(base);
         }
-        ctx = ctx.with_parallelism(self.parallelism);
         match run_strategy(&ctx, strategy) {
             Ok(outcome) => Ok(ProbeReport {
                 feasible: true,
@@ -394,7 +377,6 @@ impl System {
             table,
             base_cache: RefCell::new(None),
             base_reuse: Cell::new(0),
-            parallelism: SearchParallelism::Sequential,
         }
     }
 

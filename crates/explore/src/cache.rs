@@ -32,7 +32,7 @@
 use crate::report::{CampaignReport, CampaignTotals, ScenarioReport};
 use crate::runner::{prepare_env, run_scenarios, ScenarioFailure, ScenarioOutcome};
 use crate::spec::{CampaignSpec, ScenarioKey, ScriptStep, SpecError, WeightSetting};
-use incdes_mapping::{SearchParallelism, Strategy};
+use incdes_mapping::Strategy;
 use incdes_obs::counters::{self, Counter};
 use incdes_store::{FaultKind, Lookup, Store, StoreKey};
 use incdes_synth::SynthConfig;
@@ -63,14 +63,6 @@ struct Fingerprint {
     future_processes: usize,
     demand_factor: f64,
     check_invariants: bool,
-    /// The spec's [`SearchParallelism`] reduced to the computation it
-    /// selects: `threads` never changes report bytes, so it is
-    /// normalized to 1, and a `Parallel` spec with fewer than two SA
-    /// chains runs exactly the `Sequential` code, so it is keyed as
-    /// `Sequential`. The SA portfolio's `sa_chains` and
-    /// `sa_exchange_period` change its trajectory, so they stay part of
-    /// the scenario's identity.
-    parallelism: SearchParallelism,
     script: Vec<ScriptStep>,
     size: usize,
     strategy: Strategy,
@@ -100,14 +92,6 @@ fn store_key_with(cfg: &SynthConfig, spec: &CampaignSpec, scenario: &ScenarioKey
         future_processes: spec.future_processes,
         demand_factor: spec.demand_factor,
         check_invariants: spec.check_invariants,
-        parallelism: match spec.parallelism.sa_portfolio() {
-            Some((_, sa_chains, sa_exchange_period)) => SearchParallelism::Parallel {
-                threads: 1,
-                sa_chains,
-                sa_exchange_period,
-            },
-            None => SearchParallelism::Sequential,
-        },
         script: spec.script.clone(),
         size: scenario.size,
         strategy: scenario.strategy,
@@ -546,55 +530,6 @@ mod tests {
         let mut demanding = spec.clone();
         demanding.demand_factor += 0.5;
         assert_ne!(a, scenario_store_key(&demanding, &keys[0]).unwrap());
-    }
-
-    #[test]
-    fn fingerprints_normalize_execution_only_parallelism_knobs() {
-        use incdes_mapping::SearchParallelism;
-        let mut spec = CampaignSpec::small_demo();
-        spec.parallelism = SearchParallelism::Parallel {
-            threads: 1,
-            sa_chains: 2,
-            sa_exchange_period: 16,
-        };
-        let key = spec.scenarios()[0].clone();
-        let a = scenario_store_key(&spec, &key).unwrap();
-
-        // `threads` multiplexes execution only; the report bytes (and
-        // therefore the store key) must not move.
-        let mut retuned = spec.clone();
-        retuned.parallelism = SearchParallelism::Parallel {
-            threads: 8,
-            sa_chains: 2,
-            sa_exchange_period: 16,
-        };
-        assert_eq!(a, scenario_store_key(&retuned, &key).unwrap());
-
-        // The SA-portfolio knobs and the mode change the trajectory,
-        // so they change the key.
-        let mut rechained = spec.clone();
-        rechained.parallelism = SearchParallelism::Parallel {
-            threads: 1,
-            sa_chains: 3,
-            sa_exchange_period: 16,
-        };
-        assert_ne!(a, scenario_store_key(&rechained, &key).unwrap());
-        let mut sequential = spec.clone();
-        sequential.parallelism = SearchParallelism::Sequential;
-        let seq = scenario_store_key(&sequential, &key).unwrap();
-        assert_ne!(a, seq);
-
-        // Fewer than two SA chains run the sequential code, so such a
-        // spec shares the sequential spec's blob.
-        for sa_chains in [0, 1] {
-            let mut single = spec.clone();
-            single.parallelism = SearchParallelism::Parallel {
-                threads: 4,
-                sa_chains,
-                sa_exchange_period: 16,
-            };
-            assert_eq!(seq, scenario_store_key(&single, &key).unwrap());
-        }
     }
 
     #[test]

@@ -52,7 +52,6 @@
 //!         future: false,
 //!     }],
 //!     check_invariants: true,
-//!     parallelism: Default::default(),
 //! };
 //! let run = run_campaign(&spec, 2)?;
 //! let report = run.report();

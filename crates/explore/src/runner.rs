@@ -142,8 +142,9 @@ impl CompletedScenario {
 /// siblings keep running.
 #[derive(Debug, Clone)]
 pub enum ScenarioOutcome {
-    /// The scenario ran to completion (possibly after retries).
-    Completed(CompletedScenario),
+    /// The scenario ran to completion (possibly after retries). Boxed:
+    /// a full trace dwarfs the failure record.
+    Completed(Box<CompletedScenario>),
     /// Every attempt panicked; the campaign continues without it.
     Failed {
         /// The grid point that failed.
@@ -170,7 +171,7 @@ impl ScenarioOutcome {
     #[must_use]
     pub fn completed(&self) -> Option<&CompletedScenario> {
         match self {
-            ScenarioOutcome::Completed(done) => Some(done),
+            ScenarioOutcome::Completed(done) => Some(done.as_ref()),
             ScenarioOutcome::Failed { .. } => None,
         }
     }
@@ -417,7 +418,7 @@ pub(crate) fn run_scenario_isolated(
             counters::bump(Counter::ScenarioRetries);
         }
         match std::panic::catch_unwind(AssertUnwindSafe(|| run_scenario(spec, env, key, attempt))) {
-            Ok(outcome) => return ScenarioOutcome::Completed(outcome),
+            Ok(outcome) => return ScenarioOutcome::Completed(Box::new(outcome)),
             Err(payload) => {
                 counters::bump(Counter::ScenarioPanics);
                 last_panic = format!("scenario #{}: {}", key.index, panic_text(payload.as_ref()));
@@ -508,7 +509,6 @@ pub(crate) fn run_scenario(
     let phases_before = phase::snapshot();
     let mut rng = ChaCha8Rng::seed_from_u64(key.seed);
     let mut system = System::new(arch.clone());
-    system.set_parallelism(spec.parallelism);
     let weights = key.weights.weights;
     let mut steps = Vec::with_capacity(spec.script.len());
     let mut invariant_violations = Vec::new();
@@ -607,7 +607,7 @@ pub(crate) fn run_scenario(
                 only_seed,
             } => {
                 outcome.action = StepAction::InjectPanic;
-                let targeted = only_seed.map_or(true, |seed| seed == key.seed);
+                let targeted = only_seed.is_none_or(|seed| seed == key.seed);
                 if targeted && attempt <= *fail_attempts {
                     panic!(
                         "injected panic at script step {index} \
@@ -727,6 +727,8 @@ mod tests {
 
     #[test]
     fn bad_decommission_is_recorded_not_fatal() {
+        // The spec is valid (app 0 is reachable); only the run can see
+        // that the second decommission names an already-retired app.
         let mut spec = tiny_spec();
         spec.script = vec![
             ScriptStep::Add {
@@ -734,10 +736,13 @@ mod tests {
                 strategy: None,
                 future: false,
             },
-            ScriptStep::Decommission { app: 9 },
+            ScriptStep::Decommission { app: 0 },
+            ScriptStep::Decommission { app: 0 },
         ];
         let run = run_campaign(&spec, 1).unwrap();
-        let step = &run.outcomes[0].expect_completed().steps[1];
+        let steps = &run.outcomes[0].expect_completed().steps;
+        assert!(steps[1].feasible);
+        let step = &steps[2];
         assert!(!step.feasible);
         assert!(step
             .error
@@ -807,7 +812,6 @@ mod tests {
                 future: false,
             }],
             check_invariants: true,
-            parallelism: Default::default(),
         };
         let run = run_campaign(&spec, 1).unwrap();
         let outcome = run.outcomes[0].expect_completed();

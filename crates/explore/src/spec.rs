@@ -10,7 +10,7 @@
 //! with a per-scenario `ChaCha8` RNG, so a spec plus its seeds fully
 //! determines every byte of the campaign report.
 
-use incdes_mapping::{SearchParallelism, Strategy};
+use incdes_mapping::Strategy;
 use incdes_metrics::Weights;
 use incdes_model::Time;
 use incdes_synth::paper::{dac2001, dac2001_small};
@@ -145,11 +145,6 @@ pub struct CampaignSpec {
     /// (exhaustive, so meant for test-sized campaigns).
     #[serde(default)]
     pub check_invariants: bool,
-    /// Whether SA runs as a multi-chain portfolio *inside* each
-    /// scenario (campaign reports are byte-identical at any thread
-    /// count; see `incdes_mapping::SearchParallelism`).
-    #[serde(default)]
-    pub parallelism: SearchParallelism,
 }
 
 /// One grid point of a campaign.
@@ -181,6 +176,18 @@ pub enum SpecError {
     UnknownPreset(String),
     /// The resolved generator configuration is degenerate.
     Synth(SynthError),
+    /// `script[step]` decommissions `app`, but only `adds` earlier
+    /// `Add` steps can have committed an application: app ids are
+    /// handed out by successful commits alone, so the step can never
+    /// succeed.
+    UnknownDecommission {
+        /// Index of the offending step in the script.
+        step: usize,
+        /// The app id it names.
+        app: u32,
+        /// `Add` steps before it.
+        adds: usize,
+    },
 }
 
 impl fmt::Display for SpecError {
@@ -201,6 +208,17 @@ impl fmt::Display for SpecError {
                 "unknown preset `{name}` (expected \"dac2001\" or \"dac2001-small\")"
             ),
             SpecError::Synth(e) => write!(f, "invalid generator configuration: {e}"),
+            SpecError::UnknownDecommission { step, app, adds } => {
+                let (noun, verb) = if *adds == 1 {
+                    ("step", "precedes")
+                } else {
+                    ("steps", "precede")
+                };
+                write!(
+                    f,
+                    "script[{step}]: Decommission names app {app}, but only {adds} Add {noun} {verb} it"
+                )
+            }
         }
     }
 }
@@ -214,7 +232,8 @@ impl From<SynthError> for SpecError {
 }
 
 impl CampaignSpec {
-    /// Checks the spec's structure (axes, script, future profile).
+    /// Checks the spec's structure (axes, script, future profile,
+    /// decommission targets).
     ///
     /// # Errors
     ///
@@ -249,6 +268,16 @@ impl CampaignSpec {
         });
         if uses_size && self.sizes.is_empty() {
             return Err(SpecError::SizeAxisMissing);
+        }
+        let mut adds = 0usize;
+        for (step, s) in self.script.iter().enumerate() {
+            match *s {
+                ScriptStep::Add { .. } => adds += 1,
+                ScriptStep::Decommission { app } if app as usize >= adds => {
+                    return Err(SpecError::UnknownDecommission { step, app, adds });
+                }
+                _ => {}
+            }
         }
         self.resolve_config()?;
         Ok(())
@@ -366,7 +395,6 @@ impl CampaignSpec {
                 },
             ],
             check_invariants: true,
-            parallelism: SearchParallelism::default(),
         }
     }
 }
@@ -401,11 +429,6 @@ mod tests {
     fn misspelled_spec_fields_are_rejected() {
         let mut spec = CampaignSpec::small_demo();
         spec.weight_settings = vec![WeightSetting::default()];
-        spec.parallelism = SearchParallelism::Parallel {
-            threads: 2,
-            sa_chains: 2,
-            sa_exchange_period: 16,
-        };
         let json = serde_json::to_string(&spec).unwrap();
         for (field, typo, ty) in [
             ("check_invariants", "check_invariant", "CampaignSpec"),
@@ -414,7 +437,6 @@ mod tests {
             ("w1_processes", "w1_process", "Weights"),
             ("pe_count", "pe_cnt", "SynthConfig"),
             ("future", "futre", "ScriptStep::Add"),
-            ("sa_chains", "sa_chain", "SearchParallelism::Parallel"),
         ] {
             let bad = json.replacen(&format!("\"{field}\""), &format!("\"{typo}\""), 1);
             assert_ne!(bad, json, "{field} is in the spec");
@@ -424,13 +446,17 @@ mod tests {
             assert!(err.contains(typo) && err.contains(ty), "{typo}: {err}");
         }
         // A field the type no longer has is as unknown as a typo.
-        let stale = json.replacen("\"sa_chains\"", "\"batch_cutover\":0,\"sa_chains\"", 1);
+        let stale = json.replacen(
+            "\"check_invariants\"",
+            "\"parallelism\":\"Sequential\",\"check_invariants\"",
+            1,
+        );
         assert_ne!(stale, json);
         let err = serde_json::from_str::<CampaignSpec>(&stale)
             .unwrap_err()
             .to_string();
         assert!(
-            err.contains("batch_cutover") && err.contains("SearchParallelism::Parallel"),
+            err.contains("parallelism") && err.contains("CampaignSpec"),
             "{err}"
         );
     }
@@ -470,6 +496,45 @@ mod tests {
         let mut spec = CampaignSpec::small_demo();
         spec.demand_factor = 0.0;
         assert_eq!(spec.validate(), Err(SpecError::BadFutureProfile));
+    }
+
+    /// App ids come only from successful commits, so a decommission of
+    /// an id no earlier `Add` step can have produced is a spec error.
+    #[test]
+    fn decommission_of_an_unreachable_app_is_rejected() {
+        let mut spec = CampaignSpec::small_demo();
+        spec.script = vec![
+            ScriptStep::Add {
+                processes: Count::Size,
+                strategy: None,
+                future: false,
+            },
+            ScriptStep::Decommission { app: 9 },
+        ];
+        let err = spec.validate().unwrap_err();
+        assert_eq!(
+            err,
+            SpecError::UnknownDecommission {
+                step: 1,
+                app: 9,
+                adds: 1
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "script[1]: Decommission names app 9, but only 1 Add step precedes it"
+        );
+
+        // The last id the preceding adds can reach is accepted.
+        spec.script[1] = ScriptStep::Decommission { app: 0 };
+        spec.validate().unwrap();
+
+        // A decommission before any add names nothing.
+        spec.script.swap(0, 1);
+        assert_eq!(
+            spec.validate().unwrap_err().to_string(),
+            "script[0]: Decommission names app 0, but only 0 Add steps precede it"
+        );
     }
 
     #[test]

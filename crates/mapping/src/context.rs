@@ -35,10 +35,9 @@
 //!   [`MappingContext::evaluate`] and a strategy's final result — and
 //!   never by re-scheduling.
 //!
-//! MH and SA score their candidates one at a time on the context's
-//! engine; the one parallel search is the SA portfolio
-//! ([`SearchParallelism::Parallel`] with `sa_chains ≥ 2`), whose chains
-//! each run a private engine over the shared frozen base.
+//! Every strategy scores its candidates one at a time on the context's
+//! own engine; nothing inside a scenario runs in parallel (campaign
+//! workers parallelize across scenarios instead).
 //!
 //! [`MappingContext::evaluation_count`] keeps its historical meaning —
 //! every [`evaluate`](MappingContext::evaluate) call counts, memo hit or
@@ -61,61 +60,19 @@ use incdes_sched::{
     schedule, AppSpec, PeTimeline, Placements, SchedError, ScheduleTable, SlackProfile,
 };
 use incdes_tdma::BusTimeline;
-use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::sync::Arc;
 
-/// How a mapping strategy parallelizes its search within one scenario.
-///
-/// Only the SA portfolio runs in parallel: MH and the classic
-/// single-chain SA evaluate their candidates one at a time on the
-/// context's own engine in every mode. The contract of
-/// [`SearchParallelism::Parallel`] is that `threads` only multiplexes
-/// *execution*: every search-visible result — the solutions and costs,
-/// `evaluation_count()`, the iteration counts, every campaign report —
-/// is byte-identical for any thread count ≥ 1. SA runs a fixed number
-/// of chains (set by `sa_chains`, not by `threads`) with per-chain
-/// deterministic RNG streams, so no counter depends on how the chains
-/// were spread over threads.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
+/// How a mapping strategy parallelizes its search within one scenario:
+/// always [`Sequential`](SearchParallelism::Sequential), candidates
+/// scored one at a time on the context's own engine. Kept only for the
+/// callers of [`MappingContext::with_parallelism`], which ignores it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SearchParallelism {
-    /// Single-threaded search: candidates are evaluated one by one on
-    /// the context's own engine (last-result memo + arena patching).
-    /// The default.
+    /// Single-threaded search. The only mode.
     #[default]
     Sequential,
-    /// The SA portfolio. MH runs exactly as under
-    /// [`Sequential`](SearchParallelism::Sequential).
-    Parallel {
-        /// Worker threads multiplexing the SA chains. Clamped to ≥ 1.
-        threads: usize,
-        /// Number of concurrent SA chains (per-chain ChaCha8 streams,
-        /// periodic best-exchange). Values below 2 keep the classic
-        /// single-chain SA.
-        sa_chains: usize,
-        /// Proposals each SA chain runs between best-exchange barriers.
-        /// Clamped to ≥ 1.
-        sa_exchange_period: usize,
-    },
-}
-
-impl SearchParallelism {
-    /// The SA portfolio this setting runs, as `(threads, sa_chains,
-    /// sa_exchange_period)`. `None` for `Sequential` and for a
-    /// `Parallel` setting with fewer than two chains: both run the
-    /// classic single-chain search.
-    pub fn sa_portfolio(self) -> Option<(usize, usize, usize)> {
-        match self {
-            SearchParallelism::Parallel {
-                threads,
-                sa_chains,
-                sa_exchange_period,
-            } if sa_chains >= 2 => Some((threads, sa_chains, sa_exchange_period)),
-            _ => None,
-        }
-    }
 }
 
 /// Error from a mapping strategy.
@@ -394,11 +351,9 @@ struct EvalEngine {
 
 impl EvalEngine {
     /// The frozen base, baked on first use unless one was injected.
-    fn base(&mut self, scene: &Scene<'_>) -> Result<&Arc<FrozenBase>, SchedError> {
+    fn base(&mut self, ctx: &MappingContext<'_>) -> Result<&Arc<FrozenBase>, SchedError> {
         self.base
-            .get_or_insert_with(|| {
-                FrozenBase::new(scene.arch, scene.frozen, scene.horizon).map(Arc::new)
-            })
+            .get_or_insert_with(|| FrozenBase::new(ctx.arch, ctx.frozen, ctx.horizon).map(Arc::new))
             .as_ref()
             .map_err(Clone::clone)
     }
@@ -418,26 +373,8 @@ impl EvalEngine {
     }
 }
 
-/// The immutable, thread-shareable view of one evaluation problem: the
-/// architecture, the current application, the frozen schedule and the
-/// objective inputs. Everything behind these references is plain data
-/// (the workspace forbids interior mutability below `mapping`), so a
-/// `Scene` can be handed to the SA portfolio's scoped worker threads
-/// while each chain keeps its own private [`EvalEngine`] scratch.
-#[derive(Clone, Copy)]
-struct Scene<'a> {
-    arch: &'a Architecture,
-    app_id: AppId,
-    app: &'a Application,
-    frozen: Option<&'a ScheduleTable>,
-    horizon: Time,
-    future: &'a FutureProfile,
-    weights: &'a Weights,
-}
-
 /// The three evaluation counters, grouped so the engine functions can
-/// take one `&mut` and SA chains can merge their tallies back in chain
-/// order.
+/// take one `&mut`.
 #[derive(Debug, Default, Clone, Copy)]
 struct EngineCounts {
     evaluations: usize,
@@ -446,11 +383,10 @@ struct EngineCounts {
 }
 
 /// One memoized engine evaluation (the body of
-/// [`MappingContext::evaluate`], factored over an explicit engine +
-/// counter pair so SA portfolio chains can run it on their private
-/// engines).
+/// [`MappingContext::evaluate`], over the context's borrowed engine and
+/// counters).
 fn engine_evaluate(
-    scene: &Scene<'_>,
+    ctx: &MappingContext<'_>,
     engine: &mut EvalEngine,
     counts: &mut EngineCounts,
     solution: &Solution,
@@ -466,7 +402,7 @@ fn engine_evaluate(
         return result;
     }
     drop(lookup_scope);
-    let result = engine_evaluate_raw(scene, engine, counts, solution, &key);
+    let result = engine_evaluate_raw(ctx, engine, counts, solution, &key);
     let _store_scope = phase::scope(Phase::Memo);
     counters::bump(Counter::MemoInserts);
     engine.key_scratch = engine.memo_store(key, result.clone());
@@ -476,20 +412,20 @@ fn engine_evaluate(
 /// One engine evaluation that missed the memo: patch or expand the
 /// arena, reset from the base, re-place, score.
 fn engine_evaluate_raw(
-    scene: &Scene<'_>,
+    ctx: &MappingContext<'_>,
     engine: &mut EvalEngine,
     counts: &mut EngineCounts,
     solution: &Solution,
     key: &MemoKey,
 ) -> Result<Scored, SchedError> {
-    let spec = AppSpec::new(scene.app_id, scene.app, &solution.mapping, &solution.hints);
+    let spec = AppSpec::new(ctx.app_id, ctx.app, &solution.mapping, &solution.hints);
     {
         let _expand = phase::scope(Phase::Expand);
         // Validated before the base is consulted so error precedence
         // matches the naive pipeline exactly.
-        check_horizon(&[spec], scene.horizon)?;
+        check_horizon(&[spec], ctx.horizon)?;
     }
-    let base = Arc::clone(engine.base(scene)?);
+    let base = Arc::clone(engine.base(ctx)?);
     let EvalEngine {
         scheduler,
         arena_key,
@@ -510,13 +446,10 @@ fn engine_evaluate_raw(
             .clone_from(key);
         patch.then_some(vars_scratch.as_slice())
     };
-    let (placements, slack) = scheduler.schedule_hinted(scene.arch, &[spec], &base, hint)?;
-    // The packer state is behavior-transparent, so whichever engine
-    // scores a solution (the context's or an SA chain's) produces
-    // bit-identical costs.
+    let (placements, slack) = scheduler.schedule_hinted(ctx.arch, &[spec], &base, hint)?;
     let cost = {
         let _objective = phase::scope(Phase::Objective);
-        objective::evaluate_with_c1_delta(scene.arch, &slack, scene.future, scene.weights, c1)
+        objective::evaluate_with_c1_delta(ctx.arch, &slack, ctx.future, ctx.weights, c1)
     };
     Ok(Scored {
         cost,
@@ -546,7 +479,6 @@ pub struct MappingContext<'a> {
     pub weights: &'a Weights,
     counts: Cell<EngineCounts>,
     naive: bool,
-    parallelism: SearchParallelism,
     engine: RefCell<EvalEngine>,
 }
 
@@ -572,22 +504,15 @@ impl<'a> MappingContext<'a> {
             weights,
             counts: Cell::new(EngineCounts::default()),
             naive: false,
-            parallelism: SearchParallelism::Sequential,
             engine: RefCell::new(EvalEngine::default()),
         }
     }
 
-    /// Sets how this context parallelizes its search (only the SA
-    /// portfolio reads it).
+    /// Does nothing: the search is always sequential (see
+    /// [`SearchParallelism`]).
     #[must_use]
-    pub fn with_parallelism(mut self, parallelism: SearchParallelism) -> Self {
-        self.parallelism = parallelism;
+    pub fn with_parallelism(self, _parallelism: SearchParallelism) -> Self {
         self
-    }
-
-    /// The parallelism mode strategies should run under.
-    pub fn parallelism(&self) -> SearchParallelism {
-        self.parallelism
     }
 
     /// Switches this context to the naive evaluation pipeline
@@ -685,7 +610,7 @@ impl<'a> MappingContext<'a> {
         let base = if self.naive {
             Arc::new(FrozenBase::new(self.arch, self.frozen, self.horizon)?)
         } else {
-            Arc::clone(self.engine.borrow_mut().base(&self.scene())?)
+            Arc::clone(self.engine.borrow_mut().base(self)?)
         };
         Ok((base.pe_timelines(), base.bus_timeline()))
     }
@@ -706,23 +631,9 @@ impl<'a> MappingContext<'a> {
         }
         let mut engine = self.engine.borrow_mut();
         let mut counts = self.counts.get();
-        let result = engine_evaluate(&self.scene(), &mut engine, &mut counts, solution);
+        let result = engine_evaluate(self, &mut engine, &mut counts, solution);
         self.counts.set(counts);
         result
-    }
-
-    /// The immutable scene the engine functions (and worker threads)
-    /// evaluate against.
-    fn scene(&self) -> Scene<'a> {
-        Scene {
-            arch: self.arch,
-            app_id: self.app_id,
-            app: self.app,
-            frozen: self.frozen,
-            horizon: self.horizon,
-            future: self.future,
-            weights: self.weights,
-        }
     }
 
     /// The reference pipeline (no base, no scratch, no memo).
@@ -755,89 +666,8 @@ impl<'a> MappingContext<'a> {
     pub fn memo_hit_count(&self) -> usize {
         self.counts.get().memo_hits
     }
-
-    /// Builds `n` private chain lanes for the SA portfolio, each with
-    /// its own [`EvalEngine`] sharing this context's `Arc<FrozenBase>`.
-    /// Returns `None` when no shareable base exists (naive pipeline, or
-    /// the bake failed — the classic path's initial evaluation surfaces
-    /// the same error).
-    pub(crate) fn chain_contexts(&self, n: usize) -> Option<Vec<ChainCtx<'a>>> {
-        if self.naive {
-            return None;
-        }
-        let scene = self.scene();
-        let base = Arc::clone(self.engine.borrow_mut().base(&scene).ok()?);
-        Some(
-            (0..n)
-                .map(|_| ChainCtx {
-                    scene,
-                    engine: EvalEngine {
-                        base: Some(Ok(Arc::clone(&base))),
-                        ..EvalEngine::default()
-                    },
-                    counts: EngineCounts::default(),
-                })
-                .collect(),
-        )
-    }
-
-    /// Merges finished chain lanes back into this context's counters.
-    /// Callers pass chains in chain-index order; since addition is
-    /// order-independent the totals are identical for any execution
-    /// interleaving — the counters a portfolio run reports depend only
-    /// on the per-chain trajectories, never on the thread count.
-    pub(crate) fn absorb_chains(&self, chains: Vec<ChainCtx<'_>>) {
-        let mut counts = self.counts.get();
-        for c in chains {
-            counts.evaluations += c.counts.evaluations;
-            counts.raw_schedules += c.counts.raw_schedules;
-            counts.memo_hits += c.counts.memo_hits;
-        }
-        self.counts.set(counts);
-    }
 }
 
-/// A private evaluation lane for one SA portfolio chain: its own engine
-/// (scheduler + memo + C1 state) sharing the scenario's
-/// `Arc<FrozenBase>`, plus its own counters. `ChainCtx` is `Send`, so
-/// chain segments execute on scoped worker threads; the owning context
-/// absorbs the counters afterwards via
-/// [`MappingContext::absorb_chains`].
-pub(crate) struct ChainCtx<'a> {
-    scene: Scene<'a>,
-    engine: EvalEngine,
-    counts: EngineCounts,
-}
-
-impl ChainCtx<'_> {
-    /// Schedules and scores one design alternative on this chain's
-    /// private engine, counting one evaluation.
-    pub(crate) fn score(&mut self, solution: &Solution) -> Result<Scored, SchedError> {
-        self.counts.evaluations += 1;
-        engine_evaluate(&self.scene, &mut self.engine, &mut self.counts, solution)
-    }
-
-    /// Re-derives a scored design for exchange bookkeeping without
-    /// counting a design-space probe (the portfolio analogue of
-    /// [`MappingContext::score_snapshot`]).
-    pub(crate) fn score_snapshot(&mut self, solution: &Solution) -> Result<Scored, SchedError> {
-        engine_evaluate(&self.scene, &mut self.engine, &mut self.counts, solution)
-    }
-}
-
-/// Compile-time pins for the guarantees the SA portfolio's scoped
-/// threads rely on: the scene is shared immutably across workers,
-/// engines and results move between threads. (`thread::scope` would
-/// reject the code anyway — this states the contract in one place.)
-#[allow(dead_code)]
-fn parallel_safety_asserts(scene: Scene<'_>, engine: EvalEngine, chain: ChainCtx<'_>) {
-    fn assert_send<T: Send>(_: T) {}
-    fn assert_sync<T: Sync>(_: T) {}
-    assert_sync(scene);
-    assert_send(engine);
-    assert_send(chain);
-    let _ = assert_send::<Result<Scored, SchedError>>;
-}
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -60,24 +60,6 @@ pub struct RunStats {
     pub delta_schedules: usize,
 }
 
-impl RunStats {
-    /// Combines the stats of two (sub-)runs: counters add, wall-clock
-    /// adds. `merge` is associative (and commutative), so totals folded
-    /// over per-worker or per-chain stats are independent of reduction
-    /// order — the property the parallel search paths rely on when they
-    /// absorb worker counters.
-    #[must_use]
-    pub fn merge(self, other: RunStats) -> RunStats {
-        RunStats {
-            evaluations: self.evaluations + other.evaluations,
-            iterations: self.iterations + other.iterations,
-            elapsed: self.elapsed + other.elapsed,
-            raw_schedules: self.raw_schedules + other.raw_schedules,
-            delta_schedules: self.delta_schedules + other.delta_schedules,
-        }
-    }
-}
-
 /// The result of running a strategy.
 #[derive(Debug, Clone)]
 pub struct Outcome {
@@ -220,11 +202,9 @@ mod tests {
     }
 
     /// The search is table-free: whatever its evaluation count, a run
-    /// builds exactly one schedule table — the returned design's —
-    /// sequentially and with SA portfolio chains alike.
+    /// builds exactly one schedule table — the returned design's.
     #[test]
     fn each_strategy_run_materializes_one_table() {
-        use crate::context::SearchParallelism;
         use incdes_obs::counters::{self, Counter};
         let arch = arch2();
         let mut g = ProcessGraph::new("g", Time::new(240), Time::new(240));
@@ -246,56 +226,34 @@ mod tests {
             Histogram::point(1u32),
         );
         let weights = Weights::default();
-        let parallel = SearchParallelism::Parallel {
-            threads: 2,
-            sa_chains: 2,
-            sa_exchange_period: 8,
-        };
-        for parallelism in [SearchParallelism::Sequential, parallel] {
-            for strategy in [
-                Strategy::AdHoc,
-                Strategy::mh(),
-                Strategy::SimulatedAnnealing(SaConfig::quick()),
-            ] {
-                let ctx = MappingContext::new(
-                    &arch,
-                    AppId(0),
-                    &app,
-                    None,
-                    Time::new(240),
-                    &future,
-                    &weights,
-                )
-                .with_parallelism(parallelism);
-                let before = counters::snapshot();
-                let out = run_strategy(&ctx, &strategy).unwrap();
-                let d = counters::snapshot().delta_since(&before);
-                let label = format!("{} {parallelism:?}", strategy.name());
-                assert_eq!(d.get(Counter::TablesMaterialized), 1, "{label}");
-                if !matches!(strategy, Strategy::AdHoc) {
-                    assert!(out.stats.evaluations > 10, "{label}");
-                }
-                // The one table is the design's complete schedule.
-                assert_eq!(
-                    out.evaluation.table,
-                    ctx.evaluate(&out.solution).unwrap().table
-                );
+        for strategy in [
+            Strategy::AdHoc,
+            Strategy::mh(),
+            Strategy::SimulatedAnnealing(SaConfig::quick()),
+        ] {
+            let ctx = MappingContext::new(
+                &arch,
+                AppId(0),
+                &app,
+                None,
+                Time::new(240),
+                &future,
+                &weights,
+            );
+            let before = counters::snapshot();
+            let out = run_strategy(&ctx, &strategy).unwrap();
+            let d = counters::snapshot().delta_since(&before);
+            let label = strategy.name();
+            assert_eq!(d.get(Counter::TablesMaterialized), 1, "{label}");
+            if !matches!(strategy, Strategy::AdHoc) {
+                assert!(out.stats.evaluations > 10, "{label}");
             }
+            // The one table is the design's complete schedule.
+            assert_eq!(
+                out.evaluation.table,
+                ctx.evaluate(&out.solution).unwrap().table
+            );
         }
-    }
-
-    #[test]
-    fn run_stats_merge_is_associative() {
-        let stats = |k: usize| RunStats {
-            evaluations: k,
-            iterations: 2 * k + 1,
-            elapsed: Duration::from_micros(k as u64 * 37),
-            raw_schedules: k / 2,
-            delta_schedules: k / 3,
-        };
-        let (a, b, c) = (stats(3), stats(8), stats(21));
-        assert_eq!(a.merge(b).merge(c), a.merge(b.merge(c)));
-        assert_eq!(a.merge(b), b.merge(a));
     }
 
     #[test]

@@ -118,7 +118,8 @@ pub fn pack(items: &[Time], containers: &[Time], policy: FitPolicy) -> PackOutco
 /// `items` as `(size, count)` runs in decreasing size order: the item
 /// form [`pack_totals`] takes. Expected future applications are drawn
 /// from a few-point WCET histogram, so thousands of items collapse into
-/// a handful of runs.
+/// a handful of runs (the C1 engine takes those runs straight from
+/// `FutureProfile::expected_process_runs`).
 pub fn item_runs(items: &[Time]) -> Vec<(Time, u64)> {
     let mut sorted = items.to_vec();
     sorted.sort_unstable_by(|a, b| b.cmp(a));

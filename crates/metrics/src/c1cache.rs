@@ -10,18 +10,20 @@
 //! [`C1Cache`] keeps only what every evaluation of a context shares:
 //! the future items as `(size, count)` runs — an application drawn from
 //! a few-point WCET histogram is thousands of items but a handful of
-//! runs. Each call gathers every container size into a reused scratch
-//! vector and runs the batched packer [`crate::binpack::pack_totals`],
-//! whose best-fit walks each run's containers once and merges their
-//! residuals (kept in a third scratch vector) back in one pass. Nothing
-//! is keyed on gap-list storage identity: an evaluation re-derives the
-//! list of every PE it touches, so patching the containers by `Arc`
-//! identity could not pay. The totals are **exactly** the indexed
-//! packer's (see [`crate::binpack::pack_totals`] for why, for best-fit
-//! and worst-fit), and the order-dependent first-fit policy reports
-//! itself unsupported so callers fall back to the full packer.
+//! runs, which [`FutureProfile::expected_process_runs`] computes from
+//! the histogram directly, never materializing the items. Each call
+//! gathers every container size into a reused scratch vector and runs
+//! the batched packer [`crate::binpack::pack_totals`], whose best-fit
+//! walks each run's containers once and merges their residuals (kept in
+//! a third scratch vector) back in one pass. Nothing is keyed on
+//! gap-list storage identity: an evaluation re-derives the list of every
+//! PE it touches, so patching the containers by `Arc` identity could not
+//! pay. The totals are **exactly** the indexed packer's (see
+//! [`crate::binpack::pack_totals`] for why, for best-fit and
+//! worst-fit), and the order-dependent first-fit policy reports itself
+//! unsupported so callers fall back to the full packer.
 
-use crate::binpack::{item_runs, pack_totals, unpacked_percent, FitPolicy};
+use crate::binpack::{pack_totals, unpacked_percent, FitPolicy};
 use incdes_model::{Architecture, FutureProfile, PeId, Time};
 use incdes_obs::counters::{self, Counter};
 use incdes_sched::SlackProfile;
@@ -80,10 +82,9 @@ impl C1Cache {
             self.horizon = horizon;
             self.bytes_per_tick = bus.bytes_per_tick;
             self.future = Some(future.clone());
-            self.proc_runs = item_runs(&future.expected_process_items(horizon));
-            self.msg_runs = item_runs(
-                &future.expected_message_items(horizon, |bytes| bus.transmission_time(bytes)),
-            );
+            self.proc_runs = future.expected_process_runs(horizon);
+            self.msg_runs =
+                future.expected_message_runs(horizon, |bytes| bus.transmission_time(bytes));
         }
         self.pe_caps.clear();
         for i in 0..slack.pe_count() {

@@ -13,7 +13,9 @@
 //!
 //! [`FutureProfile`] carries this data; the C1 metric expands the
 //! histograms into the *largest expected future application* via
-//! [`FutureProfile::expected_process_items`].
+//! [`FutureProfile::expected_process_runs`] (one `(size, count)` run
+//! per distinct item size) or [`FutureProfile::expected_process_items`]
+//! (the same items, one per process).
 
 use crate::time::Time;
 use serde::{Deserialize, Serialize};
@@ -189,30 +191,37 @@ impl FutureProfile {
     /// split into pieces drawn deterministically from the WCET histogram
     /// in proportion to bin probability (largest first).
     ///
-    /// This is the object list handed to the C1 bin-packer.
-    pub fn expected_process_items(&self, horizon: Time) -> Vec<Time> {
+    /// Returned as `(size, count)` runs of strictly decreasing size, the
+    /// form the C1 packer takes; [`expected_process_items`] expands the
+    /// same runs into one item per process.
+    ///
+    /// [`expected_process_items`]: FutureProfile::expected_process_items
+    pub fn expected_process_runs(&self, horizon: Time) -> Vec<(Time, u64)> {
         let windows = horizon.ticks() / self.t_min.ticks().max(1);
         let total = self.t_need.ticks().saturating_mul(windows.max(1));
-        expand_items(
-            &self.wcet_hist.probabilities(),
-            |t| t.ticks(),
-            Time::new,
-            total,
-        )
+        demand_runs(&self.wcet_hist.probabilities(), total)
     }
 
-    /// Message items (as bus-occupancy byte sizes) of the largest expected
+    /// [`expected_process_runs`](FutureProfile::expected_process_runs),
+    /// one item per process: the object list handed to the C1
+    /// bin-packer.
+    pub fn expected_process_items(&self, horizon: Time) -> Vec<Time> {
+        expand_runs(&self.expected_process_runs(horizon))
+    }
+
+    /// Message items (as bus-occupancy times) of the largest expected
     /// future application over `horizon`, sized so their *count* matches
-    /// the process count roughly 1:1 with the histogram mix.
+    /// the process count roughly 1:1 with the histogram mix, as
+    /// `(size, count)` runs of strictly decreasing size.
     ///
     /// `bus_time_of` converts a message size to slot time; the items
-    /// returned are the converted times, totalling
-    /// `b_need * (horizon / t_min)`.
-    pub fn expected_message_items(
+    /// total `b_need * (horizon / t_min)`. Sizes whose bus times
+    /// coincide share one run.
+    pub fn expected_message_runs(
         &self,
         horizon: Time,
         mut bus_time_of: impl FnMut(u32) -> Time,
-    ) -> Vec<Time> {
+    ) -> Vec<(Time, u64)> {
         let windows = horizon.ticks() / self.t_min.ticks().max(1);
         let total = self.b_need.ticks().saturating_mul(windows.max(1));
         let time_bins: Vec<(Time, f64)> = self
@@ -221,58 +230,194 @@ impl FutureProfile {
             .into_iter()
             .map(|(bytes, p)| (bus_time_of(bytes), p))
             .collect();
-        expand_items(&time_bins, |t| t.ticks(), Time::new, total)
+        demand_runs(&time_bins, total)
+    }
+
+    /// [`expected_message_runs`](FutureProfile::expected_message_runs),
+    /// one item per message.
+    pub fn expected_message_items(
+        &self,
+        horizon: Time,
+        bus_time_of: impl FnMut(u32) -> Time,
+    ) -> Vec<Time> {
+        expand_runs(&self.expected_message_runs(horizon, bus_time_of))
     }
 }
 
 /// Splits `total` into items drawn from weighted bins, proportionally to
-/// bin probability, deterministic, largest items first. Guarantees the sum
-/// of returned items is ≥ `total` (the last item may be clipped from the
-/// smallest bin) unless `total` is 0, in which case it returns no items.
-fn expand_items<V: Copy>(
-    bins: &[(V, f64)],
-    to_ticks: impl Fn(V) -> u64,
-    from_ticks: impl Fn(u64) -> V,
-    total: u64,
-) -> Vec<V> {
+/// bin probability, deterministic, largest items first, as `(size,
+/// count)` runs: each bin contributes `share / size` items of its size,
+/// where `share` is its rounded part of `total`, and the smallest size
+/// tops the sum up to at least `total`. Bins of equal size merge into
+/// one run. Returns no runs when `total` is 0.
+fn demand_runs(bins: &[(Time, f64)], total: u64) -> Vec<(Time, u64)> {
     if total == 0 {
         return Vec::new();
     }
-    // Sort bins by value descending so big items are emitted first
-    // (best-fit-decreasing friendly) and drop zero-sized values.
+    // Sort bins by size descending so big items come first
+    // (best-fit-decreasing friendly) and drop zero sizes.
     let mut sorted: Vec<(u64, f64)> = bins
         .iter()
-        .map(|&(v, p)| (to_ticks(v), p))
+        .map(|&(v, p)| (v.ticks(), p))
         .filter(|&(t, p)| t > 0 && p > 0.0)
         .collect();
     sorted.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.total_cmp(&b.1)));
-    if sorted.is_empty() {
+    let Some(&(smallest, _)) = sorted.last() else {
         return Vec::new();
-    }
+    };
     let psum: f64 = sorted.iter().map(|&(_, p)| p).sum();
-    let mut items = Vec::new();
+    let mut runs: Vec<(Time, u64)> = Vec::with_capacity(sorted.len());
+    let mut push = |size: u64, count: u64| match runs.last_mut() {
+        _ if count == 0 => {}
+        Some((s, n)) if s.ticks() == size => *n += count,
+        _ => runs.push((Time::new(size), count)),
+    };
     let mut emitted = 0u64;
     for &(val, p) in &sorted {
         // Time share of this bin.
         let share = (total as f64 * (p / psum)).round() as u64;
         let count = share / val;
-        for _ in 0..count {
-            items.push(from_ticks(val));
-            emitted += val;
-        }
+        push(val, count);
+        emitted = emitted.saturating_add(count * val);
     }
-    // Top up with the smallest value until the demand is covered.
-    let smallest = sorted.last().expect("nonempty").0;
-    while emitted < total {
-        items.push(from_ticks(smallest));
-        emitted += smallest;
-    }
-    items
+    // Top up with the smallest size until the demand is covered.
+    push(smallest, total.saturating_sub(emitted).div_ceil(smallest));
+    runs
+}
+
+/// One item per unit of every `(size, count)` run, in run order.
+fn expand_runs(runs: &[(Time, u64)]) -> Vec<Time> {
+    runs.iter()
+        .flat_map(|&(size, count)| std::iter::repeat_n(size, count as usize))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arch::{BusConfig, PeId, Round, Slot};
+    use proptest::prelude::*;
+
+    /// The per-item expansion the runs replaced, kept as the oracle:
+    /// one push per item, each bin's count and the top-up found by
+    /// repeated addition.
+    fn expand_items_oracle(bins: &[(Time, f64)], total: u64) -> Vec<Time> {
+        if total == 0 {
+            return Vec::new();
+        }
+        let mut sorted: Vec<(u64, f64)> = bins
+            .iter()
+            .map(|&(v, p)| (v.ticks(), p))
+            .filter(|&(t, p)| t > 0 && p > 0.0)
+            .collect();
+        sorted.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.total_cmp(&b.1)));
+        if sorted.is_empty() {
+            return Vec::new();
+        }
+        let psum: f64 = sorted.iter().map(|&(_, p)| p).sum();
+        let mut items = Vec::new();
+        let mut emitted = 0u64;
+        for &(val, p) in &sorted {
+            let share = (total as f64 * (p / psum)).round() as u64;
+            let count = share / val;
+            for _ in 0..count {
+                items.push(Time::new(val));
+                emitted += val;
+            }
+        }
+        let smallest = sorted.last().expect("nonempty").0;
+        while emitted < total {
+            items.push(Time::new(smallest));
+            emitted += smallest;
+        }
+        items
+    }
+
+    /// The demand `expected_*_items` split over `horizon`.
+    fn demand(need: Time, t_min: Time, horizon: Time) -> u64 {
+        let windows = horizon.ticks() / t_min.ticks().max(1);
+        need.ticks().saturating_mul(windows.max(1))
+    }
+
+    /// Runs are well formed: sizes strictly decreasing, no empty run.
+    fn assert_canonical(runs: &[(Time, u64)]) {
+        assert!(runs.iter().all(|&(_, n)| n > 0), "{runs:?}");
+        assert!(runs.windows(2).all(|w| w[0].0 > w[1].0), "{runs:?}");
+    }
+
+    fn bus(bytes_per_tick: u32) -> BusConfig {
+        BusConfig::new(
+            vec![Round::new(vec![Slot::new(PeId(0), Time::new(10))])],
+            bytes_per_tick,
+        )
+        .unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The arithmetic runs expand to exactly the oracle's items, in
+        /// the oracle's order, for processes and for messages — whose
+        /// byte sizes often share a bus time at higher rates.
+        #[test]
+        fn runs_expand_to_the_per_item_oracle(
+            wcets in proptest::collection::vec((0u64..240, 0.0f64..1.0), 1..6),
+            sizes in proptest::collection::vec((0u32..48, 0.0f64..1.0), 1..6),
+            t_min in 0u64..400,
+            t_need in 0u64..120,
+            b_need in 0u64..60,
+            horizon in 0u64..2400,
+            rate in 1u32..12,
+        ) {
+            let wcet_bins: Vec<(Time, f64)> =
+                wcets.iter().map(|&(v, w)| (Time::new(v), w)).collect();
+            let (Ok(wcet_hist), Ok(msg_hist)) =
+                (Histogram::new(wcet_bins), Histogram::new(sizes))
+            else {
+                return Ok(()); // all-zero weights: not a histogram
+            };
+            let p = FutureProfile::new(
+                Time::new(t_min),
+                Time::new(t_need),
+                Time::new(b_need),
+                wcet_hist,
+                msg_hist,
+            );
+            let h = Time::new(horizon);
+            let bus = bus(rate);
+            let to_bus = |bytes: u32| bus.transmission_time(bytes);
+
+            let runs = p.expected_process_runs(h);
+            assert_canonical(&runs);
+            let oracle = expand_items_oracle(
+                &p.wcet_hist.probabilities(),
+                demand(p.t_need, p.t_min, h),
+            );
+            prop_assert_eq!(expand_runs(&runs), oracle.clone());
+            prop_assert_eq!(p.expected_process_items(h), oracle);
+
+            let runs = p.expected_message_runs(h, to_bus);
+            assert_canonical(&runs);
+            let msg_bins: Vec<(Time, f64)> = p
+                .msg_hist
+                .probabilities()
+                .into_iter()
+                .map(|(bytes, w)| (to_bus(bytes), w))
+                .collect();
+            let oracle = expand_items_oracle(&msg_bins, demand(p.b_need, p.t_min, h));
+            prop_assert_eq!(expand_runs(&runs), oracle.clone());
+            prop_assert_eq!(p.expected_message_items(h, to_bus), oracle);
+        }
+    }
+
+    #[test]
+    fn colliding_bus_times_share_one_run() {
+        let mut p = FutureProfile::slide_example();
+        // At 8 bytes per tick every size of 2/4/6/8 bytes takes 1 tick.
+        p.b_need = Time::new(7);
+        let runs = p.expected_message_runs(Time::new(120), |b| bus(8).transmission_time(b));
+        assert_eq!(runs, vec![(Time::new(1), 7)]);
+    }
 
     #[test]
     fn histogram_rejects_bad_input() {

@@ -112,7 +112,7 @@ counters! {
 }
 
 thread_local! {
-    static CELLS: [Cell<u64>; COUNTER_COUNT] = [const { Cell::new(0) }; COUNTER_COUNT];
+    static CELLS: [Cell<u64>; COUNTER_COUNT] = const { [const { Cell::new(0) }; COUNTER_COUNT] };
 }
 
 /// Increments `counter` by one on the calling thread.

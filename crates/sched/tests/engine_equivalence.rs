@@ -131,10 +131,8 @@ proptest! {
             let fapp = Application::new("frozen", vec![fg]);
             let (fmap, fhints) = solution_of(&fapp, &pe_choice, &gap_hints, &slot_hints, 0);
             let fspec = AppSpec::new(AppId(0), &fapp, &fmap, &fhints);
-            match schedule(&arch, &[fspec], None, horizon) {
-                Ok(t) => Some(t),
-                Err(_) => None, // infeasible frozen candidate: run base-less
-            }
+            // An infeasible frozen candidate runs base-less.
+            schedule(&arch, &[fspec], None, horizon).ok()
         };
 
         let g = build_graph(&layers, &wcets, &parents, &msg_bytes, Time::new(240));

@@ -356,7 +356,6 @@ impl Backend for FaultyBackend {
 mod tests {
     use super::*;
     use crate::backend::FsBackend;
-    use std::path::PathBuf;
 
     fn plan_with_write_faults() -> FaultPlan {
         FaultPlan {
@@ -410,8 +409,7 @@ mod tests {
             ..FaultPlan::default()
         };
         let backend = FaultyBackend::new(Arc::new(FsBackend), plan, 42);
-        let path = PathBuf::from(std::env::temp_dir())
-            .join(format!("incdes-fault-torn-{}", std::process::id()));
+        let path = std::env::temp_dir().join(format!("incdes-fault-torn-{}", std::process::id()));
         backend
             .write(&path, b"0123456789")
             .expect("torn write reports success");

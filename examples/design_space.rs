@@ -84,7 +84,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         weight_settings,
         script,
         check_invariants: false,
-        parallelism: Default::default(),
     };
 
     let run = run_campaign(&spec, 4)?;

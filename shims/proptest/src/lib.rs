@@ -139,16 +139,19 @@ pub mod strategy {
         }
     }
 
+    /// One boxed arm of [`OneOf`]: draws a value from the RNG.
+    pub type Arm<V> = Box<dyn Fn(&mut TestRng) -> V>;
+
     /// Uniform choice between several strategies with a common value
     /// type (the shim behind `prop_oneof!`; no per-arm weights, no
     /// shrinking — the chosen arm is not recorded).
     pub struct OneOf<V> {
-        arms: Vec<Box<dyn Fn(&mut TestRng) -> V>>,
+        arms: Vec<Arm<V>>,
     }
 
     impl<V> OneOf<V> {
         /// Creates the strategy from pre-boxed arms.
-        pub fn new(arms: Vec<Box<dyn Fn(&mut TestRng) -> V>>) -> Self {
+        pub fn new(arms: Vec<Arm<V>>) -> Self {
             assert!(!arms.is_empty(), "prop_oneof! needs at least one arm");
             OneOf { arms }
         }
@@ -343,12 +346,10 @@ pub mod collection {
                 if half > lo && half < n {
                     out.push(value[..half].to_vec());
                 }
-                if n - 1 >= lo {
-                    for i in 0..n {
-                        let mut v = value.clone();
-                        v.remove(i);
-                        out.push(v);
-                    }
+                for i in 0..n {
+                    let mut v = value.clone();
+                    v.remove(i);
+                    out.push(v);
                 }
             }
             for i in 0..n {

@@ -482,7 +482,7 @@ mod tests {
         assert_eq!(to_string(&-7i64).unwrap(), "-7");
         assert_eq!(from_str::<i64>("-7").unwrap(), -7);
         assert_eq!(to_string(&true).unwrap(), "true");
-        assert_eq!(from_str::<bool>("false").unwrap(), false);
+        assert!(!from_str::<bool>("false").unwrap());
         assert_eq!(to_string("a\"b\n").unwrap(), "\"a\\\"b\\n\"");
         assert_eq!(from_str::<String>("\"a\\\"b\\n\"").unwrap(), "a\"b\n");
         assert_eq!(from_str::<f64>("2.5e1").unwrap(), 25.0);
