@@ -437,6 +437,8 @@ mod tests {
             ("w1_processes", "w1_process", "Weights"),
             ("pe_count", "pe_cnt", "SynthConfig"),
             ("future", "futre", "ScriptStep::Add"),
+            ("max_iterations", "max_iteratons", "MhConfig"),
+            ("max_evaluations", "max_evaluatons", "SaConfig"),
         ] {
             let bad = json.replacen(&format!("\"{field}\""), &format!("\"{typo}\""), 1);
             assert_ne!(bad, json, "{field} is in the spec");
@@ -457,6 +459,21 @@ mod tests {
             .to_string();
         assert!(
             err.contains("parallelism") && err.contains("CampaignSpec"),
+            "{err}"
+        );
+        // An extra field beside every valid one, as a misspelled copy
+        // of a strategy knob appears in a hand-edited spec.
+        let extra = json.replacen(
+            "\"max_evaluations\"",
+            "\"max_evaluatons\":40000,\"max_evaluations\"",
+            1,
+        );
+        assert_ne!(extra, json);
+        let err = serde_json::from_str::<CampaignSpec>(&extra)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("max_evaluatons") && err.contains("SaConfig"),
             "{err}"
         );
     }

@@ -17,23 +17,28 @@
 //!   the arena describes by at most [`DELTA_MAX_CHANGED_VARS`] design
 //!   variables (the single-move neighbors MH and SA explore), and
 //!   re-expanded otherwise;
-//! * every run's slack profile is a plain copy of the live timelines'
-//!   free time, in immutable `Arc` storage so the memo's clones are
-//!   reference-count bumps. C2 is measured directly on every profile;
-//!   C1 ([`incdes_metrics::C1Cache`]) keeps the future items as
-//!   `(size, count)` runs and batch-packs them into the containers,
-//!   gathered afresh on every call;
-//! * a **last-result memo** answers an evaluation of the solution the
-//!   engine evaluated last without re-scheduling — every strategy
-//!   re-scores the initial mapping's result first, and IM's repair loop
-//!   re-probes its own last candidate;
-//! * the search is **table-free**: a raw schedule yields the current
-//!   application's placements in step order, and the memo, IM, MH and
-//!   SA score and compare those. The canonical `ScheduleTable` (one sort
-//!   of the placements merged with the frozen base's pre-sorted jobs and
-//!   messages) is built only for a design a caller receives — the public
-//!   [`MappingContext::evaluate`] and a strategy's final result — and
-//!   never by re-scheduling.
+//! * a run leaves its schedule **live** in the scheduler, and the cost
+//!   is read straight from the live timelines: each PE's gap list and
+//!   the bus's free windows (collected into one reused scratch vector).
+//!   C2 is measured directly on them; C1 ([`incdes_metrics::C1Cache`])
+//!   keeps the future items as `(size, count)` runs and packs them into
+//!   a histogram of the container lengths. A slack profile and the
+//!   placements are copied out only for a design a strategy keeps
+//!   (`MappingContext::kept`);
+//! * a **last-result memo** holds the cost (or error) of the solution
+//!   the engine evaluated last and answers a repeat without
+//!   re-scheduling — every strategy re-scores the initial mapping's
+//!   result first, and IM's repair loop re-probes its own last
+//!   candidate. The memo's last result is always the scheduler's live
+//!   state, which is what lets `MappingContext::kept` build the kept
+//!   design after a hit as well as after a miss;
+//! * the search is **table-free**: SA and MH apply each trial move to
+//!   their current solution in place, score it and undo it
+//!   ([`Solution::apply_undoable`]), and compare costs. The canonical
+//!   `ScheduleTable` (one sort of the placements merged with the frozen
+//!   base's pre-sorted jobs and messages) is built only for a design a
+//!   caller receives — the public [`MappingContext::evaluate`] and a
+//!   strategy's final result — and never by re-scheduling.
 //!
 //! Every strategy scores its candidates one at a time on the context's
 //! own engine; nothing inside a scenario runs in parallel (campaign
@@ -52,7 +57,7 @@ use crate::solution::Solution;
 use incdes_graph::{EdgeId, NodeId};
 use incdes_metrics::objective::{self, DesignCost, Weights};
 use incdes_metrics::C1Cache;
-use incdes_model::{AppId, Application, Architecture, FutureProfile, Time};
+use incdes_model::{AppId, Application, Architecture, FutureProfile, PeId, ProcRef, Time};
 use incdes_obs::counters::{self, Counter};
 use incdes_obs::phase::{self, Phase};
 use incdes_sched::engine::{check_horizon, ChangedVar, FrozenBase, Scheduler};
@@ -119,11 +124,12 @@ pub struct Evaluation {
     pub cost: DesignCost,
 }
 
-/// A scored design alternative as the search loops keep it: the cost,
-/// the slack profile and the current application's placements — every
-/// part of an [`Evaluation`] except the merged table, which
+/// A design alternative a search loop keeps: the cost, the slack
+/// profile and the current application's placements — every part of an
+/// [`Evaluation`] except the merged table, which
 /// [`MappingContext::materialize`] builds for the designs a caller
-/// receives. Cloning is a handful of reference-count bumps.
+/// receives. Built by `MappingContext::kept`; cloning is a handful of
+/// reference-count bumps.
 #[derive(Debug, Clone)]
 pub(crate) struct Scored {
     /// The objective-function value.
@@ -333,11 +339,12 @@ struct EvalEngine {
     /// caller reuses one bake across contexts.
     base: Option<Result<Arc<FrozenBase>, SchedError>>,
     scheduler: Scheduler,
-    /// The memo: the last evaluation that missed it, with its result.
-    /// Kept apart from `arena_key`: a miss that fails before scheduling
-    /// (bad horizon, failed bake) becomes the memo's last result but
-    /// leaves the arena as it was.
-    last: Option<(MemoKey, Result<Scored, SchedError>)>,
+    /// The memo: the last evaluation that missed it, with its cost. A
+    /// cost here is always the scheduler's live run. Kept apart from
+    /// `arena_key`: a miss that fails before scheduling (bad horizon,
+    /// failed bake) becomes the memo's last result but leaves the arena
+    /// as it was.
+    last: Option<(MemoKey, Result<DesignCost, SchedError>)>,
     /// The solution the scheduler's job arena describes: what the patch
     /// hint diffs candidates against.
     arena_key: Option<MemoKey>,
@@ -347,6 +354,11 @@ struct EvalEngine {
     c1: C1Cache,
     /// Scratch for the collected solution diff (no per-eval allocation).
     vars_scratch: Vec<ChangedVar>,
+    /// Scratch for the live bus's free windows, read by every score.
+    bus_windows: Vec<(Time, Time)>,
+    /// The naive pipeline's last successful design (it keeps no live
+    /// schedule), for `MappingContext::kept`.
+    naive_kept: Option<Scored>,
 }
 
 impl EvalEngine {
@@ -359,13 +371,13 @@ impl EvalEngine {
     }
 
     /// The memo's answer for `key`, if it is the last miss.
-    fn memo_hit(&self, key: &MemoKey) -> Option<&Result<Scored, SchedError>> {
+    fn memo_hit(&self, key: &MemoKey) -> Option<&Result<DesignCost, SchedError>> {
         self.last.as_ref().filter(|(k, _)| k == key).map(|(_, r)| r)
     }
 
     /// Makes `(key, result)` the memo's last result; returns the
     /// displaced key's allocation for reuse.
-    fn memo_store(&mut self, key: MemoKey, result: Result<Scored, SchedError>) -> MemoKey {
+    fn memo_store(&mut self, key: MemoKey, result: Result<DesignCost, SchedError>) -> MemoKey {
         self.last
             .replace((key, result))
             .map(|(k, _)| k)
@@ -383,14 +395,14 @@ struct EngineCounts {
 }
 
 /// One memoized engine evaluation (the body of
-/// [`MappingContext::evaluate`], over the context's borrowed engine and
+/// [`MappingContext::score`], over the context's borrowed engine and
 /// counters).
 fn engine_evaluate(
     ctx: &MappingContext<'_>,
     engine: &mut EvalEngine,
     counts: &mut EngineCounts,
     solution: &Solution,
-) -> Result<Scored, SchedError> {
+) -> Result<DesignCost, SchedError> {
     let lookup_scope = phase::scope(Phase::Memo);
     let mut key = std::mem::take(&mut engine.key_scratch);
     key.assign(solution);
@@ -410,14 +422,14 @@ fn engine_evaluate(
 }
 
 /// One engine evaluation that missed the memo: patch or expand the
-/// arena, reset from the base, re-place, score.
+/// arena, reset from the base, re-place, and score the live timelines.
 fn engine_evaluate_raw(
     ctx: &MappingContext<'_>,
     engine: &mut EvalEngine,
     counts: &mut EngineCounts,
     solution: &Solution,
     key: &MemoKey,
-) -> Result<Scored, SchedError> {
+) -> Result<DesignCost, SchedError> {
     let spec = AppSpec::new(ctx.app_id, ctx.app, &solution.mapping, &solution.hints);
     {
         let _expand = phase::scope(Phase::Expand);
@@ -431,6 +443,7 @@ fn engine_evaluate_raw(
         arena_key,
         c1,
         vars_scratch,
+        bus_windows,
         ..
     } = engine;
     counts.raw_schedules += 1;
@@ -446,16 +459,21 @@ fn engine_evaluate_raw(
             .clone_from(key);
         patch.then_some(vars_scratch.as_slice())
     };
-    let (placements, slack) = scheduler.schedule_hinted(ctx.arch, &[spec], &base, hint)?;
-    let cost = {
-        let _objective = phase::scope(Phase::Objective);
-        objective::evaluate_with_c1_delta(ctx.arch, &slack, ctx.future, ctx.weights, c1)
-    };
-    Ok(Scored {
-        cost,
-        slack,
-        placements,
-    })
+    scheduler.run(ctx.arch, &[spec], &base, hint)?;
+    let _objective = phase::scope(Phase::Objective);
+    scheduler
+        .bus_timeline()
+        .expect("a run resets the bus")
+        .free_windows_into(bus_windows);
+    Ok(objective::evaluate_gaps(
+        ctx.arch,
+        ctx.horizon,
+        scheduler.pe_gaps(),
+        bus_windows,
+        ctx.future,
+        ctx.weights,
+        Some(c1),
+    ))
 }
 
 /// Everything a strategy needs to evaluate design alternatives for one
@@ -561,22 +579,52 @@ impl<'a> MappingContext<'a> {
             self.count_evaluation();
             return self.evaluate_naive(solution);
         }
-        self.score(solution).map(|scored| self.materialize(scored))
+        self.score(solution)?;
+        Ok(self.materialize(self.kept()))
     }
 
-    /// [`evaluate`](Self::evaluate) without the table: what the search
-    /// loops compare. Counts one evaluation.
-    pub(crate) fn score(&self, solution: &Solution) -> Result<Scored, SchedError> {
+    /// The cost of one design alternative: what the search loops
+    /// compare. Counts one evaluation; [`kept`](Self::kept) then builds
+    /// the scored design if the caller keeps it.
+    pub(crate) fn score(&self, solution: &Solution) -> Result<DesignCost, SchedError> {
         self.count_evaluation();
         self.score_inner(solution)
     }
 
     /// [`score`](Self::score) without touching
     /// [`evaluation_count`](Self::evaluation_count) — bookkeeping
-    /// re-derivations (SA rebuilding its best snapshot at the end) must
+    /// re-derivations (SA rebuilding its best design at the end) must
     /// not perturb the evaluation counts the paper tables report.
-    pub(crate) fn score_snapshot(&self, solution: &Solution) -> Result<Scored, SchedError> {
+    pub(crate) fn score_snapshot(&self, solution: &Solution) -> Result<DesignCost, SchedError> {
         self.score_inner(solution)
+    }
+
+    /// The scored design of the last evaluation — its cost, slack
+    /// profile and placements — which must have succeeded. On the
+    /// engine path that design is the scheduler's live run whether the
+    /// evaluation hit the memo or missed it, so this copies the live
+    /// timelines and placements out; the naive path returns the design
+    /// it kept. Not an evaluation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the last evaluation failed, or before the first.
+    pub(crate) fn kept(&self) -> Scored {
+        let engine = self.engine.borrow();
+        if self.naive {
+            return engine
+                .naive_kept
+                .clone()
+                .expect("kept() follows a successful evaluation");
+        }
+        let Some((_, Ok(cost))) = &engine.last else {
+            panic!("kept() follows a successful evaluation");
+        };
+        Scored {
+            cost: *cost,
+            slack: engine.scheduler.slack_profile(),
+            placements: engine.scheduler.placements(),
+        }
     }
 
     /// Builds the complete table of a scored design — one sort of its
@@ -615,19 +663,34 @@ impl<'a> MappingContext<'a> {
         Ok((base.pe_timelines(), base.bus_timeline()))
     }
 
+    /// Every process of the current application with the PEs it may
+    /// run on: those its WCET table lists that the architecture has, in
+    /// table order. The random walks (IM's repair, SA's moves) draw from
+    /// this table.
+    pub(crate) fn allowed_pes(&self) -> Vec<(ProcRef, Vec<PeId>)> {
+        self.app
+            .processes()
+            .map(|(r, p)| {
+                let pes = p
+                    .wcets
+                    .iter()
+                    .map(|(pe, _)| pe)
+                    .filter(|pe| pe.index() < self.arch.pe_count())
+                    .collect();
+                (r, pes)
+            })
+            .collect()
+    }
+
     fn count_evaluation(&self) {
         let mut counts = self.counts.get();
         counts.evaluations += 1;
         self.counts.set(counts);
     }
 
-    fn score_inner(&self, solution: &Solution) -> Result<Scored, SchedError> {
+    fn score_inner(&self, solution: &Solution) -> Result<DesignCost, SchedError> {
         if self.naive {
-            return self.evaluate_naive(solution).map(|e| Scored {
-                placements: Placements::of_app(&e.table, self.app_id),
-                slack: e.slack,
-                cost: e.cost,
-            });
+            return self.evaluate_naive(solution).map(|e| e.cost);
         }
         let mut engine = self.engine.borrow_mut();
         let mut counts = self.counts.get();
@@ -636,16 +699,24 @@ impl<'a> MappingContext<'a> {
         result
     }
 
-    /// The reference pipeline (no base, no scratch, no memo).
+    /// The reference pipeline (no base, no scratch, no memo). Keeps the
+    /// design of a successful run for [`kept`](Self::kept).
     fn evaluate_naive(&self, solution: &Solution) -> Result<Evaluation, SchedError> {
         let mut counts = self.counts.get();
         counts.raw_schedules += 1;
         self.counts.set(counts);
         let spec = AppSpec::new(self.app_id, self.app, &solution.mapping, &solution.hints);
-        let table = schedule(self.arch, &[spec], self.frozen, self.horizon)?;
-        let slack = SlackProfile::from_table(self.arch, &table);
-        let cost = objective::evaluate(self.arch, &slack, self.future, self.weights);
-        Ok(Evaluation { table, slack, cost })
+        let result = schedule(self.arch, &[spec], self.frozen, self.horizon).map(|table| {
+            let slack = SlackProfile::from_table(self.arch, &table);
+            let cost = objective::evaluate(self.arch, &slack, self.future, self.weights);
+            Evaluation { table, slack, cost }
+        });
+        self.engine.borrow_mut().naive_kept = result.as_ref().ok().map(|e| Scored {
+            cost: e.cost,
+            slack: e.slack.clone(),
+            placements: Placements::of_app(&e.table, self.app_id),
+        });
+        result
     }
 
     /// Number of schedule evaluations performed through this context
@@ -759,6 +830,139 @@ mod tests {
         assert_eq!(ctx.evaluation_count(), 4);
         assert_eq!(repeat.cost, first.cost);
         assert_eq!(revisit.table, first.table);
+    }
+
+    /// Two processes that may run on either PE, the second also listing
+    /// a WCET on PE 5, which `arch2` does not have.
+    fn two_proc_app() -> Application {
+        let mut g = ProcessGraph::new("g", Time::new(120), Time::new(120));
+        let a = g.add_process(
+            Process::new("a")
+                .wcet(PeId(0), Time::new(8))
+                .wcet(PeId(1), Time::new(6)),
+        );
+        let b = g.add_process(
+            Process::new("b")
+                .wcet(PeId(0), Time::new(5))
+                .wcet(PeId(1), Time::new(9))
+                .wcet(PeId(5), Time::new(4)),
+        );
+        g.add_message(a, b, Message::new("m", 4)).unwrap();
+        Application::new("app", vec![g])
+    }
+
+    fn solution(pes: [u32; 2]) -> Solution {
+        let mut sol = Solution::new();
+        sol.mapping.assign(ProcRef::new(0, NodeId(0)), PeId(pes[0]));
+        sol.mapping.assign(ProcRef::new(0, NodeId(1)), PeId(pes[1]));
+        sol
+    }
+
+    /// `kept()` after a miss and after a memo hit is the design
+    /// `evaluate` returns — cost, slack profile and placements (through
+    /// their table) — on the engine and the naive path alike.
+    #[test]
+    fn kept_matches_evaluate_after_miss_and_hit() {
+        let arch = arch2();
+        let app = two_proc_app();
+        let future = FutureProfile::slide_example();
+        let weights = Weights::default();
+        let new_ctx = || {
+            MappingContext::new(
+                &arch,
+                AppId(0),
+                &app,
+                None,
+                Time::new(120),
+                &future,
+                &weights,
+            )
+        };
+        let (a, b) = (solution([0, 1]), solution([1, 0]));
+        let reference = |sol: &Solution| new_ctx().with_naive_evaluation().evaluate(sol).unwrap();
+        for naive in [false, true] {
+            let ctx = if naive {
+                new_ctx().with_naive_evaluation()
+            } else {
+                new_ctx()
+            };
+            for (sol, repeat) in [(&a, false), (&b, false), (&b, true), (&a, false)] {
+                let before = ctx.memo_hit_count();
+                let cost = ctx.score(sol).unwrap();
+                if !naive {
+                    assert_eq!(ctx.memo_hit_count() - before, usize::from(repeat));
+                }
+                let kept = ctx.kept();
+                let expected = reference(sol);
+                assert_eq!(cost, expected.cost);
+                assert_eq!(kept.cost, expected.cost);
+                assert_eq!(kept.slack, expected.slack);
+                assert_eq!(ctx.materialize(kept).table, expected.table);
+                assert_eq!(ctx.evaluate(sol).unwrap().table, expected.table);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "kept() follows a successful evaluation")]
+    fn kept_refuses_a_failed_evaluation() {
+        let arch = arch2();
+        let app = two_proc_app();
+        let future = FutureProfile::slide_example();
+        let weights = Weights::default();
+        let ctx = MappingContext::new(
+            &arch,
+            AppId(0),
+            &app,
+            None,
+            Time::new(120),
+            &future,
+            &weights,
+        );
+        ctx.score(&solution([0, 1])).unwrap();
+        ctx.score(&solution([0, 5])).unwrap_err();
+        ctx.kept();
+    }
+
+    /// A mapping onto a PE the application lists a WCET for but the
+    /// architecture lacks is refused, not scheduled past the timelines:
+    /// on the naive path, on a fresh engine (arena expansion) and on an
+    /// engine whose arena is patched by a one-process remap.
+    #[test]
+    fn mapping_outside_the_architecture_is_not_allowed() {
+        let arch = arch2();
+        let app = two_proc_app();
+        let future = FutureProfile::slide_example();
+        let weights = Weights::default();
+        let new_ctx = || {
+            MappingContext::new(
+                &arch,
+                AppId(0),
+                &app,
+                None,
+                Time::new(120),
+                &future,
+                &weights,
+            )
+        };
+        let outside = solution([0, 5]);
+        let expected = SchedError::NotAllowed {
+            app: AppId(0),
+            proc_ref: ProcRef::new(0, NodeId(1)),
+            pe: PeId(5),
+        };
+        let naive = new_ctx().with_naive_evaluation();
+        assert_eq!(naive.evaluate(&outside).unwrap_err(), expected);
+        assert_eq!(new_ctx().evaluate(&outside).unwrap_err(), expected);
+
+        let patched = new_ctx();
+        patched.evaluate(&solution([0, 1])).unwrap();
+        let before = counters::snapshot();
+        assert_eq!(patched.evaluate(&outside).unwrap_err(), expected);
+        let d = counters::snapshot().delta_since(&before);
+        assert_eq!(d.get(Counter::ArenaExpansions), 0, "the remap patches");
+        // The refused patch leaves the engine usable.
+        assert!(patched.evaluate(&solution([1, 0])).is_ok());
     }
 
     #[test]

@@ -203,18 +203,15 @@ fn hcp_probe(ctx: &MappingContext<'_>) -> Result<Mapping, MapError> {
 }
 
 /// Deterministic random repair: remap random processes to random allowed
-/// PEs until the full-hyperperiod schedule becomes feasible.
+/// PEs (in the architecture, as the probe's) until the full-hyperperiod
+/// schedule becomes feasible.
 fn repair(
     ctx: &MappingContext<'_>,
     mut solution: Solution,
     first: incdes_sched::SchedError,
 ) -> Result<Solution, MapError> {
     let mut rng = ChaCha8Rng::seed_from_u64(0x1D5_C0DE);
-    let procs: Vec<(ProcRef, Vec<PeId>)> = ctx
-        .app
-        .processes()
-        .map(|(r, p)| (r, p.wcets.iter().map(|(pe, _)| pe).collect()))
-        .collect();
+    let procs = ctx.allowed_pes();
     let mut last = first;
     for _ in 0..REPAIR_ATTEMPTS {
         let Some((pr, pes)) = procs.choose(&mut rng) else {

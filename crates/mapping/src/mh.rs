@@ -14,6 +14,8 @@
 //! evaluates the candidate moves (remap to another PE, shift to a
 //! different slack on the same PE, shift a message to a different bus
 //! slot), commits the best improving one, and stops at a local optimum.
+//! A candidate is applied to the current solution in place, scored and
+//! undone; only a round's best so far is kept as a scored design.
 
 use crate::context::{Evaluation, MapError, MappingContext, Scored};
 use crate::solution::{Move, Solution};
@@ -24,6 +26,7 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 /// Tuning knobs of [`mapping_heuristic`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct MhConfig {
     /// Stop after this many committed improvements.
     pub max_iterations: usize,
@@ -72,13 +75,14 @@ pub fn mapping_heuristic(
     cfg: &MhConfig,
 ) -> Result<MhOutcome, MapError> {
     let mut current = initial;
-    let mut current_eval = ctx.score(&current).map_err(|e| {
+    ctx.score(&current).map_err(|e| {
         if e.is_infeasible() {
             MapError::Infeasible { last: e }
         } else {
             MapError::InvalidInput(e)
         }
     })?;
+    let mut current_eval = ctx.kept();
 
     let total_procs = ctx.app.process_count().max(1);
     let mut iterations = 0usize;
@@ -99,22 +103,25 @@ pub fn mapping_heuristic(
         let mut tried: HashSet<Move> = HashSet::new();
         loop {
             // Score the round's fresh (not yet tried) moves one at a
-            // time, in candidate order, keeping the best strict
-            // improvement on the incumbent.
+            // time, in candidate order, each applied to `current` and
+            // undone, keeping the best strict improvement on the
+            // incumbent. Only a new round-best is kept as a design.
             let mut best: Option<(Move, Scored)> = None;
             for mv in candidate_moves(ctx, &current, &current_eval, &widened) {
                 if !tried.insert(mv) {
                     continue;
                 }
-                let Ok(eval) = ctx.score(&current.with_move(&mv)) else {
-                    continue; // infeasible move — skip
-                };
-                let bar = best
-                    .as_ref()
-                    .map_or(current_eval.cost.total, |(_, b)| b.cost.total);
-                if eval.cost.total < bar - 1e-9 {
-                    best = Some((mv, eval));
+                let undo = current.apply_undoable(&mv);
+                // An infeasible move is skipped.
+                if let Ok(cost) = ctx.score(&current) {
+                    let bar = best
+                        .as_ref()
+                        .map_or(current_eval.cost.total, |(_, b)| b.cost.total);
+                    if cost.total < bar - 1e-9 {
+                        best = Some((mv, ctx.kept()));
+                    }
                 }
+                current.undo(undo);
             }
             if let Some((mv, eval)) = best {
                 current.apply(&mv);

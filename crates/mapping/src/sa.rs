@@ -9,7 +9,10 @@
 //! The annealer is one Metropolis chain: a single ChaCha8 stream seeded
 //! from [`SaConfig::seed`] draws every move and acceptance, and each
 //! trial is scored on the context's own engine, so a run depends only
-//! on its context and its configuration.
+//! on its context and its configuration. A trial is the current
+//! solution with the move applied in place; a rejected or infeasible
+//! trial is undone. The chain tracks costs only and builds the best
+//! design's slack profile and placements once, at the end.
 
 use crate::context::{Evaluation, MapError, MappingContext};
 use crate::solution::{Move, Solution};
@@ -21,6 +24,7 @@ use serde::{Deserialize, Serialize};
 
 /// Tuning knobs of [`simulated_annealing`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SaConfig {
     /// Starting temperature (in objective units).
     pub initial_temp: f64,
@@ -94,7 +98,7 @@ pub fn simulated_annealing(
     initial: Solution,
     cfg: &SaConfig,
 ) -> Result<SaOutcome, MapError> {
-    let mut current_eval = ctx.score(&initial).map_err(|e| {
+    let mut current_cost = ctx.score(&initial).map_err(|e| {
         if e.is_infeasible() {
             MapError::Infeasible { last: e }
         } else {
@@ -103,19 +107,7 @@ pub fn simulated_annealing(
     })?;
 
     // Move-generation tables.
-    let procs: Vec<(ProcRef, Vec<PeId>)> = ctx
-        .app
-        .processes()
-        .map(|(r, p)| {
-            let pes: Vec<PeId> = p
-                .wcets
-                .iter()
-                .map(|(pe, _)| pe)
-                .filter(|pe| pe.index() < ctx.arch.pe_count())
-                .collect();
-            (r, pes)
-        })
-        .collect();
+    let procs = ctx.allowed_pes();
     let msgs: Vec<MsgRef> = ctx
         .app
         .graphs
@@ -127,10 +119,9 @@ pub fn simulated_annealing(
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
     let mut current = initial;
     // The best solution is tracked as (solution, cost) only; its scored
-    // design is re-derived once at the end (a memo hit on the engine
-    // path).
+    // design is re-derived once at the end.
     let mut best = current.clone();
-    let mut best_cost = current_eval.cost;
+    let mut best_cost = current_cost;
 
     let mut temp = cfg.initial_temp.max(f64::MIN_POSITIVE);
     let mut accepted = 0usize;
@@ -146,39 +137,41 @@ pub fn simulated_annealing(
                 break 'outer; // degenerate design space
             };
             proposed += 1;
-            let trial = current.with_move(&mv);
+            // The trial is `current` with the move applied in place;
+            // a rejected or infeasible trial is undone.
+            let undo = current.apply_undoable(&mv);
             evals += 1;
-            let Ok(eval) = ctx.score(&trial) else {
+            let Ok(cost) = ctx.score(&current) else {
+                current.undo(undo);
                 continue; // infeasible proposals are always rejected
             };
-            let delta = eval.cost.total - current_eval.cost.total;
+            let delta = cost.total - current_cost.total;
             let accept = delta <= 0.0 || rng.gen::<f64>() < (-delta / temp).exp();
-            if accept {
-                accepted += 1;
-                current = trial;
-                current_eval = eval;
-                if current_eval.cost.total < best_cost.total - 1e-12 {
-                    best = current.clone();
-                    best_cost = current_eval.cost;
-                }
-                if best_cost.total <= f64::EPSILON {
-                    break 'outer; // cannot improve on zero
-                }
+            if !accept {
+                current.undo(undo);
+                continue;
+            }
+            accepted += 1;
+            current_cost = cost;
+            if current_cost.total < best_cost.total - 1e-12 {
+                best.clone_from(&current);
+                best_cost = current_cost;
+            }
+            if best_cost.total <= f64::EPSILON {
+                break 'outer; // cannot improve on zero
             }
         }
         temp *= cfg.cooling;
     }
 
-    // Rebuild the best evaluation. The scheduler is deterministic, so a
-    // solution that evaluated feasibly once evaluates feasibly again;
-    // `score_snapshot` leaves `evaluation_count()` untouched (this is
-    // bookkeeping, not a design-space probe).
-    let best_eval = if best == current {
-        current_eval
-    } else {
-        ctx.score_snapshot(&best)
-            .expect("best solution was feasible when first evaluated")
-    };
+    // Rebuild the best design: a memo hit when the best was the last
+    // trial, one raw schedule otherwise. The scheduler is deterministic,
+    // so a solution that evaluated feasibly once evaluates feasibly
+    // again; `score_snapshot` leaves `evaluation_count()` untouched
+    // (this is bookkeeping, not a design-space probe).
+    ctx.score_snapshot(&best)
+        .expect("best solution was feasible when first evaluated");
+    let best_eval = ctx.kept();
     debug_assert_eq!(best_eval.cost.total, best_cost.total);
     Ok(SaOutcome {
         solution: best,
@@ -204,12 +197,15 @@ fn propose_move(
         let dice = rng.gen_range(0u32..100);
         if dice < 60 {
             let (pr, pes) = &procs[rng.gen_range(0..procs.len())];
-            let candidates: Vec<PeId> = pes
-                .iter()
-                .copied()
-                .filter(|&pe| current.mapping.pe_of(*pr) != Some(pe))
-                .collect();
-            if let Some(&to) = candidates.choose(rng) {
+            // One draw among the allowed PEs other than the current one
+            // (none when there are none).
+            let from = current.mapping.pe_of(*pr);
+            let mut others = pes.iter().copied().filter(|&pe| Some(pe) != from);
+            let n = others.clone().count();
+            if n > 0 {
+                let to = others
+                    .nth(rng.gen_range(0..n))
+                    .expect("the draw is below the count");
                 return Some(Move::Remap { proc_ref: *pr, to });
             }
         } else if dice < 85 {

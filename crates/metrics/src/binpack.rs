@@ -4,6 +4,14 @@
 //! the best-fit policy: processes as objects to be packed, and the slack
 //! as containers". First-fit and worst-fit are provided as ablation
 //! baselines.
+//!
+//! [`pack`] is the indexed reference packer: one item at a time, in
+//! decreasing size order, into containers kept in their given order.
+//! [`CapacityHistogram::pack_totals`] computes the same totals for
+//! best-fit and worst-fit from the container lengths counted in a
+//! histogram, moving every container of one length at once, with no
+//! sort per call or per item run; the C1 engine
+//! ([`crate::C1Cache`]) packs that way.
 
 use incdes_model::Time;
 use serde::{Deserialize, Serialize};
@@ -116,7 +124,7 @@ pub fn pack(items: &[Time], containers: &[Time], policy: FitPolicy) -> PackOutco
 }
 
 /// `items` as `(size, count)` runs in decreasing size order: the item
-/// form [`pack_totals`] takes. Expected future applications are drawn
+/// form [`CapacityHistogram::pack_totals`] takes. Expected future applications are drawn
 /// from a few-point WCET histogram, so thousands of items collapse into
 /// a handful of runs (the C1 engine takes those runs straight from
 /// `FutureProfile::expected_process_runs`).
@@ -133,122 +141,236 @@ pub fn item_runs(items: &[Time]) -> Vec<(Time, u64)> {
     runs
 }
 
-/// Packing totals of [`pack`] for items given as [`item_runs`], computed
-/// against the capacity *multiset* `caps`. The call sorts `caps` and
-/// packs into it destructively: on return it holds the remaining
-/// capacities, sorted. `residuals` is scratch space whose contents are
-/// overwritten (a caller packing many times keeps one allocation).
+/// Container capacities counted by length: the form [`pack_totals`]
+/// packs into.
 ///
-/// Returns `(packed, unpacked)`, exactly the totals [`pack`] reports
-/// for the same items and containers: best-fit picks the smallest
-/// capacity ≥ size and worst-fit the largest, so the multiset of
-/// remaining capacities evolves identically to [`pack`]'s — index-order
-/// tie-breaks select *which* equal-capacity container receives an item,
-/// never the totals. First-fit totals *do* depend on container order,
-/// which a multiset cannot represent: the call returns `None` and the
-/// caller must fall back to [`pack`].
+/// `counts[c]` holds the number of containers of exactly `c` ticks, and
+/// bit `c` of `bits` is set iff that count is non-zero, so the packer
+/// steps from one non-empty length to the next a 64-bit word at a time.
+/// Zero-length containers are not recorded: no item of positive size
+/// fits one, and zero-size items pack trivially. Both arrays are dense
+/// up to the longest length the histogram was [`reset`] for and are
+/// kept across resets, so a caller packing many times allocates once,
+/// and a reset clears only the lengths that are set.
 ///
-/// Best-fit is batched. Once an item of size `s` lands in capacity `c`
-/// (the smallest that fits), the residual `c − s` is smaller than `c`,
-/// so it is the best fit for the next item of the run whenever it fits
-/// at all: per-item best-fit gives `c` exactly `q = min(count, ⌊c/s⌋)`
-/// items in a row, then moves on to the next larger capacity, and the
-/// residual `c − q·s` fits no further item of the run unless the run
-/// ends inside `c`. So one run walks the capacities from the first that
-/// fits, once, collecting each residual (no division when `c < 2s`,
-/// where `q` is 1). The walked capacities are then replaced by their
-/// residuals: the residuals are sorted and merged into the smaller,
-/// untouched capacities in one backward pass, which leaves the same
-/// sorted array that per-item best-fit would. A run costs
-/// `O(containers below the run's size + k log k)` for `k` containers
-/// touched, instead of `O(items × log bins)`. Worst-fit stays per item.
-///
-/// `runs` must be sorted by decreasing size ([`pack`] considers items
-/// that way); zero-sized items pack trivially and consume nothing.
-pub fn pack_totals(
-    runs: &[(Time, u64)],
-    caps: &mut [Time],
-    residuals: &mut Vec<Time>,
-    policy: FitPolicy,
-) -> Option<(Time, Time)> {
-    if matches!(policy, FitPolicy::FirstFit) {
-        return None;
-    }
-    debug_assert!(
-        runs.windows(2).all(|w| w[0].0 >= w[1].0),
-        "runs must be sorted decreasing"
-    );
-    caps.sort_unstable();
-    let mut packed = Time::ZERO;
-    let mut unpacked = Time::ZERO;
-    for &(size, count) in runs {
-        if size.is_zero() {
-            continue;
-        }
-        let mut left = count;
-        match policy {
-            FitPolicy::BestFit => {
-                // `caps[..fit]` are smaller than `size`; walk the
-                // capacities from `fit` until the run is used up.
-                let fit = caps.partition_point(|&c| c < size);
-                residuals.clear();
-                for &c in &caps[fit..] {
-                    if left == 0 {
-                        break;
-                    }
-                    let q = if c - size < size {
-                        1
-                    } else {
-                        left.min(c.ticks() / size.ticks())
-                    };
-                    left -= q;
-                    residuals.push(c - size * q);
-                }
-                merge_residuals(caps, fit, residuals);
-            }
-            FitPolicy::WorstFit => {
-                // Worst fit = the largest capacity, the last element.
-                while left > 0 {
-                    let Some((&c, rest)) = caps.split_last() else {
-                        break;
-                    };
-                    if c < size {
-                        break;
-                    }
-                    let rem = c - size;
-                    let at = rest.partition_point(|&x| x < rem);
-                    caps[at..].rotate_right(1);
-                    caps[at] = rem;
-                    left -= 1;
-                }
-            }
-            FitPolicy::FirstFit => unreachable!("rejected above"),
-        }
-        packed += size * (count - left);
-        unpacked += size * left;
-    }
-    Some((packed, unpacked))
+/// [`pack_totals`]: CapacityHistogram::pack_totals
+/// [`reset`]: CapacityHistogram::reset
+#[derive(Debug, Clone, Default)]
+pub struct CapacityHistogram {
+    /// Containers per length, indexed by ticks.
+    counts: Vec<u32>,
+    /// One bit per length: set iff its count is non-zero.
+    bits: Vec<u64>,
+    /// The longest length the last reset allows.
+    max_len: u64,
+    /// Words of `bits` covering `0..=max_len`.
+    words: usize,
 }
 
-/// Replaces the capacities `caps[fit..fit + residuals.len()]` that one
-/// best-fit run walked by their `residuals`, keeping `caps` sorted:
-/// sorts the residuals, then merges them with the untouched sorted
-/// prefix `caps[..fit]` from the back, writing into the walked range's
-/// end. Every residual is below its capacity, so the capacities after
-/// the walked range stay the largest.
-fn merge_residuals(caps: &mut [Time], fit: usize, residuals: &mut [Time]) {
-    residuals.sort_unstable();
-    let (mut i, mut k) = (fit, residuals.len());
-    while k > 0 {
-        // Writes land at `i + k - 1`, at or after every unread prefix
-        // element.
-        if i > 0 && caps[i - 1] > residuals[k - 1] {
-            caps[i + k - 1] = caps[i - 1];
-            i -= 1;
-        } else {
-            caps[i + k - 1] = residuals[k - 1];
-            k -= 1;
+impl CapacityHistogram {
+    /// The longest container a histogram takes, in ticks; the counts
+    /// cost four bytes per tick of the longest length in use.
+    /// [`reset`](Self::reset) refuses longer ones, and the caller packs
+    /// with [`pack`] instead.
+    pub const MAX_LEN: u64 = 1 << 20;
+
+    /// An empty histogram.
+    pub fn new() -> Self {
+        CapacityHistogram::default()
+    }
+
+    /// Empties the histogram and sizes it for containers of up to
+    /// `max_len` ticks. Returns `false`, leaving it empty and refusing
+    /// every container, when `max_len` exceeds [`Self::MAX_LEN`].
+    pub fn reset(&mut self, max_len: Time) -> bool {
+        for w in 0..self.words {
+            let mut word = std::mem::take(&mut self.bits[w]);
+            while word != 0 {
+                self.counts[w * 64 + word.trailing_zeros() as usize] = 0;
+                word &= word - 1;
+            }
         }
+        let max_len = max_len.ticks();
+        if max_len > Self::MAX_LEN {
+            self.max_len = 0;
+            self.words = 0;
+            return false;
+        }
+        let len = max_len as usize + 1;
+        self.max_len = max_len;
+        self.words = len.div_ceil(64);
+        if self.counts.len() < len {
+            self.counts.resize(len, 0);
+        }
+        if self.bits.len() < self.words {
+            self.bits.resize(self.words, 0);
+        }
+        true
+    }
+
+    /// Adds one container of `len` ticks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds the `max_len` of the last
+    /// [`reset`](Self::reset).
+    pub fn add(&mut self, len: Time) {
+        assert!(
+            len.ticks() <= self.max_len,
+            "container of {len} ticks is longer than the histogram's {}",
+            self.max_len
+        );
+        self.put(len.ticks(), 1);
+    }
+
+    /// The capacities held, ascending (zeros are not held).
+    #[cfg(test)]
+    fn capacities(&self) -> Vec<Time> {
+        let mut caps = Vec::new();
+        for (w, &bits) in self.bits[..self.words].iter().enumerate() {
+            let mut word = bits;
+            while word != 0 {
+                let c = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                let n = self.counts[c] as usize;
+                caps.extend(std::iter::repeat_n(Time::new(c as u64), n));
+            }
+        }
+        caps
+    }
+
+    /// Adds `n` containers of length `len`; zero lengths are dropped.
+    fn put(&mut self, len: u64, n: u64) {
+        if len == 0 || n == 0 {
+            return;
+        }
+        let c = len as usize;
+        self.counts[c] += n as u32;
+        self.bits[c >> 6] |= 1 << (c & 63);
+    }
+
+    /// Removes `n` of the containers of length `len`.
+    fn take(&mut self, len: u64, n: u64) {
+        let c = len as usize;
+        self.counts[c] -= n as u32;
+        if self.counts[c] == 0 {
+            self.bits[c >> 6] &= !(1 << (c & 63));
+        }
+    }
+
+    /// The largest length held in `bits[..*words]`, lowering `*words`
+    /// past empty words on the way.
+    fn largest(&self, words: &mut usize) -> Option<u64> {
+        while *words > 0 {
+            let word = self.bits[*words - 1];
+            if word != 0 {
+                return Some(((*words as u64 - 1) << 6) | u64::from(63 - word.leading_zeros()));
+            }
+            *words -= 1;
+        }
+        None
+    }
+
+    /// Packing totals of [`pack`] for items given as [`item_runs`],
+    /// packed into the containers held: on return the histogram holds
+    /// the remaining capacities.
+    ///
+    /// Returns `(packed, unpacked)`, exactly the totals [`pack`] reports
+    /// for the same items and containers: best-fit picks the smallest
+    /// capacity ≥ size and worst-fit the largest, so the multiset of
+    /// remaining capacities evolves identically to [`pack`]'s —
+    /// index-order tie-breaks select *which* equal-capacity container
+    /// receives an item, never the totals. First-fit totals *do* depend
+    /// on container order, which a multiset cannot represent: the call
+    /// returns `None` and the caller must fall back to [`pack`].
+    ///
+    /// Both policies move all containers of one length at once, so a
+    /// run costs the lengths and bitmap words it passes, whatever its
+    /// item count. **Best-fit:** once an item of size `s` lands in the
+    /// smallest fitting length `c`, its residual `c − s` is below `c`,
+    /// so it is the smallest fitting capacity for the next item
+    /// whenever it fits at all. Per-item best-fit therefore fills one
+    /// container of length `c` with `q = ⌊c/s⌋` items, then the next:
+    /// the `n` containers of that length go to `c − q·s` (below `s`, so
+    /// no later item of the run fits there), except a last one that
+    /// takes the run's final `r < q` items and goes to `c − r·s`. One
+    /// run walks the set lengths from `s` upward. **Worst-fit:** the
+    /// `n` containers of the largest length `c` each take one item
+    /// (every residual `c − s` is below `c`), so a step moves up to `n`
+    /// containers from `c` to `c − s`.
+    ///
+    /// `runs` must be sorted by decreasing size ([`pack`] considers
+    /// items that way); zero-sized items pack trivially and consume
+    /// nothing.
+    pub fn pack_totals(&mut self, runs: &[(Time, u64)], policy: FitPolicy) -> Option<(Time, Time)> {
+        if matches!(policy, FitPolicy::FirstFit) {
+            return None;
+        }
+        debug_assert!(
+            runs.windows(2).all(|w| w[0].0 >= w[1].0),
+            "runs must be sorted decreasing"
+        );
+        let mut packed = Time::ZERO;
+        let mut unpacked = Time::ZERO;
+        let mut top = self.words;
+        for &(size, count) in runs {
+            if size.is_zero() {
+                continue;
+            }
+            let s = size.ticks();
+            let mut left = count;
+            match policy {
+                FitPolicy::BestFit => {
+                    let mut w = (s >> 6) as usize;
+                    let mut word = match self.bits[..self.words].get(w) {
+                        Some(&bits) => bits & (u64::MAX << (s & 63)),
+                        None => 0,
+                    };
+                    // Every length a step writes is below the one it
+                    // reads, so the copy of the current word stays
+                    // exact for the lengths still ahead.
+                    while left > 0 {
+                        if word == 0 {
+                            w += 1;
+                            if w >= self.words {
+                                break;
+                            }
+                            word = self.bits[w];
+                            continue;
+                        }
+                        let c = ((w as u64) << 6) | u64::from(word.trailing_zeros());
+                        word &= word - 1;
+                        let n = u64::from(self.counts[c as usize]);
+                        let q = c / s;
+                        let full = n.min(left / q);
+                        left -= full * q;
+                        self.take(c, full);
+                        self.put(c - q * s, full);
+                        if full < n && left > 0 {
+                            self.take(c, 1);
+                            self.put(c - left * s, 1);
+                            left = 0;
+                        }
+                    }
+                }
+                FitPolicy::WorstFit => {
+                    // Lengths only shrink, so the top word never rises.
+                    while left > 0 {
+                        let Some(c) = self.largest(&mut top).filter(|&c| c >= s) else {
+                            break;
+                        };
+                        let moved = u64::from(self.counts[c as usize]).min(left);
+                        self.take(c, moved);
+                        self.put(c - s, moved);
+                        left -= moved;
+                    }
+                }
+                FitPolicy::FirstFit => unreachable!("rejected above"),
+            }
+            packed += size * (count - left);
+            unpacked += size * left;
+        }
+        Some((packed, unpacked))
     }
 }
 
@@ -348,19 +470,38 @@ mod tests {
         assert_eq!(worst.unpacked, t(3));
     }
 
-    /// [`pack_totals`] on `items` / `bins` must report [`pack`]'s
-    /// totals and leave its remaining capacities (as a multiset).
-    fn assert_batched_matches(items: &[u64], bins: &[u64], policy: FitPolicy) {
+    /// [`CapacityHistogram::pack_totals`] on `items` / `bins` must
+    /// report [`pack`]'s totals and leave its non-zero remaining
+    /// capacities (as a multiset). `hist` is reused across calls, so a
+    /// length a previous call left set would show here.
+    fn assert_batched_matches(
+        hist: &mut CapacityHistogram,
+        items: &[u64],
+        bins: &[u64],
+        policy: FitPolicy,
+    ) {
         let items = ts(items);
-        let mut caps = ts(bins);
-        let reference = pack(&items, &caps, policy);
-        let (packed, unpacked) =
-            pack_totals(&item_runs(&items), &mut caps, &mut Vec::new(), policy)
-                .expect("multiset policy");
+        let bins = ts(bins);
+        let reference = pack(&items, &bins, policy);
+        assert!(hist.reset(bins.iter().copied().max().unwrap_or(Time::ZERO)));
+        for &c in &bins {
+            hist.add(c);
+        }
+        let (packed, unpacked) = hist
+            .pack_totals(&item_runs(&items), policy)
+            .expect("multiset policy");
         assert_eq!((packed, unpacked), (reference.packed, reference.unpacked));
-        let mut remaining = reference.remaining;
+        let mut remaining: Vec<Time> = reference
+            .remaining
+            .into_iter()
+            .filter(|c| !c.is_zero())
+            .collect();
         remaining.sort_unstable();
-        assert_eq!(caps, remaining, "remaining capacities diverged");
+        assert_eq!(
+            hist.capacities(),
+            remaining,
+            "remaining capacities diverged"
+        );
     }
 
     #[test]
@@ -379,10 +520,48 @@ mod tests {
             (&[0, 0], &[0]),
             (&[0, 5], &[]),
         ];
+        let mut hist = CapacityHistogram::new();
         for (items, bins) in cases {
-            assert_batched_matches(items, bins, FitPolicy::BestFit);
-            assert_batched_matches(items, bins, FitPolicy::WorstFit);
+            assert_batched_matches(&mut hist, items, bins, FitPolicy::BestFit);
+            assert_batched_matches(&mut hist, items, bins, FitPolicy::WorstFit);
         }
+    }
+
+    /// Lengths past a 64-bit word boundary, and a reset to a shorter
+    /// maximum after a pack that left long residuals set.
+    #[test]
+    fn histogram_crosses_words_and_resets_shorter() {
+        let mut hist = CapacityHistogram::new();
+        assert_batched_matches(
+            &mut hist,
+            &[70, 70, 65, 64, 63, 5, 5, 1],
+            &[200, 140, 129, 128, 127, 64, 63],
+            FitPolicy::BestFit,
+        );
+        assert_batched_matches(&mut hist, &[3, 3, 2], &[4, 4, 3], FitPolicy::BestFit);
+        assert_batched_matches(
+            &mut hist,
+            &[70, 70, 65, 64, 63, 5, 5, 1],
+            &[200, 140, 129, 128, 127, 64, 63],
+            FitPolicy::WorstFit,
+        );
+        assert_batched_matches(&mut hist, &[3, 3, 2], &[4, 4, 3], FitPolicy::WorstFit);
+    }
+
+    /// A maximum above [`CapacityHistogram::MAX_LEN`] is refused (the
+    /// caller falls back to [`pack`]) and leaves the histogram empty.
+    #[test]
+    fn histogram_refuses_overlong_containers() {
+        let mut hist = CapacityHistogram::new();
+        assert!(hist.reset(t(10)));
+        hist.add(t(10));
+        assert!(!hist.reset(t(CapacityHistogram::MAX_LEN + 1)));
+        assert!(hist.capacities().is_empty());
+        assert_eq!(
+            hist.pack_totals(&[(t(1), 2)], FitPolicy::BestFit),
+            Some((t(0), t(2)))
+        );
+        assert!(hist.reset(t(CapacityHistogram::MAX_LEN)));
     }
 
     proptest! {
@@ -432,7 +611,7 @@ mod tests {
             best in 0u8..2,
         ) {
             let policy = if best == 0 { FitPolicy::BestFit } else { FitPolicy::WorstFit };
-            assert_batched_matches(&items, &bins, policy);
+            assert_batched_matches(&mut CapacityHistogram::new(), &items, &bins, policy);
         }
 
         /// Long runs of equal-sized items (the shape of the expanded
@@ -454,16 +633,55 @@ mod tests {
             items.extend(extra);
             let mut bins = bins;
             bins.extend(multiples.iter().map(|m| m * size));
-            assert_batched_matches(&items, &bins, policy);
+            assert_batched_matches(&mut CapacityHistogram::new(), &items, &bins, policy);
+        }
+
+        /// The histogram packer against [`pack`] on capacities built
+        /// to hit its edge cases: duplicates from a small pool,
+        /// capacities equal to the run's size, exact multiples of it
+        /// and one tick either side, items larger than every container
+        /// and zero-size items. One histogram packs twice, so the
+        /// second pack also checks that a reset cleared the first.
+        #[test]
+        fn prop_histogram_matches_pack_on_edge_capacities(
+            size in 1u64..12,
+            run in 0usize..40,
+            kinds in proptest::collection::vec((0u8..5, 0u64..6), 0..24),
+            zeros in 0usize..3,
+            oversized in 0usize..3,
+            second in proptest::collection::vec(0u64..30, 0..10),
+            best in 0u8..2,
+        ) {
+            let policy = if best == 0 { FitPolicy::BestFit } else { FitPolicy::WorstFit };
+            let bins: Vec<u64> = kinds
+                .iter()
+                .map(|&(kind, m)| match kind {
+                    0 => size,
+                    1 => m * size,
+                    2 => m * size + 1,
+                    3 => (m * size).saturating_sub(1),
+                    _ => 7 + m % 3,
+                })
+                .collect();
+            let top = bins.iter().copied().max().unwrap_or(0);
+            let mut items = vec![size; run];
+            items.extend(std::iter::repeat_n(top + 1 + size, oversized));
+            items.extend(std::iter::repeat_n(0, zeros));
+            items.extend(kinds.iter().map(|&(_, m)| m + 1));
+            let mut hist = CapacityHistogram::new();
+            assert_batched_matches(&mut hist, &items, &bins, policy);
+            assert_batched_matches(&mut hist, &[size, size, 1], &second, policy);
         }
 
         /// First-fit is order-dependent: the multiset path refuses it.
         #[test]
         fn prop_multiset_rejects_first_fit(bins in proptest::collection::vec(1u64..10, 0..5)) {
-            prop_assert!(
-                pack_totals(&[(t(1), 1)], &mut ts(&bins), &mut Vec::new(), FitPolicy::FirstFit)
-                    .is_none()
-            );
+            let mut hist = CapacityHistogram::new();
+            hist.reset(t(10));
+            for &c in &bins {
+                hist.add(t(c));
+            }
+            prop_assert!(hist.pack_totals(&[(t(1), 1)], FitPolicy::FirstFit).is_none());
         }
 
         /// Best-fit-decreasing never leaves an item unpacked if some bin

@@ -11,28 +11,28 @@
 //! the future items as `(size, count)` runs — an application drawn from
 //! a few-point WCET histogram is thousands of items but a handful of
 //! runs, which [`FutureProfile::expected_process_runs`] computes from
-//! the histogram directly, never materializing the items. Each call
-//! gathers every container size into a reused scratch vector and runs
-//! the batched packer [`crate::binpack::pack_totals`], whose best-fit
-//! walks each run's containers once and merges their residuals (kept in
-//! a third scratch vector) back in one pass. Nothing is keyed on
-//! gap-list storage identity: an evaluation re-derives the list of every
-//! PE it touches, so patching the containers by `Arc` identity could not
-//! pay. The totals are **exactly** the indexed packer's (see
-//! [`crate::binpack::pack_totals`] for why, for best-fit and
-//! worst-fit), and the order-dependent first-fit policy reports itself
+//! the histogram directly, never materializing the items — and one
+//! [`CapacityHistogram`]. Each call counts the container lengths into
+//! the histogram (PE gaps, then bus windows), and
+//! [`CapacityHistogram::pack_totals`] moves every container of one
+//! length at once: no sort per call and none per run. Nothing is keyed
+//! on gap-list storage identity: the containers are read straight from
+//! whatever gap slices the caller holds, the live timelines of a
+//! schedule included. The totals are **exactly** the indexed packer's
+//! (see [`CapacityHistogram::pack_totals`] for why, for best-fit and
+//! worst-fit); the order-dependent first-fit policy, and containers
+//! longer than [`CapacityHistogram::MAX_LEN`], report themselves
 //! unsupported so callers fall back to the full packer.
 
-use crate::binpack::{pack_totals, unpacked_percent, FitPolicy};
-use incdes_model::{Architecture, FutureProfile, PeId, Time};
+use crate::binpack::{unpacked_percent, CapacityHistogram, FitPolicy};
+use incdes_model::{Architecture, FutureProfile, Time};
 use incdes_obs::counters::{self, Counter};
 use incdes_sched::SlackProfile;
 
 /// C1 packing state for one evaluation context: the future item runs,
 /// rebuilt (bumping `c1_repacked`) whenever the future profile, the
 /// horizon or the bus rate change — so reuse across contexts is safe,
-/// just not profitable — plus reused capacity and residual scratch
-/// vectors.
+/// just not profitable — plus the reused capacity histogram.
 #[derive(Debug, Default)]
 pub struct C1Cache {
     /// What the runs were built for: the items depend on the future
@@ -45,12 +45,8 @@ pub struct C1Cache {
     proc_runs: Vec<(Time, u64)>,
     /// Future message items (already converted to bus time) as runs.
     msg_runs: Vec<(Time, u64)>,
-    /// Scratch: every PE gap size, then the remaining capacities.
-    pe_caps: Vec<Time>,
-    /// Scratch: every bus window size, then the remaining capacities.
-    bus_caps: Vec<Time>,
-    /// Scratch: the residuals of the containers one best-fit run fills.
-    residuals: Vec<Time>,
+    /// The containers being packed: PE gaps, then bus windows.
+    caps: CapacityHistogram,
 }
 
 impl C1Cache {
@@ -59,9 +55,10 @@ impl C1Cache {
         C1Cache::default()
     }
 
-    /// The `(C1P, C1m)` terms of `slack`. Returns `None` for
-    /// [`FitPolicy::FirstFit`] (order-dependent totals — callers fall
-    /// back to the full packer).
+    /// The `(C1P, C1m)` terms of `slack`: [`c1_terms_of`] on its gap
+    /// lists.
+    ///
+    /// [`c1_terms_of`]: Self::c1_terms_of
     pub fn c1_terms(
         &mut self,
         arch: &Architecture,
@@ -69,10 +66,33 @@ impl C1Cache {
         future: &FutureProfile,
         policy: FitPolicy,
     ) -> Option<(f64, f64)> {
+        self.c1_terms_of(
+            arch,
+            slack.horizon(),
+            slack.gap_lists(),
+            slack.bus_windows(),
+            future,
+            policy,
+        )
+    }
+
+    /// The `(C1P, C1m)` terms of a design whose slack is `pe_gaps` (each
+    /// PE's idle intervals) and `bus_windows` over `[0, horizon)`.
+    /// Returns `None` for [`FitPolicy::FirstFit`] (order-dependent
+    /// totals) and for a horizon above [`CapacityHistogram::MAX_LEN`];
+    /// callers then fall back to the full packer.
+    pub fn c1_terms_of<'g>(
+        &mut self,
+        arch: &Architecture,
+        horizon: Time,
+        pe_gaps: impl IntoIterator<Item = &'g [(Time, Time)]>,
+        bus_windows: &[(Time, Time)],
+        future: &FutureProfile,
+        policy: FitPolicy,
+    ) -> Option<(f64, f64)> {
         if matches!(policy, FitPolicy::FirstFit) {
             return None;
         }
-        let horizon = slack.horizon();
         let bus = arch.bus();
         if self.horizon != horizon
             || self.bytes_per_tick != bus.bytes_per_tick
@@ -86,26 +106,21 @@ impl C1Cache {
             self.msg_runs =
                 future.expected_message_runs(horizon, |bytes| bus.transmission_time(bytes));
         }
-        self.pe_caps.clear();
-        for i in 0..slack.pe_count() {
-            let gaps = slack.gaps_of(PeId(i as u32));
-            self.pe_caps.extend(gaps.iter().map(|&(s, e)| e - s));
+        // Every container lies inside the horizon.
+        if !self.caps.reset(horizon) {
+            return None;
         }
-        self.bus_caps.clear();
-        self.bus_caps
-            .extend(slack.bus_windows().iter().map(|&(s, e)| e - s));
-        let (pp, pu) = pack_totals(
-            &self.proc_runs,
-            &mut self.pe_caps,
-            &mut self.residuals,
-            policy,
-        )?;
-        let (mp, mu) = pack_totals(
-            &self.msg_runs,
-            &mut self.bus_caps,
-            &mut self.residuals,
-            policy,
-        )?;
+        for gaps in pe_gaps {
+            for &(s, e) in gaps {
+                self.caps.add(e - s);
+            }
+        }
+        let (pp, pu) = self.caps.pack_totals(&self.proc_runs, policy)?;
+        self.caps.reset(horizon);
+        for &(s, e) in bus_windows {
+            self.caps.add(e - s);
+        }
+        let (mp, mu) = self.caps.pack_totals(&self.msg_runs, policy)?;
         Some((unpacked_percent(pp, pu), unpacked_percent(mp, mu)))
     }
 }

@@ -20,8 +20,21 @@ pub fn c1_processes_outcome(
     future: &FutureProfile,
     policy: FitPolicy,
 ) -> PackOutcome {
-    let items = future.expected_process_items(slack.horizon());
-    let bins = slack.all_pe_gap_sizes();
+    pack_processes(slack.gap_lists(), slack.horizon(), future, policy)
+}
+
+/// [`c1_processes_outcome`] on gap slices: every gap of `pe_gaps`, PE
+/// by PE and in time order, is one container.
+pub(crate) fn pack_processes<'g>(
+    pe_gaps: impl Iterator<Item = &'g [(Time, Time)]>,
+    horizon: Time,
+    future: &FutureProfile,
+    policy: FitPolicy,
+) -> PackOutcome {
+    let items = future.expected_process_items(horizon);
+    let bins: Vec<Time> = pe_gaps
+        .flat_map(|gaps| gaps.iter().map(|&(s, e)| e - s))
+        .collect();
     pack(&items, &bins, policy)
 }
 
@@ -44,9 +57,20 @@ pub fn c1_messages_outcome(
     future: &FutureProfile,
     policy: FitPolicy,
 ) -> PackOutcome {
-    let items =
-        future.expected_message_items(slack.horizon(), |bytes| arch.bus().transmission_time(bytes));
-    let bins = slack.bus_window_sizes();
+    pack_messages(arch, slack.bus_windows(), slack.horizon(), future, policy)
+}
+
+/// [`c1_messages_outcome`] on a window slice: every free bus window is
+/// one container.
+pub(crate) fn pack_messages(
+    arch: &Architecture,
+    bus_windows: &[(Time, Time)],
+    horizon: Time,
+    future: &FutureProfile,
+    policy: FitPolicy,
+) -> PackOutcome {
+    let items = future.expected_message_items(horizon, |bytes| arch.bus().transmission_time(bytes));
+    let bins: Vec<Time> = bus_windows.iter().map(|&(s, e)| e - s).collect();
     pack(&items, &bins, policy)
 }
 

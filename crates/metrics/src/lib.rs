@@ -52,9 +52,9 @@ pub mod c1cache;
 pub mod criteria;
 pub mod objective;
 
-pub use binpack::{item_runs, pack, pack_totals, FitPolicy, PackOutcome};
+pub use binpack::{item_runs, pack, CapacityHistogram, FitPolicy, PackOutcome};
 pub use c1cache::C1Cache;
 pub use criteria::{
     c1_messages, c1_processes, c2_intervals, c2_messages, c2_processes, c2_processes_of,
 };
-pub use objective::{evaluate, evaluate_with_c1_delta, DesignCost, Weights};
+pub use objective::{evaluate, evaluate_gaps, evaluate_with_c1_delta, DesignCost, Weights};

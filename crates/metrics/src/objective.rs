@@ -11,7 +11,7 @@
 
 use crate::binpack::FitPolicy;
 use crate::c1cache::C1Cache;
-use crate::criteria::{c1_messages, c1_processes, c2_messages, c2_processes};
+use crate::criteria::{c2_intervals, pack_messages, pack_processes};
 use incdes_model::{Architecture, FutureProfile, Time};
 use incdes_sched::SlackProfile;
 use serde::{Deserialize, Serialize};
@@ -85,26 +85,30 @@ impl DesignCost {
     }
 }
 
-/// Evaluates the objective on a slack profile.
+/// Evaluates the objective on a slack profile, packing C1 with the
+/// indexed packer: the reference pipeline.
 pub fn evaluate(
     arch: &Architecture,
     slack: &SlackProfile,
     future: &FutureProfile,
     weights: &Weights,
 ) -> DesignCost {
-    let c1p = c1_processes(slack, future, weights.fit_policy);
-    let c1m = c1_messages(arch, slack, future, weights.fit_policy);
-    combine(slack, future, weights, c1p, c1m)
+    evaluate_gaps(
+        arch,
+        slack.horizon(),
+        slack.gap_lists(),
+        slack.bus_windows(),
+        future,
+        weights,
+        None,
+    )
 }
 
 /// [`evaluate`] with the C1 terms served by the batched packer:
 /// `cache` keeps the future items as `(size, count)` runs (see
-/// [`C1Cache`]) and packs them into this profile's container sizes,
-/// gathered and sorted afresh on every call. The order-dependent
-/// [`FitPolicy::FirstFit`] falls back to the full packer inside, so the
-/// result is identical to [`evaluate`] for every policy — the weighting
-/// arithmetic is shared, and the debug assertions check the C1 terms
-/// against the naive packer on every call of a debug build.
+/// [`C1Cache`]) and packs them into this profile's containers, counted
+/// afresh on every call. The result is identical to [`evaluate`] for
+/// every policy (see [`evaluate_gaps`]).
 pub fn evaluate_with_c1_delta(
     arch: &Architecture,
     slack: &SlackProfile,
@@ -112,29 +116,78 @@ pub fn evaluate_with_c1_delta(
     weights: &Weights,
     cache: &mut C1Cache,
 ) -> DesignCost {
-    let (c1p, c1m) = match cache.c1_terms(arch, slack, future, weights.fit_policy) {
-        Some(terms) => terms,
-        None => (
-            c1_processes(slack, future, weights.fit_policy),
-            c1_messages(arch, slack, future, weights.fit_policy),
-        ),
-    };
-    debug_assert_eq!(c1p, c1_processes(slack, future, weights.fit_policy));
-    debug_assert_eq!(c1m, c1_messages(arch, slack, future, weights.fit_policy));
-    combine(slack, future, weights, c1p, c1m)
+    evaluate_gaps(
+        arch,
+        slack.horizon(),
+        slack.gap_lists(),
+        slack.bus_windows(),
+        future,
+        weights,
+        Some(cache),
+    )
 }
 
-/// The C2 terms and the weighting arithmetic shared by every evaluation
-/// path, so batched and fresh C1 terms cannot diverge in the final cost.
+/// The objective of one design, read from its slack as gap slices:
+/// `pe_gaps` yields each PE's idle intervals in PE order and
+/// `bus_windows` the free bus windows, all in time order over
+/// `[0, horizon)` — what a [`SlackProfile`] holds, or what a schedule's
+/// live timelines hold before any profile is built. Every evaluation
+/// path is this function, so no two can diverge.
+///
+/// With a `cache`, the C1 terms come from its batched packer, unless it
+/// declines (first-fit, or containers longer than the histogram takes)
+/// and the indexed packer serves them; debug builds check the batched
+/// terms against the indexed packer on every call. Without one, the
+/// indexed packer serves them.
+pub fn evaluate_gaps<'g, I>(
+    arch: &Architecture,
+    horizon: Time,
+    pe_gaps: I,
+    bus_windows: &[(Time, Time)],
+    future: &FutureProfile,
+    weights: &Weights,
+    cache: Option<&mut C1Cache>,
+) -> DesignCost
+where
+    I: Iterator<Item = &'g [(Time, Time)]> + Clone,
+{
+    let policy = weights.fit_policy;
+    let indexed = || {
+        (
+            pack_processes(pe_gaps.clone(), horizon, future, policy).unpacked_percent(),
+            pack_messages(arch, bus_windows, horizon, future, policy).unpacked_percent(),
+        )
+    };
+    let batched = cache.and_then(|cache| {
+        cache.c1_terms_of(arch, horizon, pe_gaps.clone(), bus_windows, future, policy)
+    });
+    let (c1p, c1m) = match batched {
+        Some(terms) => {
+            debug_assert_eq!(
+                terms,
+                indexed(),
+                "batched C1 diverged from the indexed packer"
+            );
+            terms
+        }
+        None => indexed(),
+    };
+    let c2p = pe_gaps
+        .map(|gaps| c2_intervals(gaps, horizon, future.t_min))
+        .sum();
+    let c2m = c2_intervals(bus_windows, horizon, future.t_min);
+    combine(future, weights, c1p, c1m, c2p, c2m)
+}
+
+/// The weighting arithmetic of every evaluation path.
 fn combine(
-    slack: &SlackProfile,
     future: &FutureProfile,
     weights: &Weights,
     c1p: f64,
     c1m: f64,
+    c2p: Time,
+    c2m: Time,
 ) -> DesignCost {
-    let c2p = c2_processes(slack, future.t_min);
-    let c2m = c2_messages(slack, future.t_min);
     let pen_p = future.t_need.saturating_sub(c2p);
     let pen_m = future.b_need.saturating_sub(c2m);
     let total = weights.w1_processes * c1p

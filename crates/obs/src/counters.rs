@@ -70,8 +70,9 @@ counters! {
     /// Retired, never bumped (reads 0): slack profiles no longer alias
     /// the frozen base's gap lists. Kept registered for existing readers.
     SlackGapsAliased => "slack_gaps_aliased",
-    /// Slack gap lists copied from the live timelines: one per PE per
-    /// run (added once per run).
+    /// Slack gap lists copied from the live timelines into a slack
+    /// profile: one per PE per profile (added once per profile). The
+    /// search builds profiles for kept designs only.
     SlackGapsMaterialized => "slack_gaps_materialized",
     /// Ready-queue pushes (seeding and successor releases). The queue
     /// was a binary heap when the counter was named.

@@ -54,9 +54,10 @@ phases! {
     /// the current application. No table is assembled here: tables are
     /// built on demand, outside every phase.
     RePlace => "replace",
-    /// Deriving the incremental `SlackProfile`.
+    /// Copying a kept design's `SlackProfile` out of the live timelines.
     Slack => "slack",
-    /// Scoring a slack profile with the C1/C2 objective.
+    /// Scoring a run's slack (the live timelines) with the C1/C2
+    /// objective.
     Objective => "objective",
     /// Baking a `FrozenBase` (frozen schedule replay + validation).
     Bake => "bake",

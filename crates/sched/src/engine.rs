@@ -43,17 +43,18 @@
 //! heap under the tie-break, so the pop order is the one a single
 //! binary heap over [`ReadyEntry`]'s order gives.
 //!
-//! The slack profile every run returns is a plain copy of the live
-//! timelines: one slice copy of each PE's gap list and the bus fill's
-//! free windows, in immutable `Arc` storage that no base or timeline
-//! shares.
-//!
-//! A run's placements come back as [`Placements`] — jobs in step order,
-//! messages in emission order — not as a table.
-//! [`Scheduler::schedule_hinted`] hands them to the caller as they are;
-//! the table-returning calls build the canonical [`ScheduleTable`] with
-//! [`FrozenBase::materialize`]: one sort of the placements merged with
-//! the frozen table's canonical sequences.
+//! [`Scheduler::run`] is the one run path, and it leaves its result
+//! live in the scheduler: the timelines and the placements (jobs in
+//! step order, messages in emission order) stay as the run left them
+//! until the next run. A search scores a design straight from the live
+//! gaps ([`Scheduler::pe_gaps`], [`Scheduler::bus_timeline`]) and copies
+//! out a [`SlackProfile`] ([`Scheduler::slack_profile`]) and
+//! [`Placements`] ([`Scheduler::placements`]) only for a design it
+//! keeps. The entry points that return results build them from the
+//! live state after their run: [`Scheduler::schedule_hinted`] the
+//! profile and placements, the table-returning calls the canonical
+//! [`ScheduleTable`] (one sort of the placements merged with the frozen
+//! table's canonical sequences, as [`FrozenBase::materialize`] does).
 
 use crate::job::JobId;
 use crate::list::{AppSpec, SchedError};
@@ -233,8 +234,8 @@ impl FrozenBase {
 }
 
 /// The current applications' placements of one run: every job in step
-/// (pop) order and every message in emission order. This is what the
-/// search loops score, compare and memoize; the canonical
+/// (pop) order and every message in emission order, copied out of the
+/// scheduler for a design the search keeps; the canonical
 /// [`ScheduleTable`] is built from it only on demand
 /// ([`materialize`](Self::materialize)). Cloning is two reference-count
 /// bumps.
@@ -278,22 +279,32 @@ impl Placements {
     /// already-canonical jobs and messages. Equal to what
     /// [`crate::schedule`] returns for the same design.
     pub fn materialize(&self, frozen: &ScheduleTable) -> ScheduleTable {
-        let mut jobs = self.jobs.to_vec();
-        jobs.sort_by_key(crate::table::job_sort_key);
-        let mut msgs = self.msgs.to_vec();
-        msgs.sort_by_key(crate::table::message_sort_key);
-        ScheduleTable::from_sorted_merge(
-            frozen.horizon(),
-            frozen.jobs(),
-            &jobs,
-            frozen.messages(),
-            &msgs,
-        )
+        materialize(&self.jobs, &self.msgs, frozen)
     }
 }
 
+/// The canonical table of `frozen` plus the placed `jobs` and `msgs`
+/// (in any order): see [`Placements::materialize`].
+fn materialize(
+    jobs: &[ScheduledJob],
+    msgs: &[ScheduledMessage],
+    frozen: &ScheduleTable,
+) -> ScheduleTable {
+    let mut jobs = jobs.to_vec();
+    jobs.sort_by_key(crate::table::job_sort_key);
+    let mut msgs = msgs.to_vec();
+    msgs.sort_by_key(crate::table::message_sort_key);
+    ScheduleTable::from_sorted_merge(
+        frozen.horizon(),
+        frozen.jobs(),
+        &jobs,
+        frozen.messages(),
+        &msgs,
+    )
+}
+
 /// A design variable that changed between two evaluated solutions,
-/// passed to [`Scheduler::schedule_hinted`] so the job arena can be
+/// passed to [`Scheduler::run`] so the job arena can be
 /// patched instead of rebuilt. Sorted order (`spec`, `graph`,
 /// `node`/`edge`) matches expansion order, which keeps error reporting
 /// identical to a full expansion.
@@ -608,8 +619,8 @@ impl Scheduler {
         apps: &[AppSpec<'_>],
         base: &FrozenBase,
     ) -> Result<ScheduleTable, SchedError> {
-        let placements = self.run(arch, apps, base, None)?;
-        Ok(base.materialize(&placements))
+        self.run(arch, apps, base, None)?;
+        Ok(self.table(base))
     }
 
     /// Like [`schedule`](Self::schedule) but also derives the slack
@@ -625,16 +636,35 @@ impl Scheduler {
         apps: &[AppSpec<'_>],
         base: &FrozenBase,
     ) -> Result<(ScheduleTable, SlackProfile), SchedError> {
-        let placements = self.run(arch, apps, base, None)?;
-        let slack = self.slack_profile(base.horizon);
-        Ok((base.materialize(&placements), slack))
+        self.run(arch, apps, base, None)?;
+        Ok((self.table(base), self.slack_profile()))
     }
 
-    /// The search loops' entry point: the run of
-    /// [`schedule_with_slack`](Self::schedule_with_slack), returning the
-    /// current placements instead of a table
-    /// ([`FrozenBase::materialize`] builds the table when a caller needs
-    /// one).
+    /// A hinted [`run`](Self::run), returning the current placements and
+    /// the slack profile ([`FrozenBase::materialize`] builds the table
+    /// when a caller needs one).
+    ///
+    /// # Errors
+    ///
+    /// As [`crate::schedule`].
+    pub fn schedule_hinted(
+        &mut self,
+        arch: &Architecture,
+        apps: &[AppSpec<'_>],
+        base: &FrozenBase,
+        changed: Option<&[ChangedVar]>,
+    ) -> Result<(Placements, SlackProfile), SchedError> {
+        self.run(arch, apps, base, changed)?;
+        Ok((self.placements(), self.slack_profile()))
+    }
+
+    /// The one run path: patch or expand the arena, reset the timelines
+    /// from `base`, and list-schedule every job of `apps`. The result
+    /// stays live until the next run: read it through
+    /// [`pe_gaps`](Self::pe_gaps), [`bus_timeline`](Self::bus_timeline),
+    /// [`placements`](Self::placements) and
+    /// [`slack_profile`](Self::slack_profile). A failed run leaves a
+    /// partial schedule there, which the next run resets.
     ///
     /// `changed` is the hint that lets the job arena be patched instead
     /// of rebuilt: it must list **every** design variable (process
@@ -649,27 +679,13 @@ impl Scheduler {
     /// # Errors
     ///
     /// As [`crate::schedule`].
-    pub fn schedule_hinted(
+    pub fn run(
         &mut self,
         arch: &Architecture,
         apps: &[AppSpec<'_>],
         base: &FrozenBase,
         changed: Option<&[ChangedVar]>,
-    ) -> Result<(Placements, SlackProfile), SchedError> {
-        let placements = self.run(arch, apps, base, changed)?;
-        let slack = self.slack_profile(base.horizon);
-        Ok((placements, slack))
-    }
-
-    /// Patch or expand the arena, reset the timelines from `base`, and
-    /// list-schedule every job.
-    fn run(
-        &mut self,
-        arch: &Architecture,
-        apps: &[AppSpec<'_>],
-        base: &FrozenBase,
-        changed: Option<&[ChangedVar]>,
-    ) -> Result<Placements, SchedError> {
+    ) -> Result<(), SchedError> {
         check_horizon(apps, base.horizon)?;
         debug_assert_eq!(arch.pe_count(), base.pe_count(), "base built for this arch");
         self.raw_schedules += 1;
@@ -735,11 +751,50 @@ impl Scheduler {
             bus,
             placed,
             msgs,
-        )?;
-        Ok(Placements {
-            jobs: placed.as_slice().into(),
-            msgs: msgs.as_slice().into(),
-        })
+        )
+    }
+
+    /// Each PE's live free gaps, in PE order: the last run's slack,
+    /// uncopied.
+    pub fn pe_gaps(&self) -> impl ExactSizeIterator<Item = &[(Time, Time)]> + Clone {
+        self.pes.iter().map(PeTimeline::gaps)
+    }
+
+    /// The live bus occupancy (`None` before the first run).
+    pub fn bus_timeline(&self) -> Option<&BusTimeline> {
+        self.bus.as_ref()
+    }
+
+    /// The current applications' placements of the last run, copied
+    /// out of the live state.
+    pub fn placements(&self) -> Placements {
+        Placements {
+            jobs: self.placed.as_slice().into(),
+            msgs: self.msgs.as_slice().into(),
+        }
+    }
+
+    /// The canonical table of `base` plus the last run's placements;
+    /// the run must have been on `base`.
+    fn table(&self, base: &FrozenBase) -> ScheduleTable {
+        materialize(&self.placed, &self.msgs, &base.frozen)
+    }
+
+    /// The slack of the last run, copied out of the live timelines:
+    /// every PE's gap list and the bus fill's free windows.
+    ///
+    /// # Panics
+    ///
+    /// Panics before the first run.
+    pub fn slack_profile(&self) -> SlackProfile {
+        let _slack = phase::scope(Phase::Slack);
+        counters::add(Counter::SlackGapsMaterialized, self.pes.len() as u64);
+        let bus = self.bus.as_ref().expect("a run resets the bus first");
+        SlackProfile::new(
+            bus.horizon(),
+            self.pes.iter().map(PeTimeline::gaps),
+            bus.free_windows(),
+        )
     }
 
     /// Expands `apps` into the job arena (priorities served from the
@@ -830,7 +885,7 @@ impl Scheduler {
                                 app: spec.id,
                                 proc_ref: pr,
                             })?;
-                        let wcet = g.process(n).wcets.get(pe).ok_or(SchedError::NotAllowed {
+                        let wcet = allowed_wcet(arch, g, n, pe).ok_or(SchedError::NotAllowed {
                             app: spec.id,
                             proc_ref: pr,
                             pe,
@@ -926,15 +981,11 @@ impl Scheduler {
                 app: sp.id,
                 proc_ref: pr,
             })?;
-            let wcet = g
-                .process(node)
-                .wcets
-                .get(pe)
-                .ok_or(SchedError::NotAllowed {
-                    app: sp.id,
-                    proc_ref: pr,
-                    pe,
-                })?;
+            let wcet = allowed_wcet(arch, g, node, pe).ok_or(SchedError::NotAllowed {
+                app: sp.id,
+                proc_ref: pr,
+                pe,
+            })?;
             let hint = sp.hints.proc_gap(pr);
             let flat = self.spec_offsets[spec] + graph;
             let nodes = g.process_count();
@@ -1024,19 +1075,23 @@ impl Scheduler {
         );
         Ok(())
     }
+}
 
-    /// The slack of the most recent successful run: a copy of every
-    /// PE's live gap list and the live bus fill's free windows.
-    fn slack_profile(&self, horizon: Time) -> SlackProfile {
-        let _slack = phase::scope(Phase::Slack);
-        counters::add(Counter::SlackGapsMaterialized, self.pes.len() as u64);
-        let bus = self.bus.as_ref().expect("a run resets the bus first");
-        SlackProfile::new(
-            horizon,
-            self.pes.iter().map(PeTimeline::gaps),
-            bus.free_windows(),
-        )
-    }
+/// The WCET of process `n` of `g` on `pe`, if the process may run
+/// there: its WCET table lists `pe` and `pe` is in the architecture.
+/// Applications may list WCETs for PEs beyond the architecture (the
+/// validator ignores them), so a mapping onto one is refused here, not
+/// left to index past the timelines.
+fn allowed_wcet(
+    arch: &Architecture,
+    g: &incdes_model::ProcessGraph,
+    n: incdes_graph::NodeId,
+    pe: PeId,
+) -> Option<Time> {
+    g.process(n)
+        .wcets
+        .get(pe)
+        .filter(|_| pe.index() < arch.pe_count())
 }
 
 /// The list-scheduling loop: pops ready jobs from `queue` until none

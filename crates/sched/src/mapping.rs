@@ -83,6 +83,11 @@ impl Mapping {
         self.assign.insert(p, pe)
     }
 
+    /// Removes the assignment of process `p`; returns its PE.
+    pub fn unassign(&mut self, p: ProcRef) -> Option<PeId> {
+        self.assign.remove(&p)
+    }
+
     /// The PE of process `p`, if assigned.
     pub fn pe_of(&self, p: ProcRef) -> Option<PeId> {
         self.assign.get(&p).copied()
@@ -201,6 +206,9 @@ mod tests {
         assert_eq!(m.pe_of(p), Some(PeId(3)));
         assert_eq!(m.pe_of(ProcRef::new(0, NodeId(9))), None);
         assert_eq!(m.len(), 1);
+        assert_eq!(m.unassign(p), Some(PeId(3)));
+        assert_eq!(m.unassign(p), None);
+        assert_eq!(m, Mapping::new());
     }
 
     #[test]

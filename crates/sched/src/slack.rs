@@ -36,8 +36,7 @@ pub type GapList = Arc<[(Time, Time)]>;
 pub struct SlackProfile {
     horizon: Time,
     /// Per PE: maximal idle intervals `(start, end)`, in time order.
-    /// The outer table is `Arc`-shared too: the evaluation memo clones
-    /// whole profiles on every insert and hit, so a clone must cost two
+    /// The outer table is `Arc`-shared too, so a clone costs two
     /// reference-count bumps, not one per PE.
     pe_gaps: Arc<[GapList]>,
     /// Free bus windows `(start, end)` — the unused tail of each slot
@@ -90,6 +89,12 @@ impl SlackProfile {
     /// Idle intervals of `pe`.
     pub fn gaps_of(&self, pe: PeId) -> &[(Time, Time)] {
         &self.pe_gaps[pe.index()]
+    }
+
+    /// Every PE's idle intervals, in PE order: the gap slices the
+    /// objective reads.
+    pub fn gap_lists(&self) -> impl ExactSizeIterator<Item = &[(Time, Time)]> + Clone {
+        self.pe_gaps.iter().map(|gaps| &gaps[..])
     }
 
     /// All processor gaps across PEs, as durations.

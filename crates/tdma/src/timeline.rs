@@ -472,11 +472,22 @@ impl BusTimeline {
     /// in time order. These are the *bus slack* containers handed to the
     /// C1m bin-packer.
     pub fn free_windows(&self) -> Vec<(Time, Time)> {
-        self.occurrences()
-            .zip(&self.occupancy)
-            .filter(|(occ, u)| u.used < occ.length)
-            .map(|(occ, u)| (occ.start + u.used, occ.end()))
-            .collect()
+        let mut windows = Vec::new();
+        self.free_windows_into(&mut windows);
+        windows
+    }
+
+    /// [`free_windows`](Self::free_windows) into `out`, replacing its
+    /// contents: a caller collecting the windows many times keeps one
+    /// allocation.
+    pub fn free_windows_into(&self, out: &mut Vec<(Time, Time)>) {
+        out.clear();
+        out.extend(
+            self.occurrences()
+                .zip(&self.occupancy)
+                .filter(|(occ, u)| u.used < occ.length)
+                .map(|(occ, u)| (occ.start + u.used, occ.end())),
+        );
     }
 
     /// Total free slot time inside the window `[from, to)` — used by the
@@ -905,7 +916,7 @@ mod prop_tests {
         /// oracle: a random interleaving of skipped slot searches,
         /// explicit frame replays, peeks, saves and `reset_from`
         /// restores must match result for result, and every read
-        /// (`used`, `message_count`, `free_windows`, `free_time_in`,
+        /// (`used`, `message_count`, `free_windows_into`, `free_time_in`,
         /// `total_used`) must agree after each step.
         #[test]
         fn prop_dense_fill_matches_sparse_oracle(
@@ -921,6 +932,8 @@ mod prop_tests {
                 fill: BTreeMap::new(),
             };
             let mut saved = (tl.clone(), oracle.clone());
+            // Reused across steps, as the evaluation engine reuses it.
+            let mut windows = Vec::new();
             for (op, pe, a, b, skip) in ops {
                 let (pe, a, b) = (PeId(pe), Time::new(a), Time::new(b));
                 match op {
@@ -946,7 +959,8 @@ mod prop_tests {
                     prop_assert_eq!(tl.used(idx), oracle.used(idx));
                     prop_assert_eq!(tl.message_count(idx), oracle.message_count(idx));
                 }
-                prop_assert_eq!(tl.free_windows(), oracle.free_windows());
+                tl.free_windows_into(&mut windows);
+                prop_assert_eq!(&windows, &oracle.free_windows());
                 let total: Time = oracle.fill.values().map(|f| f.0).sum();
                 prop_assert_eq!(tl.total_used(), total);
                 let to = a + b * 4;
