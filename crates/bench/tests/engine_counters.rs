@@ -1,18 +1,14 @@
 //! Deterministic work counters of the evaluation engine, read from a
 //! small figure-1 campaign: they pin the three reuse mechanisms the
 //! engine keeps — in-place arena patching, one table per strategy run,
-//! and the last-result memo — without timing anything.
+//! and answering an unchanged design without re-placing — without
+//! timing anything.
 
 use incdes_bench::quality_campaign_spec;
 use incdes_explore::run_campaign;
-use incdes_mapping::{MhConfig, SaConfig, Strategy};
+use incdes_mapping::{MhConfig, SaConfig};
 use incdes_obs::counters::Counter;
 use incdes_synth::paper::dac2001_small;
-
-/// Lower bound on arena patches per full expansion in every MH and SA
-/// scenario. This grid reads at least 49; the paper-scale figure-1 grid
-/// at least 172.
-const MIN_PATCHES_PER_EXPANSION: u64 = 20;
 
 #[test]
 fn figure_one_grid_counters_pin_the_engine() {
@@ -41,18 +37,17 @@ fn figure_one_grid_counters_pin_the_engine() {
         let c = &s.counters;
         assert_eq!(c.get(Counter::TablesMaterialized), runs, "{label}: tables");
         // AH, MH and SA each score the initial mapping's result again
-        // first, which the last-result memo answers.
+        // first, which the scheduler answers without re-placing.
         assert!(c.get(Counter::MemoHits) >= runs, "{label}: memo hits");
-        let (patched, expansions) = (
-            c.get(Counter::ArenaPatched),
+        // Each strategy run binds one scheduler, which expands its arena
+        // on its first run and patches it on every later one, however
+        // many variables a candidate changes.
+        assert_eq!(
             c.get(Counter::ArenaExpansions),
+            runs,
+            "{label}: {} arena patches",
+            c.get(Counter::ArenaPatched)
         );
-        if !matches!(s.key.strategy, Strategy::AdHoc) {
-            assert!(
-                patched >= MIN_PATCHES_PER_EXPANSION * expansions,
-                "{label}: {patched} arena patches for {expansions} expansions"
-            );
-        }
     }
     assert_eq!(scenarios, 6);
 }

@@ -170,7 +170,7 @@ impl System {
 
     /// How many mapping contexts were served a cached frozen base
     /// instead of re-baking the frozen schedule (diagnostics; see
-    /// [`System::shared_base`]).
+    /// `System::shared_base`).
     pub fn frozen_base_reuse_count(&self) -> usize {
         self.base_reuse.get()
     }

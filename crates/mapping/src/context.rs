@@ -9,29 +9,24 @@
 //!   injected pre-built via
 //!   [`MappingContext::with_frozen_base`] so the campaign runner's
 //!   per-step contexts share one bake per system state;
-//! * a persistent [`Scheduler`] reuses its scratch arenas (job records,
-//!   successor table, ready queue, per-graph priority cache) across
-//!   evaluations. Every raw schedule resets the timelines from the base
-//!   and re-places the whole current application; the job arena is
-//!   **patched in place** when the candidate differs from the solution
-//!   the arena describes by at most [`DELTA_MAX_CHANGED_VARS`] design
-//!   variables (the single-move neighbors MH and SA explore), and
-//!   re-expanded otherwise;
+//! * one [`Scheduler`], built lazily for the context's application on
+//!   that base, runs every evaluation: it diffs the candidate against
+//!   the design its job arena holds, **patches** whatever changed (the
+//!   single moves MH and SA explore, and any larger jump), resets the
+//!   timelines from the base and re-places the whole current
+//!   application. A candidate equal to the last evaluated design is
+//!   answered from that run's outcome without re-placing — every
+//!   strategy re-scores the initial mapping's result first, and SA
+//!   re-derives its best at the end;
 //! * a run leaves its schedule **live** in the scheduler, and the cost
 //!   is read straight from the live timelines: each PE's gap list and
 //!   the bus's free windows (collected into one reused scratch vector).
 //!   C2 is measured directly on them; C1 ([`incdes_metrics::C1Cache`])
 //!   keeps the future items as `(size, count)` runs and packs them into
-//!   a histogram of the container lengths. A slack profile and the
-//!   placements are copied out only for a design a strategy keeps
-//!   (`MappingContext::kept`);
-//! * a **last-result memo** holds the cost (or error) of the solution
-//!   the engine evaluated last and answers a repeat without
-//!   re-scheduling — every strategy re-scores the initial mapping's
-//!   result first, and IM's repair loop re-probes its own last
-//!   candidate. The memo's last result is always the scheduler's live
-//!   state, which is what lets `MappingContext::kept` build the kept
-//!   design after a hit as well as after a miss;
+//!   a histogram of the container lengths. The context keeps the live
+//!   run's result (its cost or error), which answers an unchanged
+//!   candidate; a slack profile and the placements are copied out only
+//!   for a design a strategy keeps (`MappingContext::kept`);
 //! * the search is **table-free**: SA and MH apply each trial move to
 //!   their current solution in place, score it and undo it
 //!   ([`Solution::apply_undoable`]), and compare costs. The canonical
@@ -45,22 +40,22 @@
 //! workers parallelize across scenarios instead).
 //!
 //! [`MappingContext::evaluation_count`] keeps its historical meaning —
-//! every [`evaluate`](MappingContext::evaluate) call counts, memo hit or
-//! not — while [`MappingContext::raw_schedule_count`] reports how many
-//! schedules were actually executed.
+//! every [`evaluate`](MappingContext::evaluate) call counts, answered
+//! without re-placing or not — while
+//! [`MappingContext::raw_schedule_count`] reports how many evaluations
+//! ran the scheduler on a changed design.
 //! [`MappingContext::with_naive_evaluation`] retains the reference
 //! pipeline (one-shot `schedule()` + `SlackProfile::from_table` +
 //! `objective::evaluate`, no reuse at all) as the oracle for
 //! differential tests.
 
 use crate::solution::Solution;
-use incdes_graph::{EdgeId, NodeId};
 use incdes_metrics::objective::{self, DesignCost, Weights};
 use incdes_metrics::C1Cache;
 use incdes_model::{AppId, Application, Architecture, FutureProfile, PeId, ProcRef, Time};
 use incdes_obs::counters::{self, Counter};
 use incdes_obs::phase::{self, Phase};
-use incdes_sched::engine::{check_horizon, ChangedVar, FrozenBase, Scheduler};
+use incdes_sched::engine::{check_horizon, FrozenBase, Scheduler};
 use incdes_sched::{
     schedule, AppSpec, PeTimeline, Placements, SchedError, ScheduleTable, SlackProfile,
 };
@@ -128,8 +123,7 @@ pub struct Evaluation {
 /// profile and the current application's placements — every part of an
 /// [`Evaluation`] except the merged table, which
 /// [`MappingContext::materialize`] builds for the designs a caller
-/// receives. Built by `MappingContext::kept`; cloning is a handful of
-/// reference-count bumps.
+/// receives. Built by `MappingContext::kept`.
 #[derive(Debug, Clone)]
 pub(crate) struct Scored {
     /// The objective-function value.
@@ -140,220 +134,22 @@ pub(crate) struct Scored {
     pub(crate) placements: Placements,
 }
 
-/// Canonical identity of a design alternative: the full mapping plus all
-/// non-zero hints, in deterministic order. Two solutions with the same
-/// key produce byte-identical schedules, so memo hits are exact (the
-/// key stores the actual design variables). Also the snapshot of the
-/// solution the job arena describes, which the patch hint diffs
-/// candidates against.
-///
-/// Stored flat: every variable is one `(word, value)` pair, with the
-/// three sections (mapping entries, process gap hints, message slot
-/// hints) back to back at the `split` boundaries. The word packs
-/// `graph << 32 | node-or-edge`, which preserves the per-section
-/// `(graph, index)` sort order, so the diff is a single-word
-/// two-pointer walk and the whole key is one contiguous allocation —
-/// one memcmp-shaped compare per probe.
-#[derive(Debug, Default, PartialEq, Eq)]
-struct MemoKey {
-    items: Vec<(u64, u32)>,
-    split: [u32; 2],
-}
-
-impl Clone for MemoKey {
-    fn clone(&self) -> Self {
-        MemoKey {
-            items: self.items.clone(),
-            split: self.split,
-        }
-    }
-
-    // The arena snapshot is refreshed on every raw schedule; reusing
-    // its allocation keeps that free.
-    fn clone_from(&mut self, source: &Self) {
-        self.items.clone_from(&source.items);
-        self.split = source.split;
-    }
-}
-
-/// Packs a per-graph variable index into one order-preserving word.
-/// Graph counts are bounded far below `u32::MAX` by memory alone; the
-/// assert documents the losslessness the exact-hit contract relies on.
-#[inline]
-fn pack_var(graph: usize, index: u32) -> u64 {
-    debug_assert!(graph <= u32::MAX as usize);
-    ((graph as u64) << 32) | index as u64
-}
-
-impl MemoKey {
-    /// Refills the key in place from `solution`, reusing the one
-    /// vector allocation — the key build runs once per evaluation
-    /// (hit or miss), so the engine keeps one scratch key alive
-    /// instead of allocating here.
-    fn assign(&mut self, solution: &Solution) {
-        self.items.clear();
-        self.items.extend(
-            solution
-                .mapping
-                .iter()
-                .map(|(pr, pe)| (pack_var(pr.graph, pr.node.0), pe.0)),
-        );
-        self.split[0] = self.items.len() as u32;
-        self.items.extend(
-            solution
-                .hints
-                .proc_gaps()
-                .map(|(pr, gap)| (pack_var(pr.graph, pr.node.0), gap)),
-        );
-        self.split[1] = self.items.len() as u32;
-        self.items.extend(
-            solution
-                .hints
-                .msg_slots()
-                .map(|(mr, slot)| (pack_var(mr.graph, mr.edge.0), slot)),
-        );
-    }
-
-    fn mapping(&self) -> &[(u64, u32)] {
-        &self.items[..self.split[0] as usize]
-    }
-
-    fn proc_gaps(&self) -> &[(u64, u32)] {
-        &self.items[self.split[0] as usize..self.split[1] as usize]
-    }
-
-    fn msg_slots(&self) -> &[(u64, u32)] {
-        &self.items[self.split[1] as usize..]
-    }
-}
-
-/// Largest number of changed design variables (mapping entries + gap
-/// hints + slot hints, counted as a symmetric difference) for which the
-/// job arena is patched. A remap touches at most two variables (the
-/// mapping entry plus its reset gap hint), so 4 covers two design
-/// transformations — the distance between consecutive SA/MH trials
-/// proposed from one pivot solution (undo the rejected move, apply the
-/// next). Larger diffs re-expand the arena.
-pub const DELTA_MAX_CHANGED_VARS: usize = 4;
-
-/// Walks the symmetric difference of two sorted key→value slices,
-/// invoking `on_diff` for every differing key; gives up (returns
-/// `false`) as soon as more than `cap` differences accumulate in
-/// `count`. A plain two-pointer walk over contiguous slices.
-fn sym_diff<K: Ord + Copy, V: PartialEq>(
-    a: &[(K, V)],
-    b: &[(K, V)],
-    cap: usize,
-    count: &mut usize,
-    mut on_diff: impl FnMut(K),
-) -> bool {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        let (ka, va) = &a[i];
-        let (kb, vb) = &b[j];
-        let k = match ka.cmp(kb) {
-            std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
-                if va == vb {
-                    continue;
-                }
-                *ka
-            }
-            std::cmp::Ordering::Less => {
-                i += 1;
-                *ka
-            }
-            std::cmp::Ordering::Greater => {
-                j += 1;
-                *kb
-            }
-        };
-        *count += 1;
-        if *count > cap {
-            return false;
-        }
-        on_diff(k);
-    }
-    for &(k, _) in a[i..].iter().chain(&b[j..]) {
-        *count += 1;
-        if *count > cap {
-            return false;
-        }
-        on_diff(k);
-    }
-    true
-}
-
-/// Collects the design variables differing between two solution keys
-/// into `vars` (sorted, deduplicated, ready for
-/// `Scheduler::schedule_hinted`). Returns `false` (leaving `vars`
-/// unspecified) when more than `cap` variables differ; the caller then
-/// re-expands the arena. Both keys store their variables sorted, so
-/// this is a linear slice walk.
-fn collect_key_delta(
-    prev: &MemoKey,
-    cur: &MemoKey,
-    cap: usize,
-    vars: &mut Vec<ChangedVar>,
-) -> bool {
-    vars.clear();
-    let mut count = 0usize;
-    let proc_var = |word: u64| ChangedVar::Proc {
-        spec: 0,
-        graph: (word >> 32) as usize,
-        node: NodeId(word as u32),
-    };
-    let within_cap = sym_diff(prev.mapping(), cur.mapping(), cap, &mut count, |k| {
-        vars.push(proc_var(k))
-    }) && sym_diff(prev.proc_gaps(), cur.proc_gaps(), cap, &mut count, |k| {
-        vars.push(proc_var(k))
-    }) && sym_diff(
-        prev.msg_slots(),
-        cur.msg_slots(),
-        cap,
-        &mut count,
-        |word: u64| {
-            vars.push(ChangedVar::Msg {
-                spec: 0,
-                graph: (word >> 32) as usize,
-                edge: EdgeId(word as u32),
-            })
-        },
-    );
-    if !within_cap {
-        return false;
-    }
-    // A remap and its hint reset touch the same process twice; the
-    // engine wants each variable once, in expansion order.
-    vars.sort_unstable();
-    vars.dedup();
-    true
-}
-
-/// The per-context evaluation engine state: baked frozen base, scheduler
-/// scratch, the C1 packer state and the last-result memo.
+/// The per-context evaluation engine state: baked frozen base, the
+/// scheduler bound to the context's application, the C1 packer state
+/// and the live run's result.
 #[derive(Debug, Default)]
-struct EvalEngine {
+struct EvalEngine<'a> {
     /// Lazily built (or injected) frozen base, shared via `Arc` when the
     /// caller reuses one bake across contexts.
     base: Option<Result<Arc<FrozenBase>, SchedError>>,
-    scheduler: Scheduler,
-    /// The memo: the last evaluation that missed it, with its cost. A
-    /// cost here is always the scheduler's live run. Kept apart from
-    /// `arena_key`: a miss that fails before scheduling (bad horizon,
-    /// failed bake) becomes the memo's last result but leaves the arena
-    /// as it was.
-    last: Option<(MemoKey, Result<DesignCost, SchedError>)>,
-    /// The solution the scheduler's job arena describes: what the patch
-    /// hint diffs candidates against.
-    arena_key: Option<MemoKey>,
-    /// Reused key allocation for the per-evaluation memo probe.
-    key_scratch: MemoKey,
+    /// Built on the first evaluation; a failed build (bad horizon,
+    /// failed bake) answers every evaluation with its error.
+    scheduler: Option<Result<Scheduler<'a>, SchedError>>,
+    /// The result of the scheduler's live run — the last evaluation's,
+    /// which answers a candidate the scheduler finds unchanged.
+    last: Option<Result<DesignCost, SchedError>>,
     /// C1 item runs and container scratch for the batched packer.
     c1: C1Cache,
-    /// Scratch for the collected solution diff (no per-eval allocation).
-    vars_scratch: Vec<ChangedVar>,
     /// Scratch for the live bus's free windows, read by every score.
     bus_windows: Vec<(Time, Time)>,
     /// The naive pipeline's last successful design (it keeps no live
@@ -361,28 +157,15 @@ struct EvalEngine {
     naive_kept: Option<Scored>,
 }
 
-impl EvalEngine {
-    /// The frozen base, baked on first use unless one was injected.
-    fn base(&mut self, ctx: &MappingContext<'_>) -> Result<&Arc<FrozenBase>, SchedError> {
-        self.base
-            .get_or_insert_with(|| FrozenBase::new(ctx.arch, ctx.frozen, ctx.horizon).map(Arc::new))
-            .as_ref()
-            .map_err(Clone::clone)
-    }
-
-    /// The memo's answer for `key`, if it is the last miss.
-    fn memo_hit(&self, key: &MemoKey) -> Option<&Result<DesignCost, SchedError>> {
-        self.last.as_ref().filter(|(k, _)| k == key).map(|(_, r)| r)
-    }
-
-    /// Makes `(key, result)` the memo's last result; returns the
-    /// displaced key's allocation for reuse.
-    fn memo_store(&mut self, key: MemoKey, result: Result<DesignCost, SchedError>) -> MemoKey {
-        self.last
-            .replace((key, result))
-            .map(|(k, _)| k)
-            .unwrap_or_default()
-    }
+/// The frozen base in `slot`, baked on first use unless one was
+/// injected.
+fn frozen_base<'s>(
+    slot: &'s mut Option<Result<Arc<FrozenBase>, SchedError>>,
+    ctx: &MappingContext<'_>,
+) -> Result<&'s Arc<FrozenBase>, SchedError> {
+    slot.get_or_insert_with(|| FrozenBase::new(ctx.arch, ctx.frozen, ctx.horizon).map(Arc::new))
+        .as_ref()
+        .map_err(Clone::clone)
 }
 
 /// The three evaluation counters, grouped so the engine functions can
@@ -394,86 +177,62 @@ struct EngineCounts {
     memo_hits: usize,
 }
 
-/// One memoized engine evaluation (the body of
-/// [`MappingContext::score`], over the context's borrowed engine and
-/// counters).
-fn engine_evaluate(
-    ctx: &MappingContext<'_>,
-    engine: &mut EvalEngine,
+/// One engine evaluation (the body of [`MappingContext::score`], over
+/// the context's borrowed engine and counters): run the scheduler on
+/// the candidate; if it re-placed, score the live timelines and keep
+/// the result, and if it found the candidate unchanged, answer with the
+/// kept result.
+fn engine_evaluate<'a>(
+    ctx: &MappingContext<'a>,
+    engine: &mut EvalEngine<'a>,
     counts: &mut EngineCounts,
     solution: &Solution,
 ) -> Result<DesignCost, SchedError> {
-    let lookup_scope = phase::scope(Phase::Memo);
-    let mut key = std::mem::take(&mut engine.key_scratch);
-    key.assign(solution);
-    if let Some(hit) = engine.memo_hit(&key) {
-        counts.memo_hits += 1;
-        counters::bump(Counter::MemoHits);
-        let result = hit.clone();
-        engine.key_scratch = key;
-        return result;
-    }
-    drop(lookup_scope);
-    let result = engine_evaluate_raw(ctx, engine, counts, solution, &key);
-    let _store_scope = phase::scope(Phase::Memo);
-    counters::bump(Counter::MemoInserts);
-    engine.key_scratch = engine.memo_store(key, result.clone());
-    result
-}
-
-/// One engine evaluation that missed the memo: patch or expand the
-/// arena, reset from the base, re-place, and score the live timelines.
-fn engine_evaluate_raw(
-    ctx: &MappingContext<'_>,
-    engine: &mut EvalEngine,
-    counts: &mut EngineCounts,
-    solution: &Solution,
-    key: &MemoKey,
-) -> Result<DesignCost, SchedError> {
-    let spec = AppSpec::new(ctx.app_id, ctx.app, &solution.mapping, &solution.hints);
-    {
-        let _expand = phase::scope(Phase::Expand);
-        // Validated before the base is consulted so error precedence
-        // matches the naive pipeline exactly.
-        check_horizon(&[spec], ctx.horizon)?;
-    }
-    let base = Arc::clone(engine.base(ctx)?);
     let EvalEngine {
+        base,
         scheduler,
-        arena_key,
+        last,
         c1,
-        vars_scratch,
         bus_windows,
         ..
     } = engine;
-    counts.raw_schedules += 1;
-    let hint = {
-        let _expand = phase::scope(Phase::Expand);
-        // The arena describes the previous raw schedule's solution,
-        // successful or not: the hint is the diff against it.
-        let patch = arena_key
-            .as_ref()
-            .is_some_and(|prev| collect_key_delta(prev, key, DELTA_MAX_CHANGED_VARS, vars_scratch));
-        arena_key
-            .get_or_insert_with(MemoKey::default)
-            .clone_from(key);
-        patch.then_some(vars_scratch.as_slice())
+    let scheduler = match scheduler.get_or_insert_with(|| {
+        // The horizon is checked before the base is baked, so error
+        // precedence matches the naive pipeline.
+        check_horizon([ctx.app], ctx.horizon)?;
+        let base = Arc::clone(frozen_base(base, ctx)?);
+        Scheduler::new(ctx.arch, base, &[(ctx.app_id, ctx.app)])
+    }) {
+        Ok(scheduler) => scheduler,
+        Err(e) => return Err(e.clone()),
     };
-    scheduler.run(ctx.arch, &[spec], &base, hint)?;
-    let _objective = phase::scope(Phase::Objective);
-    scheduler
-        .bus_timeline()
-        .expect("a run resets the bus")
-        .free_windows_into(bus_windows);
-    Ok(objective::evaluate_gaps(
-        ctx.arch,
-        ctx.horizon,
-        scheduler.pe_gaps(),
-        bus_windows,
-        ctx.future,
-        ctx.weights,
-        Some(c1),
-    ))
+    let run = scheduler.run(&[(&solution.mapping, &solution.hints)]);
+    if run.unchanged {
+        counts.memo_hits += 1;
+        counters::bump(Counter::MemoHits);
+        let kept = last
+            .clone()
+            .expect("an unchanged run repeats a kept result");
+        debug_assert_eq!(kept.as_ref().err(), run.result.as_ref().err());
+        return kept;
+    }
+    counts.raw_schedules += 1;
+    counters::bump(Counter::MemoInserts);
+    let result = run.result.map(|()| {
+        let _objective = phase::scope(Phase::Objective);
+        scheduler.bus_timeline().free_windows_into(bus_windows);
+        objective::evaluate_gaps(
+            ctx.arch,
+            ctx.horizon,
+            scheduler.pe_gaps(),
+            bus_windows,
+            ctx.future,
+            ctx.weights,
+            Some(c1),
+        )
+    });
+    *last = Some(result.clone());
+    result
 }
 
 /// Everything a strategy needs to evaluate design alternatives for one
@@ -497,7 +256,7 @@ pub struct MappingContext<'a> {
     pub weights: &'a Weights,
     counts: Cell<EngineCounts>,
     naive: bool,
-    engine: RefCell<EvalEngine>,
+    engine: RefCell<EvalEngine<'a>>,
 }
 
 impl<'a> MappingContext<'a> {
@@ -535,7 +294,7 @@ impl<'a> MappingContext<'a> {
 
     /// Switches this context to the naive evaluation pipeline
     /// (`schedule()` + `SlackProfile::from_table` +
-    /// `objective::evaluate`, no frozen-base reuse, no memo). The
+    /// `objective::evaluate`, no frozen-base or arena reuse). The
     /// results are identical to the engine path; this exists as the
     /// reference for differential tests and output checks.
     #[must_use]
@@ -601,10 +360,10 @@ impl<'a> MappingContext<'a> {
 
     /// The scored design of the last evaluation — its cost, slack
     /// profile and placements — which must have succeeded. On the
-    /// engine path that design is the scheduler's live run whether the
-    /// evaluation hit the memo or missed it, so this copies the live
-    /// timelines and placements out; the naive path returns the design
-    /// it kept. Not an evaluation.
+    /// engine path that design is the scheduler's live run, whether the
+    /// evaluation re-placed it or found it unchanged, so this copies the
+    /// live timelines and placements out; the naive path returns the
+    /// design it kept. Not an evaluation.
     ///
     /// # Panics
     ///
@@ -617,13 +376,13 @@ impl<'a> MappingContext<'a> {
                 .clone()
                 .expect("kept() follows a successful evaluation");
         }
-        let Some((_, Ok(cost))) = &engine.last else {
+        let (Some(Ok(cost)), Some(Ok(scheduler))) = (&engine.last, &engine.scheduler) else {
             panic!("kept() follows a successful evaluation");
         };
         Scored {
             cost: *cost,
-            slack: engine.scheduler.slack_profile(),
-            placements: engine.scheduler.placements(),
+            slack: scheduler.slack_profile(),
+            placements: scheduler.placements(),
         }
     }
 
@@ -652,13 +411,13 @@ impl<'a> MappingContext<'a> {
     }
 
     /// The frozen occupancy the initial mapping's probe starts from: the
-    /// baked base's timelines, an `Arc` bump per layer. The naive
-    /// pipeline keeps no base, so it bakes a transient one.
+    /// baked base's timelines. The naive pipeline keeps no base, so it
+    /// bakes a transient one.
     pub(crate) fn frozen_occupancy(&self) -> Result<(Vec<PeTimeline>, BusTimeline), SchedError> {
         let base = if self.naive {
             Arc::new(FrozenBase::new(self.arch, self.frozen, self.horizon)?)
         } else {
-            Arc::clone(self.engine.borrow_mut().base(self)?)
+            Arc::clone(frozen_base(&mut self.engine.borrow_mut().base, self)?)
         };
         Ok((base.pe_timelines(), base.bus_timeline()))
     }
@@ -699,7 +458,7 @@ impl<'a> MappingContext<'a> {
         result
     }
 
-    /// The reference pipeline (no base, no scratch, no memo). Keeps the
+    /// The reference pipeline (no base, no scratch, no reuse). Keeps the
     /// design of a successful run for [`kept`](Self::kept).
     fn evaluate_naive(&self, solution: &Solution) -> Result<Evaluation, SchedError> {
         let mut counts = self.counts.get();
@@ -720,20 +479,23 @@ impl<'a> MappingContext<'a> {
     }
 
     /// Number of schedule evaluations performed through this context
-    /// (every [`evaluate`](Self::evaluate) call, memo hit or not — the
-    /// historical semantics the paper tables rely on).
+    /// (every [`evaluate`](Self::evaluate) call, answered without
+    /// re-placing or not — the historical semantics the paper tables
+    /// rely on).
     pub fn evaluation_count(&self) -> usize {
         self.counts.get().evaluations
     }
 
-    /// Number of raw schedules actually executed: evaluations that
-    /// missed the memo and ran the scheduler. Always ≤
+    /// Number of raw schedules: evaluations whose candidate the
+    /// scheduler found changed, so it synced its arena and (unless that
+    /// failed) re-placed. Always ≤
     /// [`evaluation_count`](Self::evaluation_count) on the engine path.
     pub fn raw_schedule_count(&self) -> usize {
         self.counts.get().raw_schedules
     }
 
-    /// Number of evaluations answered from the solution memo.
+    /// Number of evaluations answered without re-placing: the candidate
+    /// equalled the last evaluated design.
     pub fn memo_hit_count(&self) -> usize {
         self.counts.get().memo_hits
     }
@@ -787,9 +549,10 @@ mod tests {
 
     #[test]
     fn observability_counters_pin_the_memo() {
-        // Evaluate A, A, B, A: the memo holds the last result only, so
-        // exactly the immediate repeat hits and the other three insert,
-        // pinned through the deterministic counter registry.
+        // Evaluate A, A, B, A: only a repeat of the last evaluated design
+        // is answered without re-placing, so exactly the immediate repeat
+        // hits and the other three run the scheduler, pinned through the
+        // deterministic counter registry.
         let arch = arch2();
         let mut g = ProcessGraph::new("g", Time::new(120), Time::new(120));
         g.add_process(
@@ -858,9 +621,10 @@ mod tests {
         sol
     }
 
-    /// `kept()` after a miss and after a memo hit is the design
-    /// `evaluate` returns — cost, slack profile and placements (through
-    /// their table) — on the engine and the naive path alike.
+    /// `kept()` after a re-placing evaluation and after one answered
+    /// without re-placing is the design `evaluate` returns — cost, slack
+    /// profile and placements (through their table) — on the engine and
+    /// the naive path alike.
     #[test]
     fn kept_matches_evaluate_after_miss_and_hit() {
         let arch = arch2();
@@ -927,7 +691,7 @@ mod tests {
     /// A mapping onto a PE the application lists a WCET for but the
     /// architecture lacks is refused, not scheduled past the timelines:
     /// on the naive path, on a fresh engine (arena expansion) and on an
-    /// engine whose arena is patched by a one-process remap.
+    /// engine whose patch of a one-process remap finds it.
     #[test]
     fn mapping_outside_the_architecture_is_not_allowed() {
         let arch = arch2();
@@ -960,9 +724,56 @@ mod tests {
         let before = counters::snapshot();
         assert_eq!(patched.evaluate(&outside).unwrap_err(), expected);
         let d = counters::snapshot().delta_since(&before);
-        assert_eq!(d.get(Counter::ArenaExpansions), 0, "the remap patches");
-        // The refused patch leaves the engine usable.
+        assert_eq!(d.get(Counter::ArenaExpansions), 0, "the patch refuses it");
+        // The refused patch leaves the engine usable: the next run
+        // expands.
+        let before = counters::snapshot();
         assert!(patched.evaluate(&solution([1, 0])).is_ok());
+        let d = counters::snapshot().delta_since(&before);
+        assert_eq!(d.get(Counter::ArenaExpansions), 1);
+    }
+
+    /// A horizon off the application's periods is checked before the
+    /// frozen table is baked, as the naive pipeline does, and a scheduler
+    /// that cannot be built answers every evaluation with that error.
+    #[test]
+    fn unbuildable_scheduler_answers_every_evaluation() {
+        let arch = arch2();
+        let app = one_proc_app();
+        let future = FutureProfile::slide_example();
+        let weights = Weights::default();
+        // A frozen table over another horizon fails the bake.
+        let frozen = ScheduleTable::empty(Time::new(60));
+        let new_ctx = || {
+            MappingContext::new(
+                &arch,
+                AppId(0),
+                &app,
+                Some(&frozen),
+                Time::new(100),
+                &future,
+                &weights,
+            )
+        };
+        let mut mapping = Mapping::new();
+        mapping.assign(ProcRef::new(0, NodeId(0)), PeId(0));
+        let sol = Solution::from_mapping(mapping);
+        let expected = SchedError::BadHorizon {
+            horizon: Time::new(100),
+        };
+        assert_eq!(
+            new_ctx()
+                .with_naive_evaluation()
+                .evaluate(&sol)
+                .unwrap_err(),
+            expected
+        );
+        let ctx = new_ctx();
+        for _ in 0..2 {
+            assert_eq!(ctx.evaluate(&sol).unwrap_err(), expected);
+        }
+        assert_eq!(ctx.raw_schedule_count(), 0);
+        assert_eq!(ctx.evaluation_count(), 2);
     }
 
     #[test]

@@ -27,7 +27,6 @@
 use crate::binpack::{unpacked_percent, CapacityHistogram, FitPolicy};
 use incdes_model::{Architecture, FutureProfile, Time};
 use incdes_obs::counters::{self, Counter};
-use incdes_sched::SlackProfile;
 
 /// C1 packing state for one evaluation context: the future item runs,
 /// rebuilt (bumping `c1_repacked`) whenever the future profile, the
@@ -53,27 +52,6 @@ impl C1Cache {
     /// An empty cache; the first evaluation populates it.
     pub fn new() -> Self {
         C1Cache::default()
-    }
-
-    /// The `(C1P, C1m)` terms of `slack`: [`c1_terms_of`] on its gap
-    /// lists.
-    ///
-    /// [`c1_terms_of`]: Self::c1_terms_of
-    pub fn c1_terms(
-        &mut self,
-        arch: &Architecture,
-        slack: &SlackProfile,
-        future: &FutureProfile,
-        policy: FitPolicy,
-    ) -> Option<(f64, f64)> {
-        self.c1_terms_of(
-            arch,
-            slack.horizon(),
-            slack.gap_lists(),
-            slack.bus_windows(),
-            future,
-            policy,
-        )
     }
 
     /// The `(C1P, C1m)` terms of a design whose slack is `pe_gaps` (each
@@ -130,8 +108,7 @@ mod tests {
     use super::*;
     use crate::criteria::{c1_messages, c1_processes};
     use incdes_model::{BusConfig, Histogram};
-    use incdes_sched::slack::GapList;
-    use std::sync::Arc;
+    use incdes_sched::SlackProfile;
 
     fn t(v: u64) -> Time {
         Time::new(v)
@@ -156,6 +133,24 @@ mod tests {
         )
     }
 
+    /// The C1 terms of `slack`, read through its gap slices.
+    fn terms(
+        cache: &mut C1Cache,
+        arch: &Architecture,
+        slack: &SlackProfile,
+        future: &FutureProfile,
+        policy: FitPolicy,
+    ) -> Option<(f64, f64)> {
+        cache.c1_terms_of(
+            arch,
+            slack.horizon(),
+            slack.gap_lists(),
+            slack.bus_windows(),
+            future,
+            policy,
+        )
+    }
+
     /// Hand-rolled profiles whose PE gaps, PE count and bus windows
     /// evolve: the cache must track exactly the full recomputation at
     /// every step, and rebuild its item runs only once.
@@ -165,36 +160,31 @@ mod tests {
         let future = profile();
         let mut cache = C1Cache::new();
 
-        let pe1: GapList = vec![(t(0), t(100))].into();
-        let bus: GapList = vec![(t(0), t(10)), (t(20), t(30))].into();
-        let mut steps: Vec<(Vec<GapList>, GapList)> = [
+        let pe1 = vec![(t(0), t(100))];
+        let bus = vec![(t(0), t(10)), (t(20), t(30))];
+        let mut steps: Vec<SlackProfile> = [
             vec![(t(0), t(480))],
             vec![(t(0), t(30)), (t(60), t(480))],
             vec![(t(0), t(30)), (t(60), t(400))],
             vec![(t(0), t(30)), (t(60), t(400))],
         ]
         .into_iter()
-        .map(|pe0| (vec![pe0.into(), Arc::clone(&pe1)], Arc::clone(&bus)))
+        .map(|pe0| SlackProfile::new(t(480), [pe0, pe1.clone()], bus.clone()))
         .collect();
         // A PE-count change, then a bus-window change.
-        steps.push((
-            vec![
-                vec![(t(0), t(45))].into(),
-                Arc::clone(&pe1),
-                vec![(t(5), t(25))].into(),
-            ],
-            Arc::clone(&bus),
+        steps.push(SlackProfile::new(
+            t(480),
+            [vec![(t(0), t(45))], pe1.clone(), vec![(t(5), t(25))]],
+            bus,
         ));
-        steps.push((
-            vec![vec![(t(0), t(45))].into(), Arc::clone(&pe1)],
-            vec![(t(0), t(4)), (t(40), t(50)), (t(60), t(62))].into(),
+        steps.push(SlackProfile::new(
+            t(480),
+            [vec![(t(0), t(45))], pe1],
+            vec![(t(0), t(4)), (t(40), t(50)), (t(60), t(62))],
         ));
         let before = counters::snapshot();
-        for (pes, bus) in steps {
-            let slack = SlackProfile::new(t(480), pes, bus);
-            let (c1p, c1m) = cache
-                .c1_terms(&arch, &slack, &future, FitPolicy::BestFit)
-                .unwrap();
+        for slack in steps {
+            let (c1p, c1m) = terms(&mut cache, &arch, &slack, &future, FitPolicy::BestFit).unwrap();
             assert_eq!(c1p, c1_processes(&slack, &future, FitPolicy::BestFit));
             assert_eq!(c1m, c1_messages(&arch, &slack, &future, FitPolicy::BestFit));
         }
@@ -208,9 +198,14 @@ mod tests {
     fn first_fit_reports_unsupported() {
         let arch = arch2();
         let slack = SlackProfile::new(t(480), vec![vec![], vec![]], vec![]);
-        assert!(C1Cache::new()
-            .c1_terms(&arch, &slack, &profile(), FitPolicy::FirstFit)
-            .is_none());
+        assert!(terms(
+            &mut C1Cache::new(),
+            &arch,
+            &slack,
+            &profile(),
+            FitPolicy::FirstFit
+        )
+        .is_none());
     }
 
     #[test]
@@ -223,9 +218,7 @@ mod tests {
             vec![(t(0), t(10))],
         );
         let mut cache = C1Cache::new();
-        let (c1p, c1m) = cache
-            .c1_terms(&arch, &slack, &future, FitPolicy::WorstFit)
-            .unwrap();
+        let (c1p, c1m) = terms(&mut cache, &arch, &slack, &future, FitPolicy::WorstFit).unwrap();
         assert_eq!(c1p, c1_processes(&slack, &future, FitPolicy::WorstFit));
         assert_eq!(
             c1m,
@@ -245,9 +238,7 @@ mod tests {
         );
         let mut cache = C1Cache::new();
         let small = profile();
-        let (c1p_small, _) = cache
-            .c1_terms(&arch, &slack, &small, FitPolicy::BestFit)
-            .unwrap();
+        let (c1p_small, _) = terms(&mut cache, &arch, &slack, &small, FitPolicy::BestFit).unwrap();
         assert_eq!(c1p_small, c1_processes(&slack, &small, FitPolicy::BestFit));
         // Same horizon/policy/PE count, very different demand.
         let big = FutureProfile::new(
@@ -257,9 +248,7 @@ mod tests {
             Histogram::point(t(200)),
             Histogram::point(4u32),
         );
-        let (c1p_big, _) = cache
-            .c1_terms(&arch, &slack, &big, FitPolicy::BestFit)
-            .unwrap();
+        let (c1p_big, _) = terms(&mut cache, &arch, &slack, &big, FitPolicy::BestFit).unwrap();
         assert_eq!(c1p_big, c1_processes(&slack, &big, FitPolicy::BestFit));
         assert_ne!(c1p_small, c1p_big, "the demand change must be visible");
     }
@@ -272,13 +261,9 @@ mod tests {
         let future = profile();
         let mut cache = C1Cache::new();
         let slack3 = SlackProfile::new(t(480), vec![vec![]; 3], vec![]);
-        cache
-            .c1_terms(&arch, &slack3, &future, FitPolicy::BestFit)
-            .unwrap();
+        terms(&mut cache, &arch, &slack3, &future, FitPolicy::BestFit).unwrap();
         let slack2 = SlackProfile::new(t(480), vec![vec![(t(0), t(480))]; 2], vec![]);
-        let (c1p, _) = cache
-            .c1_terms(&arch, &slack2, &future, FitPolicy::BestFit)
-            .unwrap();
+        let (c1p, _) = terms(&mut cache, &arch, &slack2, &future, FitPolicy::BestFit).unwrap();
         assert_eq!(c1p, c1_processes(&slack2, &future, FitPolicy::BestFit));
     }
 }

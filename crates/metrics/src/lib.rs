@@ -57,4 +57,4 @@ pub use c1cache::C1Cache;
 pub use criteria::{
     c1_messages, c1_processes, c2_intervals, c2_messages, c2_processes, c2_processes_of,
 };
-pub use objective::{evaluate, evaluate_gaps, evaluate_with_c1_delta, DesignCost, Weights};
+pub use objective::{evaluate, evaluate_gaps, DesignCost, Weights};

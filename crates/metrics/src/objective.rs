@@ -104,29 +104,6 @@ pub fn evaluate(
     )
 }
 
-/// [`evaluate`] with the C1 terms served by the batched packer:
-/// `cache` keeps the future items as `(size, count)` runs (see
-/// [`C1Cache`]) and packs them into this profile's containers, counted
-/// afresh on every call. The result is identical to [`evaluate`] for
-/// every policy (see [`evaluate_gaps`]).
-pub fn evaluate_with_c1_delta(
-    arch: &Architecture,
-    slack: &SlackProfile,
-    future: &FutureProfile,
-    weights: &Weights,
-    cache: &mut C1Cache,
-) -> DesignCost {
-    evaluate_gaps(
-        arch,
-        slack.horizon(),
-        slack.gap_lists(),
-        slack.bus_windows(),
-        future,
-        weights,
-        Some(cache),
-    )
-}
-
 /// The objective of one design, read from its slack as gap slices:
 /// `pe_gaps` yields each PE's idle intervals in PE order and
 /// `bus_windows` the free bus windows, all in time order over

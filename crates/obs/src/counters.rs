@@ -53,9 +53,11 @@ counters! {
     /// Retired, never bumped (reads 0): the run-record cache is gone.
     /// Kept registered for existing readers.
     RecordCacheHits => "record_cache_hits",
-    /// Evaluations answered from the solution memo.
+    /// Evaluations answered without re-placing: the scheduler found the
+    /// design equal to the last evaluated one.
     MemoHits => "memo_hits",
-    /// Evaluations that missed the memo and became its last result.
+    /// Evaluations that ran the scheduler on a changed design; their
+    /// result becomes the one kept for the next unchanged design.
     MemoInserts => "memo_inserts",
     /// Retired, never bumped (reads 0): C1 no longer patches containers
     /// by `Arc` identity. Kept registered for existing readers.
@@ -103,9 +105,11 @@ counters! {
     ScenarioRetries => "scenario_retries",
     /// Campaigns that entered store-degraded (compute-through) mode.
     DegradedMode => "degraded_mode",
-    /// Job arenas patched in place from a changed-variable hint.
+    /// Runs whose scheduler found the design changed and patched its
+    /// job arena in place.
     ArenaPatched => "arena_patched",
-    /// Job arenas rebuilt by a full expansion.
+    /// Runs whose scheduler wrote its whole job arena from the design:
+    /// its first run, and the first after a run whose sync failed.
     ArenaExpansions => "arena_expansions",
     /// Schedule tables built from a run's placements by the one merge
     /// routine: one per design a caller receives, none per evaluation.

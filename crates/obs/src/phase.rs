@@ -47,8 +47,9 @@ macro_rules! phases {
 }
 
 phases! {
-    /// Preparing a raw schedule: spec assembly, the horizon check, the
-    /// solution diff, and patching or expanding the job arena.
+    /// Preparing a raw schedule: the scheduler's diff of the design
+    /// against its job arena, and patching or expanding the arena (an
+    /// unchanged design ends here).
     Expand => "expand",
     /// Resetting the timelines from the frozen base and list-scheduling
     /// the current application. No table is assembled here: tables are
@@ -64,8 +65,6 @@ phases! {
     /// Recomputing a graph's priorities after a cost change (nested
     /// inside `Expand`, so not summed with the other phases).
     PriorityRefresh => "priority_refresh",
-    /// Solution-memo lookup and insert bookkeeping.
-    Memo => "memo",
 }
 
 /// Histogram buckets: bucket `b` holds durations with

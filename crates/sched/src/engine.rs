@@ -4,34 +4,41 @@
 //! scenario, and every alternative shares the same *frozen* part: the
 //! existing applications' jobs and messages, which requirement (a) of
 //! the paper forbids touching. The plain [`crate::schedule`] entry point
-//! re-replays and re-validates that frozen schedule — and re-sorts its
-//! messages, re-allocates every timeline, and re-computes priorities —
-//! on every call.
+//! re-replays and re-validates that frozen schedule — and lays out a
+//! fresh job arena — on every call.
 //!
 //! This module splits the work in two:
 //!
 //! * [`FrozenBase`] replays and validates the frozen schedule **once**,
 //!   baking the frozen-only per-PE free gaps and a [`BusTimeline`]
 //!   occupancy snapshot.
-//! * [`Scheduler`] holds reusable scratch arenas (job records, a flat
-//!   successor table, the ready queue, a per-graph priority cache keyed
-//!   by the priorities' cost inputs) and runs every evaluation in the
-//!   same three steps:
-//!   1. **patch** the job arena in place from the caller's
-//!      changed-variable hint ([`ChangedVar`]) — or **expand** it from
-//!      scratch when no hint applies;
+//! * [`Scheduler`] is bound to one architecture, one base and one set of
+//!   current applications. It lays out its job arena once (job records,
+//!   a flat successor table, the ready queue, a per-graph priority
+//!   cache) and is the one owner of what changed between runs: each run
+//!   hands it only the design variables, and it answers in three steps:
+//!   1. **sync** the arena with the design: one pass in key order over
+//!      the mapping, the non-zero gap hints and the non-zero slot hints,
+//!      compared with the arena's own records (each process's PE, the
+//!      non-zero hints it holds), **patches** whatever differs and
+//!      refreshes the priorities of remapped graphs. The first run, and
+//!      the first after a run whose sync failed, **expands** the arena
+//!      instead: every record is written from the design;
 //!   2. **reset** the timelines from the base: a copy of each PE's
 //!      frozen gap list and of the bus's per-occurrence fill;
 //!   3. **re-place** the whole current application with the list
 //!      scheduler.
+//!
+//!   A design equal to the last list-scheduled run's is answered with
+//!   that run's outcome after step 1, without re-placing.
 //!
 //! A failed run needs no rollback: the next run resets from the base.
 //! Debug builds re-expand every patched arena from scratch and assert
 //! that the two agree.
 //!
 //! The list-scheduling loop touches no application data. Each graph's
-//! out-edges are expanded once per arena into a flat successor table
-//! of `(target node, edge, transmission time, slot hint)` records, and
+//! out-edges are laid out once into a flat successor table of
+//! `(target node, edge, transmission time, slot hint)` records, and
 //! each job record stores its instance's first arena index and its
 //! node's slice of that table: a successor is one add away, and a
 //! message's duration and slot hint are one load. The ready queue is a
@@ -41,30 +48,29 @@
 //! deadline, so a released successor is never more urgent than the job
 //! that released it. Entries of equal urgency sit in a small binary
 //! heap under the tie-break, so the pop order is the one a single
-//! binary heap over [`ReadyEntry`]'s order gives.
+//! binary heap over the entries' order (urgency, then the longer
+//! critical path, the earlier ready time, the smaller job index) gives.
 //!
-//! [`Scheduler::run`] is the one run path, and it leaves its result
-//! live in the scheduler: the timelines and the placements (jobs in
-//! step order, messages in emission order) stay as the run left them
-//! until the next run. A search scores a design straight from the live
-//! gaps ([`Scheduler::pe_gaps`], [`Scheduler::bus_timeline`]) and copies
-//! out a [`SlackProfile`] ([`Scheduler::slack_profile`]) and
-//! [`Placements`] ([`Scheduler::placements`]) only for a design it
-//! keeps. The entry points that return results build them from the
-//! live state after their run: [`Scheduler::schedule_hinted`] the
-//! profile and placements, the table-returning calls the canonical
-//! [`ScheduleTable`] (one sort of the placements merged with the frozen
-//! table's canonical sequences, as [`FrozenBase::materialize`] does).
+//! [`Scheduler::run`] leaves its result live in the scheduler: the
+//! timelines and the placements (jobs in step order, messages in
+//! emission order) stay as the run left them until the next run that
+//! re-places. A search scores a design straight from the live gaps
+//! ([`Scheduler::pe_gaps`], [`Scheduler::bus_timeline`]) and copies out
+//! a [`SlackProfile`] ([`Scheduler::slack_profile`]) and [`Placements`]
+//! ([`Scheduler::placements`]) only for a design it keeps. The
+//! canonical [`ScheduleTable`] ([`Scheduler::table`],
+//! [`FrozenBase::materialize`]) is one sort of the placements merged
+//! with the frozen table's canonical sequences.
 
 use crate::job::JobId;
-use crate::list::{AppSpec, SchedError};
-use crate::mapping::MsgRef;
+use crate::list::SchedError;
+use crate::mapping::{Hints, Mapping, MsgRef};
 use crate::pe_timeline::PeTimeline;
 use crate::priority::PriorityCosts;
 use crate::slack::SlackProfile;
 use crate::table::{frame_replay_order, ScheduleTable, ScheduledJob, ScheduledMessage};
-use incdes_graph::EdgeId;
-use incdes_model::{AppId, Architecture, PeId, ProcRef, Time};
+use incdes_graph::{EdgeId, NodeId};
+use incdes_model::{AppId, Application, Architecture, PeId, ProcRef, Time};
 use incdes_obs::counters::{self, Counter};
 use incdes_obs::phase::{self, Phase};
 use incdes_tdma::BusTimeline;
@@ -73,18 +79,22 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Checks that `horizon` is positive and a multiple of every graph
-/// period of `apps` — the per-call half of [`crate::schedule`]'s input
-/// validation (the bus-cycle half is checked once by [`FrozenBase`]).
+/// period of `apps` — the application half of [`crate::schedule`]'s
+/// input validation (the bus-cycle half is checked once by
+/// [`FrozenBase`]).
 ///
 /// # Errors
 ///
 /// [`SchedError::BadHorizon`] on violation.
-pub fn check_horizon(apps: &[AppSpec<'_>], horizon: Time) -> Result<(), SchedError> {
+pub fn check_horizon<'x>(
+    apps: impl IntoIterator<Item = &'x Application>,
+    horizon: Time,
+) -> Result<(), SchedError> {
     if horizon.is_zero() {
         return Err(SchedError::BadHorizon { horizon });
     }
-    for spec in apps {
-        for g in &spec.app.graphs {
+    for app in apps {
+        for g in &app.graphs {
             if g.period.is_zero() || !(horizon % g.period).is_zero() {
                 return Err(SchedError::BadHorizon { horizon });
             }
@@ -237,12 +247,11 @@ impl FrozenBase {
 /// (pop) order and every message in emission order, copied out of the
 /// scheduler for a design the search keeps; the canonical
 /// [`ScheduleTable`] is built from it only on demand
-/// ([`materialize`](Self::materialize)). Cloning is two reference-count
-/// bumps.
+/// ([`materialize`](Self::materialize)).
 #[derive(Debug, Clone)]
 pub struct Placements {
-    jobs: Arc<[ScheduledJob]>,
-    msgs: Arc<[ScheduledMessage]>,
+    jobs: Vec<ScheduledJob>,
+    msgs: Vec<ScheduledMessage>,
 }
 
 impl Placements {
@@ -303,31 +312,18 @@ fn materialize(
     )
 }
 
-/// A design variable that changed between two evaluated solutions,
-/// passed to [`Scheduler::run`] so the job arena can be
-/// patched instead of rebuilt. Sorted order (`spec`, `graph`,
-/// `node`/`edge`) matches expansion order, which keeps error reporting
-/// identical to a full expansion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum ChangedVar {
-    /// The mapping (PE) and/or gap hint of one process changed.
-    Proc {
-        /// Index of the owning `AppSpec`.
-        spec: usize,
-        /// Graph index inside the application.
-        graph: usize,
-        /// The process node.
-        node: incdes_graph::NodeId,
-    },
-    /// The slot hint of one message changed.
-    Msg {
-        /// Index of the owning `AppSpec`.
-        spec: usize,
-        /// Graph index inside the application.
-        graph: usize,
-        /// The message edge.
-        edge: incdes_graph::EdgeId,
-    },
+/// The answer of one [`Scheduler::run`].
+#[must_use]
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Run {
+    /// The run's outcome: the list scheduler's, or the error that
+    /// stopped the arena sync ([`SchedError::MappingIncomplete`],
+    /// [`SchedError::NotAllowed`]).
+    pub result: Result<(), SchedError>,
+    /// True when the design equals the last list-scheduled run's:
+    /// `result` repeats that run's outcome, nothing was re-placed, and
+    /// the live state is still that run's.
+    pub unchanged: bool,
 }
 
 /// Internal per-job scheduling state (one expanded process instance).
@@ -525,29 +521,46 @@ impl ReadyQueue {
     }
 }
 
-/// Cached partial-critical-path priorities of one graph slot, keyed by
-/// the exact cost inputs ([`PriorityCosts`]) the priorities are a pure
-/// function of — so the cache stays sound even when one `Scheduler` is
-/// reused across different applications or architectures (an assignment
-/// vector alone would alias graphs with different WCETs or topology).
-#[derive(Default)]
-struct PrioEntry {
+/// One graph's place in the arena, with its cached partial-critical-path
+/// priorities and the cost inputs ([`PriorityCosts`]) they were computed
+/// from: a remap whose costs come out unchanged (a PE with the same
+/// WCET, no change in which edges cross PEs) keeps them without a
+/// recompute.
+struct GraphSlot {
+    /// Arena index of the graph's first job (instance 0, node 0); job
+    /// `(k, n)` sits `k × nodes + n` after it.
+    first_job: usize,
+    /// Instances of the graph over the horizon.
+    instances: usize,
+    /// The graph's first entry in `Scheduler::edge_succs`.
+    first_edge: usize,
     costs: PriorityCosts,
     prio: Vec<Time>,
 }
 
-/// The reusable scheduling engine: scratch arenas for the job records,
-/// the successor table, the ready queue and the timelines.
+/// The scheduling engine, bound to one architecture, one frozen base and
+/// one set of current applications for its lifetime: the job arena, the
+/// successor table, the ready queue and the timelines are laid out for
+/// them once and reused by every run.
 ///
-/// One `Scheduler` serves any number of evaluations; it is cheap to
-/// construct but profitable to keep, since all per-evaluation arenas
-/// (job records, ready queue, timelines, priority cache) are reused.
-#[derive(Default)]
-pub struct Scheduler {
+/// A run hands it only the design variables, one `(mapping, hints)`
+/// pair per application; the scheduler finds what changed since the
+/// last run itself (see the module docs).
+pub struct Scheduler<'a> {
+    arch: &'a Architecture,
+    base: Arc<FrozenBase>,
+    apps: Vec<(AppId, &'a Application)>,
     jobs: Vec<JobRec>,
-    /// Every graph's out-edges, node by node, expanded with the arena;
-    /// each [`JobRec`] names its node's slice.
+    /// Every graph's out-edges, node by node; each [`JobRec`] names its
+    /// node's slice.
     succs: Vec<SuccRec>,
+    /// Every graph's edges in id order, as indices into `succs`: the
+    /// edge-indexed view the slot-hint sync walks.
+    edge_succs: Vec<u32>,
+    /// One slot per graph, applications in order.
+    graphs: Vec<GraphSlot>,
+    /// Per application, the non-zero hints the arena holds.
+    held: Vec<HeldHints>,
     /// Dynamic per-job state, parallel to `jobs`: the earliest time the
     /// job's input data is available in the current run. Structure-of-
     /// arrays on purpose — see [`JobRec`].
@@ -555,156 +568,419 @@ pub struct Scheduler {
     /// Dynamic per-job state, parallel to `jobs`: predecessors not yet
     /// placed in the current run.
     preds_remaining: Vec<u32>,
-    /// Static per-job values parallel to `jobs`, filled by `expand`:
-    /// release times and in-degrees. Every run resets `ready` and
-    /// `preds_remaining` from these with two flat copies.
+    /// Static per-job values parallel to `jobs`: release times and
+    /// in-degrees. Every run resets `ready` and `preds_remaining` from
+    /// these with two flat copies.
     releases: Vec<Time>,
     in_degs: Vec<u32>,
-    /// Flattened per-(spec, graph) base index into `jobs`.
-    graph_bases: Vec<usize>,
-    /// Offset of each spec's first graph in `graph_bases`.
-    spec_offsets: Vec<usize>,
     queue: ReadyQueue,
     pes: Vec<PeTimeline>,
-    bus: Option<BusTimeline>,
-    /// Priority cache, flattened parallel to `graph_bases`.
-    prio_cache: Vec<PrioEntry>,
+    bus: BusTimeline,
     assign_scratch: Vec<Option<PeId>>,
     cost_scratch: PriorityCosts,
     /// The last run's jobs in step order.
     placed: Vec<ScheduledJob>,
     /// The last run's messages in emission order.
     msgs: Vec<ScheduledMessage>,
-    /// Job-arena provenance: `(app pointer, id)` per spec plus the
-    /// horizon the arena was expanded for. A hinted run patches the
-    /// arena only when these match exactly (same `Application` objects,
-    /// so the only possible differences are the changed variables the
-    /// caller lists).
-    arena_apps: Vec<(usize, AppId)>,
-    arena_horizon: Time,
-    arena_valid: bool,
+    /// The outcome of the last list-scheduled run, kept exactly while
+    /// the arena describes that run's design: `None` before the first
+    /// run and after a run whose sync failed, which makes the next run
+    /// expand.
+    outcome: Option<Result<(), SchedError>>,
     raw_schedules: usize,
 }
 
-impl std::fmt::Debug for Scheduler {
+impl std::fmt::Debug for Scheduler<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scheduler")
+            .field("apps", &self.apps.len())
+            .field("jobs", &self.jobs.len())
             .field("raw_schedules", &self.raw_schedules)
             .finish_non_exhaustive()
     }
 }
 
-impl Scheduler {
-    /// A fresh engine with empty scratch arenas.
-    pub fn new() -> Self {
-        Scheduler::default()
+impl<'a> Scheduler<'a> {
+    /// A scheduler for `apps` on top of `base`, which must have been
+    /// baked for `arch`. Lays out the job arena: every job's identity,
+    /// release and deadline, and every graph's successor table. The
+    /// design-dependent fields are written by the first run.
+    ///
+    /// # Errors
+    ///
+    /// [`SchedError::BadHorizon`] if the base's horizon is not a
+    /// multiple of every graph period of `apps`.
+    pub fn new(
+        arch: &'a Architecture,
+        base: Arc<FrozenBase>,
+        apps: &[(AppId, &'a Application)],
+    ) -> Result<Self, SchedError> {
+        let horizon = base.horizon;
+        check_horizon(apps.iter().map(|&(_, app)| app), horizon)?;
+        debug_assert_eq!(arch.pe_count(), base.pe_count(), "base built for this arch");
+        let mut jobs = Vec::new();
+        let mut succs = Vec::new();
+        let mut edge_succs = Vec::new();
+        let mut graphs = Vec::new();
+        let mut releases = Vec::new();
+        let mut in_degs = Vec::new();
+        for &(id, app) in apps {
+            for (gi, g) in app.graphs.iter().enumerate() {
+                let dag = g.dag();
+                let first_edge = edge_succs.len();
+                let instances = horizon.ticks() / g.period.ticks();
+                graphs.push(GraphSlot {
+                    first_job: jobs.len(),
+                    instances: instances as usize,
+                    first_edge,
+                    costs: PriorityCosts::default(),
+                    prio: Vec::new(),
+                });
+                // The graph's successor table, shared by its instances.
+                let succ_base =
+                    u32::try_from(succs.len()).expect("successor table indices fit in u32");
+                edge_succs.resize(first_edge + dag.edge_count(), 0);
+                for n in dag.node_ids() {
+                    for &e in dag.out_edges(n) {
+                        edge_succs[first_edge + e.index()] = succs.len() as u32;
+                        succs.push(SuccRec {
+                            tx: arch.bus().transmission_time(g.message(e).bytes),
+                            target: dag.target(e).index() as u32,
+                            slot: 0,
+                            edge: e,
+                        });
+                    }
+                }
+                for k in 0..instances as u32 {
+                    let release = Time::new(k as u64 * g.period.ticks());
+                    let deadline = release + g.deadline;
+                    let inst_base =
+                        u32::try_from(jobs.len()).expect("job arena indices fit in u32");
+                    let mut succ_lo = succ_base;
+                    for n in dag.node_ids() {
+                        let succ_hi = succ_lo + dag.out_degree(n) as u32;
+                        jobs.push(JobRec {
+                            id: JobId::new(id, gi, k, n),
+                            pe: PeId(0),
+                            wcet: Time::ZERO,
+                            release,
+                            deadline,
+                            priority: Time::ZERO,
+                            gap_hint: 0,
+                            inst_base,
+                            succ_lo,
+                            succ_hi,
+                        });
+                        releases.push(release);
+                        in_degs.push(dag.in_degree(n) as u32);
+                        succ_lo = succ_hi;
+                    }
+                }
+            }
+        }
+        Ok(Scheduler {
+            arch,
+            apps: apps.to_vec(),
+            pes: base.pe_timelines(),
+            bus: base.bus_timeline(),
+            base,
+            jobs,
+            succs,
+            edge_succs,
+            graphs,
+            held: apps.iter().map(|_| HeldHints::default()).collect(),
+            ready: Vec::new(),
+            preds_remaining: Vec::new(),
+            releases,
+            in_degs,
+            queue: ReadyQueue::default(),
+            assign_scratch: Vec::new(),
+            cost_scratch: PriorityCosts::default(),
+            placed: Vec::new(),
+            msgs: Vec::new(),
+            outcome: None,
+            raw_schedules: 0,
+        })
     }
 
-    /// Number of raw schedules this engine has executed (every call
-    /// that got past input validation).
+    /// Number of runs that list-scheduled a design (an unchanged design
+    /// and a failed sync re-place nothing).
     pub fn raw_schedule_count(&self) -> usize {
         self.raw_schedules
     }
 
-    /// Schedules `apps` on top of `base`, reusing the scratch arenas.
-    /// Produces exactly the table [`crate::schedule`] would produce for
-    /// the same inputs.
+    /// Schedules the design `designs` — one `(mapping, hints)` pair per
+    /// application, in the order the scheduler was built with — on top
+    /// of the base: sync the arena, reset the timelines and list-schedule
+    /// every job. The result stays live until the next run that
+    /// re-places: read it through [`pe_gaps`](Self::pe_gaps),
+    /// [`bus_timeline`](Self::bus_timeline),
+    /// [`placements`](Self::placements),
+    /// [`slack_profile`](Self::slack_profile) and
+    /// [`table`](Self::table). A failed run leaves a partial schedule
+    /// there, which the next run resets.
     ///
-    /// # Errors
+    /// A design equal to the last list-scheduled run's is answered with
+    /// a clone of that run's outcome and [`Run::unchanged`] set. A run
+    /// whose sync fails (an unmapped process, a PE the process may not
+    /// run on) returns that error and leaves the arena to be expanded
+    /// by the next run.
     ///
-    /// As [`crate::schedule`].
-    pub fn schedule(
-        &mut self,
-        arch: &Architecture,
-        apps: &[AppSpec<'_>],
-        base: &FrozenBase,
-    ) -> Result<ScheduleTable, SchedError> {
-        self.run(arch, apps, base, None)?;
-        Ok(self.table(base))
-    }
-
-    /// Like [`schedule`](Self::schedule) but also derives the slack
-    /// profile from the live timelines. The profile is identical to
-    /// [`SlackProfile::from_table`] on the returned table.
+    /// # Panics
     ///
-    /// # Errors
-    ///
-    /// As [`crate::schedule`].
-    pub fn schedule_with_slack(
-        &mut self,
-        arch: &Architecture,
-        apps: &[AppSpec<'_>],
-        base: &FrozenBase,
-    ) -> Result<(ScheduleTable, SlackProfile), SchedError> {
-        self.run(arch, apps, base, None)?;
-        Ok((self.table(base), self.slack_profile()))
-    }
-
-    /// A hinted [`run`](Self::run), returning the current placements and
-    /// the slack profile ([`FrozenBase::materialize`] builds the table
-    /// when a caller needs one).
-    ///
-    /// # Errors
-    ///
-    /// As [`crate::schedule`].
-    pub fn schedule_hinted(
-        &mut self,
-        arch: &Architecture,
-        apps: &[AppSpec<'_>],
-        base: &FrozenBase,
-        changed: Option<&[ChangedVar]>,
-    ) -> Result<(Placements, SlackProfile), SchedError> {
-        self.run(arch, apps, base, changed)?;
-        Ok((self.placements(), self.slack_profile()))
-    }
-
-    /// The one run path: patch or expand the arena, reset the timelines
-    /// from `base`, and list-schedule every job of `apps`. The result
-    /// stays live until the next run: read it through
-    /// [`pe_gaps`](Self::pe_gaps), [`bus_timeline`](Self::bus_timeline),
-    /// [`placements`](Self::placements) and
-    /// [`slack_profile`](Self::slack_profile). A failed run leaves a
-    /// partial schedule there, which the next run resets.
-    ///
-    /// `changed` is the hint that lets the job arena be patched instead
-    /// of rebuilt: it must list **every** design variable (process
-    /// mapping/gap hint, message slot hint) that differs from the
-    /// previous call, in sorted order, and `apps` must reference the
-    /// *same* `Application` objects on the same architecture as the
-    /// previous call (the arena holds priorities and message
-    /// transmission times derived from both). The arena is
-    /// re-expanded (with identical results) when `changed` is `None` or
-    /// the arena's provenance does not match.
-    ///
-    /// # Errors
-    ///
-    /// As [`crate::schedule`].
-    pub fn run(
-        &mut self,
-        arch: &Architecture,
-        apps: &[AppSpec<'_>],
-        base: &FrozenBase,
-        changed: Option<&[ChangedVar]>,
-    ) -> Result<(), SchedError> {
-        check_horizon(apps, base.horizon)?;
-        debug_assert_eq!(arch.pe_count(), base.pe_count(), "base built for this arch");
-        self.raw_schedules += 1;
+    /// Panics unless `designs` holds one pair per application.
+    pub fn run(&mut self, designs: &[(&Mapping, &Hints)]) -> Run {
+        assert_eq!(designs.len(), self.apps.len(), "one design per application");
         {
             let _expand = phase::scope(Phase::Expand);
-            let patched = match changed {
-                Some(vars) => self.expand_incremental(arch, apps, base.horizon, vars)?,
-                None => false,
-            };
-            if patched {
-                counters::bump(Counter::ArenaPatched);
-            } else {
-                self.expand(arch, apps, base.horizon)?;
-                counters::bump(Counter::ArenaExpansions);
+            let last = self.outcome.take();
+            match (self.sync(designs, last.is_none()), last) {
+                (Err(e), _) => {
+                    return Run {
+                        result: Err(e),
+                        unchanged: false,
+                    }
+                }
+                (Ok(false), Some(last)) => {
+                    self.outcome = Some(last.clone());
+                    return Run {
+                        result: last,
+                        unchanged: true,
+                    };
+                }
+                (Ok(_), None) => counters::bump(Counter::ArenaExpansions),
+                (Ok(true), Some(_)) => {
+                    counters::bump(Counter::ArenaPatched);
+                    #[cfg(debug_assertions)]
+                    self.debug_verify_patch(designs);
+                }
             }
         }
+        self.raw_schedules += 1;
+        let result = self.replace();
+        self.outcome = Some(result.clone());
+        Run {
+            result,
+            unchanged: false,
+        }
+    }
 
+    /// Each PE's live free gaps, in PE order: the last run's slack,
+    /// uncopied.
+    pub fn pe_gaps(&self) -> impl ExactSizeIterator<Item = &[(Time, Time)]> + Clone {
+        self.pes.iter().map(PeTimeline::gaps)
+    }
+
+    /// The live bus occupancy.
+    pub fn bus_timeline(&self) -> &BusTimeline {
+        &self.bus
+    }
+
+    /// The current applications' placements of the last run, copied
+    /// out of the live state.
+    pub fn placements(&self) -> Placements {
+        Placements {
+            jobs: self.placed.clone(),
+            msgs: self.msgs.clone(),
+        }
+    }
+
+    /// The canonical table of the base plus the last run's placements.
+    pub fn table(&self) -> ScheduleTable {
+        materialize(&self.placed, &self.msgs, &self.base.frozen)
+    }
+
+    /// The slack of the last run, copied out of the live timelines:
+    /// every PE's gap list and the bus fill's free windows.
+    pub fn slack_profile(&self) -> SlackProfile {
+        let _slack = phase::scope(Phase::Slack);
+        counters::add(Counter::SlackGapsMaterialized, self.pes.len() as u64);
+        SlackProfile::new(
+            self.bus.horizon(),
+            self.pes.iter().map(PeTimeline::gaps),
+            self.bus.free_windows(),
+        )
+    }
+
+    /// Step 1 of a run: brings the arena in line with `designs`. Per
+    /// application, one pass in key order walks the mapping beside each
+    /// process's record (instance 0): a process whose PE differs has
+    /// every instance remapped, and a graph with a remapped process
+    /// refreshes its priorities. Then the non-zero gap and slot hints
+    /// are walked beside the ones the arena holds: a process whose gap
+    /// hint differs has every instance rewritten, a message whose slot
+    /// hint differs has its successor record rewritten (found through
+    /// the edge-indexed view of the successor table). No lookup runs
+    /// per process or edge. Entries for processes or messages the
+    /// applications do not have are skipped, as a full expansion
+    /// ignores them.
+    ///
+    /// With `full`, every process and graph counts as changed and every
+    /// hint as unset: the arena is rebuilt from the design alone,
+    /// whatever it held (an expansion). Returns whether anything
+    /// changed.
+    ///
+    /// # Errors
+    ///
+    /// [`SchedError::MappingIncomplete`] or [`SchedError::NotAllowed`]
+    /// for the first offending process in expansion order (unchanged
+    /// processes were valid when last written). The arena is then left
+    /// part-synced; the caller expands on the next run.
+    fn sync(&mut self, designs: &[(&Mapping, &Hints)], full: bool) -> Result<bool, SchedError> {
+        let Scheduler {
+            arch,
+            apps,
+            jobs,
+            succs,
+            edge_succs,
+            graphs,
+            held,
+            assign_scratch,
+            cost_scratch,
+            ..
+        } = self;
+        if full {
+            for s in succs.iter_mut() {
+                s.slot = 0;
+            }
+        }
+        let mut changed = false;
+        let mut first_graph = 0;
+        for ((&(id, app), &(mapping, hints)), held) in apps.iter().zip(designs).zip(held) {
+            let app_graphs = first_graph..first_graph + app.graphs.len();
+            first_graph = app_graphs.end;
+            let mut entries = mapping.iter();
+            let mut entry = entries.next();
+            for ((gi, g), slot) in app
+                .graphs
+                .iter()
+                .enumerate()
+                .zip(&mut graphs[app_graphs.clone()])
+            {
+                let nodes = g.process_count();
+                let mut remapped = full;
+                for n in 0..nodes {
+                    let node = NodeId(n as u32);
+                    let pr = ProcRef::new(gi, node);
+                    while entry.is_some_and(|(k, _)| k < pr) {
+                        entry = entries.next();
+                    }
+                    let pe = match entry {
+                        Some((k, pe)) if k == pr => {
+                            entry = entries.next();
+                            Some(pe)
+                        }
+                        _ => None,
+                    };
+                    if !full && pe == Some(jobs[slot.first_job + n].pe) {
+                        continue;
+                    }
+                    let pe = pe.ok_or(SchedError::MappingIncomplete {
+                        app: id,
+                        proc_ref: pr,
+                    })?;
+                    let wcet = allowed_wcet(arch, g, node, pe).ok_or(SchedError::NotAllowed {
+                        app: id,
+                        proc_ref: pr,
+                        pe,
+                    })?;
+                    changed = true;
+                    remapped = true;
+                    for k in 0..slot.instances {
+                        let j = &mut jobs[slot.first_job + k * nodes + n];
+                        j.pe = pe;
+                        j.wcet = wcet;
+                        if full {
+                            j.gap_hint = 0;
+                        }
+                    }
+                }
+                // Priorities are a pure function of the graph's mapping
+                // (node WCETs on the assigned PEs, edge same-PE-ness), so
+                // a hint change cannot move them. Every successful sync
+                // leaves a graph's jobs holding `slot.prio`, so unchanged
+                // costs need no rewrite unless expanding.
+                if remapped {
+                    assign_scratch.clear();
+                    assign_scratch
+                        .extend(jobs[slot.first_job..][..nodes].iter().map(|j| Some(j.pe)));
+                    cost_scratch.fill(arch, g, assign_scratch);
+                    let stale = slot.costs != *cost_scratch;
+                    if stale {
+                        let _refresh = phase::scope(Phase::PriorityRefresh);
+                        slot.prio = cost_scratch.priorities(g);
+                        std::mem::swap(&mut slot.costs, cost_scratch);
+                    }
+                    if stale || full {
+                        let graph_jobs = &mut jobs[slot.first_job..][..slot.instances * nodes];
+                        for (j, &p) in graph_jobs.iter_mut().zip(slot.prio.iter().cycle()) {
+                            j.priority = p;
+                        }
+                    }
+                }
+            }
+
+            if full {
+                held.gaps.clear();
+                held.slots.clear();
+            }
+            let app_graphs = &graphs[app_graphs];
+            diff_hints(&mut held.gaps, hints.proc_gaps(), |pr, hint| {
+                let (Some(g), Some(slot)) = (app.graphs.get(pr.graph), app_graphs.get(pr.graph))
+                else {
+                    return;
+                };
+                let (n, nodes) = (pr.node.index(), g.process_count());
+                if n < nodes {
+                    for k in 0..slot.instances {
+                        jobs[slot.first_job + k * nodes + n].gap_hint = hint;
+                    }
+                    changed = true;
+                }
+            });
+            diff_hints(&mut held.slots, hints.msg_slots(), |mr, hint| {
+                let (Some(g), Some(slot)) = (app.graphs.get(mr.graph), app_graphs.get(mr.graph))
+                else {
+                    return;
+                };
+                if mr.edge.index() < g.dag().edge_count() {
+                    succs[edge_succs[slot.first_edge + mr.edge.index()] as usize].slot = hint;
+                    changed = true;
+                }
+            });
+        }
+        Ok(changed)
+    }
+
+    /// Debug-build oracle for a patching [`sync`](Self::sync):
+    /// snapshots the patched arena, re-expands it from the same design
+    /// and asserts equality. The differential fuzz suite drives this on
+    /// every patched run.
+    #[cfg(debug_assertions)]
+    fn debug_verify_patch(&mut self, designs: &[(&Mapping, &Hints)]) {
+        let jobs = self.jobs.clone();
+        let succs = self.succs.clone();
+        self.sync(designs, true)
+            .expect("a design that patches cleanly expands cleanly");
+        for (j, s) in self.jobs.iter().zip(&jobs) {
+            assert_eq!(
+                j, s,
+                "patched arena diverged from a full expansion for {:?}",
+                j.id
+            );
+        }
+        assert_eq!(
+            self.succs, succs,
+            "patched successor table diverged from a full expansion"
+        );
+    }
+
+    /// Steps 2 and 3 of a run: resets the timelines from the base and
+    /// list-schedules every job of the synced arena.
+    fn replace(&mut self) -> Result<(), SchedError> {
         let _replace = phase::scope(Phase::RePlace);
         let Scheduler {
+            base,
             jobs,
             succs,
             ready,
@@ -718,13 +994,11 @@ impl Scheduler {
             msgs,
             ..
         } = self;
-        // Reset from the baked base: copy each PE's frozen gaps and the
-        // bus fill into the scratch allocations.
-        pes.resize_with(base.pe_count(), || PeTimeline::new(base.horizon));
+        // Copy each PE's frozen gaps and the bus fill into the scratch
+        // allocations.
         for (tl, gaps) in pes.iter_mut().zip(&base.pe_gaps) {
             tl.restore(base.horizon, gaps);
         }
-        let bus = bus.get_or_insert_with(|| base.bus.clone());
         bus.reset_from(&base.bus);
         placed.clear();
         msgs.clear();
@@ -753,328 +1027,47 @@ impl Scheduler {
             msgs,
         )
     }
+}
 
-    /// Each PE's live free gaps, in PE order: the last run's slack,
-    /// uncopied.
-    pub fn pe_gaps(&self) -> impl ExactSizeIterator<Item = &[(Time, Time)]> + Clone {
-        self.pes.iter().map(PeTimeline::gaps)
-    }
+/// The non-zero hints an arena holds for one application, in key order:
+/// what the next sync diffs the design's hints against.
+#[derive(Default)]
+struct HeldHints {
+    gaps: Vec<(ProcRef, u32)>,
+    slots: Vec<(MsgRef, u32)>,
+}
 
-    /// The live bus occupancy (`None` before the first run).
-    pub fn bus_timeline(&self) -> Option<&BusTimeline> {
-        self.bus.as_ref()
-    }
-
-    /// The current applications' placements of the last run, copied
-    /// out of the live state.
-    pub fn placements(&self) -> Placements {
-        Placements {
-            jobs: self.placed.as_slice().into(),
-            msgs: self.msgs.as_slice().into(),
+/// Walks the non-zero hints `held` and `design` (both sorted by key)
+/// together, calling `on_change(key, value)` for every key whose value
+/// differs (0 when the design no longer sets it), and leaves `held`
+/// equal to `design`.
+fn diff_hints<K: Ord + Copy>(
+    held: &mut Vec<(K, u32)>,
+    design: impl Iterator<Item = (K, u32)> + Clone,
+    mut on_change: impl FnMut(K, u32),
+) {
+    let mut old = held.iter().copied();
+    let mut next_old = old.next();
+    for (key, hint) in design.clone() {
+        while let Some((gone, _)) = next_old.filter(|&(k, _)| k < key) {
+            on_change(gone, 0);
+            next_old = old.next();
         }
-    }
-
-    /// The canonical table of `base` plus the last run's placements;
-    /// the run must have been on `base`.
-    fn table(&self, base: &FrozenBase) -> ScheduleTable {
-        materialize(&self.placed, &self.msgs, &base.frozen)
-    }
-
-    /// The slack of the last run, copied out of the live timelines:
-    /// every PE's gap list and the bus fill's free windows.
-    ///
-    /// # Panics
-    ///
-    /// Panics before the first run.
-    pub fn slack_profile(&self) -> SlackProfile {
-        let _slack = phase::scope(Phase::Slack);
-        counters::add(Counter::SlackGapsMaterialized, self.pes.len() as u64);
-        let bus = self.bus.as_ref().expect("a run resets the bus first");
-        SlackProfile::new(
-            bus.horizon(),
-            self.pes.iter().map(PeTimeline::gaps),
-            bus.free_windows(),
-        )
-    }
-
-    /// Expands `apps` into the job arena (priorities served from the
-    /// cache). Touches no timeline state.
-    fn expand(
-        &mut self,
-        arch: &Architecture,
-        apps: &[AppSpec<'_>],
-        horizon: Time,
-    ) -> Result<(), SchedError> {
-        self.arena_valid = false;
-        self.arena_horizon = horizon;
-        self.arena_apps.clear();
-        self.arena_apps
-            .extend(apps.iter().map(|s| (s.app as *const _ as usize, s.id)));
-        let Scheduler {
-            jobs,
-            succs,
-            releases,
-            in_degs,
-            graph_bases,
-            spec_offsets,
-            prio_cache,
-            assign_scratch,
-            cost_scratch,
-            ..
-        } = self;
-        jobs.clear();
-        succs.clear();
-        releases.clear();
-        in_degs.clear();
-        graph_bases.clear();
-        spec_offsets.clear();
-        for spec in apps {
-            spec_offsets.push(graph_bases.len());
-            for (gi, g) in spec.app.graphs.iter().enumerate() {
-                let flat = graph_bases.len();
-                graph_bases.push(jobs.len());
-                // Exact priorities from the mapping, cached per graph
-                // slot while the cost inputs are unchanged (hint-only
-                // moves and moves in other graphs never recompute).
-                assign_scratch.clear();
-                assign_scratch.extend(
-                    g.dag()
-                        .node_ids()
-                        .map(|n| spec.mapping.pe_of(ProcRef::new(gi, n))),
-                );
-                cost_scratch.fill(arch, g, assign_scratch);
-                if prio_cache.len() <= flat {
-                    prio_cache.resize_with(flat + 1, PrioEntry::default);
-                }
-                let entry = &mut prio_cache[flat];
-                if entry.costs != *cost_scratch {
-                    let _refresh = phase::scope(Phase::PriorityRefresh);
-                    entry.prio = cost_scratch.priorities(g);
-                    std::mem::swap(&mut entry.costs, cost_scratch);
-                }
-                let prio = &entry.prio;
-
-                // The graph's successor table, shared by its instances.
-                let succ_base =
-                    u32::try_from(succs.len()).expect("successor table indices fit in u32");
-                for n in g.dag().node_ids() {
-                    for &e in g.dag().out_edges(n) {
-                        succs.push(SuccRec {
-                            tx: arch.bus().transmission_time(g.message(e).bytes),
-                            target: g.dag().target(e).index() as u32,
-                            slot: spec.hints.msg_slot(MsgRef::new(gi, e)),
-                            edge: e,
-                        });
-                    }
-                }
-
-                let instances = horizon.ticks() / g.period.ticks();
-                for k in 0..instances as u32 {
-                    let release = Time::new(k as u64 * g.period.ticks());
-                    let deadline = release + g.deadline;
-                    let inst_base =
-                        u32::try_from(jobs.len()).expect("job arena indices fit in u32");
-                    let mut succ_lo = succ_base;
-                    for n in g.dag().node_ids() {
-                        let succ_hi = succ_lo + g.dag().out_degree(n) as u32;
-                        let pr = ProcRef::new(gi, n);
-                        let pe = spec
-                            .mapping
-                            .pe_of(pr)
-                            .ok_or(SchedError::MappingIncomplete {
-                                app: spec.id,
-                                proc_ref: pr,
-                            })?;
-                        let wcet = allowed_wcet(arch, g, n, pe).ok_or(SchedError::NotAllowed {
-                            app: spec.id,
-                            proc_ref: pr,
-                            pe,
-                        })?;
-                        jobs.push(JobRec {
-                            id: JobId::new(spec.id, gi, k, n),
-                            pe,
-                            wcet,
-                            release,
-                            deadline,
-                            priority: prio[n.index()],
-                            gap_hint: spec.hints.proc_gap(pr),
-                            inst_base,
-                            succ_lo,
-                            succ_hi,
-                        });
-                        releases.push(release);
-                        in_degs.push(g.dag().in_degree(n) as u32);
-                        succ_lo = succ_hi;
-                    }
+        match next_old {
+            Some((k, h)) if k == key => {
+                next_old = old.next();
+                if h != hint {
+                    on_change(key, hint);
                 }
             }
+            _ => on_change(key, hint),
         }
-        self.arena_valid = true;
-        Ok(())
     }
-
-    /// Patches the existing job arena with `changed` design variables
-    /// instead of re-expanding: only the listed processes re-resolve
-    /// their PE/WCET/hint, only the listed messages re-read their slot
-    /// hint, and only graphs with a mapping change refresh priorities.
-    /// Returns `Ok(false)` when the arena cannot be reused
-    /// (different apps, different horizon, or a previous expansion
-    /// error) — the caller then falls back to a full expansion.
-    ///
-    /// Correctness rests on the caller's contract (`changed` lists every
-    /// differing variable, `apps` are the same objects); debug builds
-    /// re-expand from scratch afterwards and assert the arenas agree,
-    /// which the differential fuzz suite exercises heavily.
-    fn expand_incremental(
-        &mut self,
-        arch: &Architecture,
-        apps: &[AppSpec<'_>],
-        horizon: Time,
-        changed: &[ChangedVar],
-    ) -> Result<bool, SchedError> {
-        let reusable = self.arena_valid
-            && self.arena_horizon == horizon
-            && self.arena_apps.len() == apps.len()
-            && self
-                .arena_apps
-                .iter()
-                .zip(apps)
-                .all(|(&(ptr, id), s)| ptr == s.app as *const _ as usize && id == s.id);
-        if !reusable {
-            return Ok(false);
-        }
-        debug_assert!(
-            changed.windows(2).all(|w| w[0] < w[1]),
-            "changed variables must be sorted and deduplicated"
-        );
-        // The arena is only marked valid again once the patch (and its
-        // validation) completed — a failed patch forces a full expand.
-        self.arena_valid = false;
-
-        // Apply the changed variables (sorted order = expansion order,
-        // so a MappingIncomplete/NotAllowed error surfaces for the same
-        // process a full expansion would report first: unchanged
-        // processes stayed valid since they were last expanded).
-        let mut prio_dirty_prev = usize::MAX;
-        for &var in changed {
-            let (spec, graph, node) = match var {
-                ChangedVar::Proc { spec, graph, node } => (spec, graph, node),
-                ChangedVar::Msg { spec, graph, edge } => {
-                    // One successor-table entry, found through the
-                    // source node's slice (instance 0 names it).
-                    let sp = &apps[spec];
-                    let source = sp.app.graphs[graph].dag().source(edge);
-                    let j = &self.jobs
-                        [self.graph_bases[self.spec_offsets[spec] + graph] + source.index()];
-                    let rec = self.succs[j.succ_lo as usize..j.succ_hi as usize]
-                        .iter_mut()
-                        .find(|s| s.edge == edge)
-                        .expect("a changed message is an out-edge of its source");
-                    rec.slot = sp.hints.msg_slot(MsgRef::new(graph, edge));
-                    continue;
-                }
-            };
-            let sp = &apps[spec];
-            let g = &sp.app.graphs[graph];
-            let pr = ProcRef::new(graph, node);
-            let pe = sp.mapping.pe_of(pr).ok_or(SchedError::MappingIncomplete {
-                app: sp.id,
-                proc_ref: pr,
-            })?;
-            let wcet = allowed_wcet(arch, g, node, pe).ok_or(SchedError::NotAllowed {
-                app: sp.id,
-                proc_ref: pr,
-                pe,
-            })?;
-            let hint = sp.hints.proc_gap(pr);
-            let flat = self.spec_offsets[spec] + graph;
-            let nodes = g.process_count();
-            let instances = (horizon.ticks() / g.period.ticks()) as usize;
-            // Priorities are a pure function of the graph's mapping
-            // (node WCETs on the assigned PEs, edge same-PE-ness) — a
-            // gap-hint-only change cannot move them, so the cost rebuild
-            // below keys on the PE actually changing (instance 0 still
-            // holds the pre-patch assignment here).
-            let remapped = self.jobs[self.graph_bases[flat] + node.index()].pe != pe;
-            for k in 0..instances {
-                let j = &mut self.jobs[self.graph_bases[flat] + k * nodes + node.index()];
-                j.pe = pe;
-                j.wcet = wcet;
-                j.gap_hint = hint;
-            }
-            // Refresh the graph's priorities once per remapped graph
-            // (vars are sorted, so repeats are adjacent).
-            if remapped && flat != prio_dirty_prev {
-                prio_dirty_prev = flat;
-                let Scheduler {
-                    jobs,
-                    graph_bases,
-                    prio_cache,
-                    assign_scratch,
-                    cost_scratch,
-                    ..
-                } = self;
-                assign_scratch.clear();
-                assign_scratch.extend(
-                    g.dag()
-                        .node_ids()
-                        .map(|n| sp.mapping.pe_of(ProcRef::new(graph, n))),
-                );
-                cost_scratch.fill(arch, g, assign_scratch);
-                let entry = &mut prio_cache[flat];
-                // Every expansion that touches a graph leaves its jobs
-                // holding `entry.prio`, so when the rebuilt costs match
-                // the cached ones the arena is already consistent — no
-                // recompute, no rewrite.
-                if entry.costs != *cost_scratch {
-                    {
-                        let _refresh = phase::scope(Phase::PriorityRefresh);
-                        entry.prio = cost_scratch.priorities(g);
-                        std::mem::swap(&mut entry.costs, cost_scratch);
-                    }
-                    for k in 0..instances {
-                        for n in 0..nodes {
-                            jobs[graph_bases[flat] + k * nodes + n].priority = entry.prio[n];
-                        }
-                    }
-                }
-            }
-        }
-
-        #[cfg(debug_assertions)]
-        self.debug_verify_incremental_expand(arch, apps, horizon)?;
-
-        self.arena_valid = true;
-        Ok(true)
+    for (gone, _) in next_old.into_iter().chain(old) {
+        on_change(gone, 0);
     }
-
-    /// Debug-build oracle for [`expand_incremental`]: snapshots the
-    /// patched arena, re-expands from scratch and asserts equality —
-    /// the differential fuzz suite drives this on every hinted call.
-    #[cfg(debug_assertions)]
-    fn debug_verify_incremental_expand(
-        &mut self,
-        arch: &Architecture,
-        apps: &[AppSpec<'_>],
-        horizon: Time,
-    ) -> Result<(), SchedError> {
-        let jobs = self.jobs.clone();
-        let succs = self.succs.clone();
-        self.expand(arch, apps, horizon)?;
-        assert_eq!(self.jobs.len(), jobs.len(), "patched arena lost jobs");
-        for (j, s) in self.jobs.iter().zip(&jobs) {
-            assert_eq!(
-                j, s,
-                "incremental expansion diverged from full expansion for {:?}",
-                j.id
-            );
-        }
-        assert_eq!(
-            self.succs, succs,
-            "patched successor table diverged from full expansion"
-        );
-        Ok(())
-    }
+    held.clear();
+    held.extend(design);
 }
 
 /// The WCET of process `n` of `g` on `pe`, if the process may run
@@ -1173,8 +1166,6 @@ fn schedule_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::{Hints, Mapping};
-    use incdes_graph::NodeId;
     use incdes_model::{AppId, Application, BusConfig, Message, Process, ProcessGraph};
     use proptest::prelude::*;
 
@@ -1212,131 +1203,110 @@ mod tests {
         Application::new("app", vec![g])
     }
 
-    fn proc_var(node: u32) -> ChangedVar {
-        ChangedVar::Proc {
-            spec: 0,
-            graph: 0,
-            node: NodeId(node),
-        }
+    fn mapping_of(pes: [u32; 2]) -> Mapping {
+        let mut mapping = Mapping::new();
+        mapping.assign(ProcRef::new(0, NodeId(0)), PeId(pes[0]));
+        mapping.assign(ProcRef::new(0, NodeId(1)), PeId(pes[1]));
+        mapping
     }
 
+    fn bound<'a>(arch: &'a Architecture, app: &'a Application, horizon: u64) -> Scheduler<'a> {
+        let base = Arc::new(FrozenBase::empty(arch, t(horizon)).unwrap());
+        Scheduler::new(arch, base, &[(AppId(0), app)]).unwrap()
+    }
+
+    /// Reruns of one design match the one-shot path; only the first
+    /// re-places, the others answer from its outcome.
     #[test]
     fn engine_matches_schedule_and_reuses_scratch() {
         let arch = arch2();
         let (app, mapping) = chain_app();
         let hints = Hints::empty();
-        let spec = AppSpec::new(AppId(0), &app, &mapping, &hints);
+        let spec = crate::AppSpec::new(AppId(0), &app, &mapping, &hints);
         let reference = crate::schedule(&arch, &[spec], None, t(100)).unwrap();
 
-        let base = FrozenBase::empty(&arch, t(100)).unwrap();
-        let mut engine = Scheduler::new();
-        for _ in 0..3 {
-            let (table, slack) = engine.schedule_with_slack(&arch, &[spec], &base).unwrap();
-            assert_eq!(table, reference);
-            assert_eq!(slack, SlackProfile::from_table(&arch, &reference));
+        let mut engine = bound(&arch, &app, 100);
+        for i in 0..3 {
+            let run = engine.run(&[(&mapping, &hints)]);
+            assert_eq!(run.result, Ok(()));
+            assert_eq!(run.unchanged, i > 0);
+            assert_eq!(engine.table(), reference);
+            assert_eq!(
+                engine.slack_profile(),
+                SlackProfile::from_table(&arch, &reference)
+            );
         }
-        assert_eq!(engine.raw_schedule_count(), 3);
+        assert_eq!(engine.raw_schedule_count(), 1);
     }
 
-    /// A chain of single remaps, each passed as its one-variable hint:
-    /// every run after the first patches the arena, and every result
-    /// equals the one-shot oracle.
+    /// A chain of single remaps: every run after the first patches the
+    /// arena, and every result equals the one-shot oracle.
     #[test]
     fn delta_path_tracks_single_moves() {
         let arch = arch2();
         let app = movable_app();
         let hints = Hints::empty();
-        let base = FrozenBase::empty(&arch, t(100)).unwrap();
-        let mut engine = Scheduler::new();
+        let mut engine = bound(&arch, &app, 100);
 
-        let assignments = [
-            [PeId(0), PeId(1)],
-            [PeId(0), PeId(0)],
-            [PeId(1), PeId(0)],
-            [PeId(1), PeId(1)],
-            [PeId(0), PeId(1)],
-        ];
-        let mut prev: Option<[PeId; 2]> = None;
+        let assignments = [[0, 1], [0, 0], [1, 0], [1, 1], [0, 1]];
         let (mut expansions, mut patches) = (0, 0);
         for assignment in assignments {
-            let mut mapping = Mapping::new();
-            mapping.assign(ProcRef::new(0, NodeId(0)), assignment[0]);
-            mapping.assign(ProcRef::new(0, NodeId(1)), assignment[1]);
-            let changed: Option<Vec<ChangedVar>> = prev.map(|p| {
-                (0..2u32)
-                    .filter(|&n| p[n as usize] != assignment[n as usize])
-                    .map(proc_var)
-                    .collect()
-            });
-            let spec = AppSpec::new(AppId(0), &app, &mapping, &hints);
+            let mapping = mapping_of(assignment);
             let before = counters::snapshot();
-            let (placements, slack) = engine
-                .schedule_hinted(&arch, &[spec], &base, changed.as_deref())
-                .unwrap();
+            engine.run(&[(&mapping, &hints)]).result.unwrap();
             let d = counters::snapshot().delta_since(&before);
             expansions += d.get(Counter::ArenaExpansions);
             patches += d.get(Counter::ArenaPatched);
+            let spec = crate::AppSpec::new(AppId(0), &app, &mapping, &hints);
             let reference = crate::schedule(&arch, &[spec], None, t(100)).unwrap();
+            let base = FrozenBase::empty(&arch, t(100)).unwrap();
             assert_eq!(
-                base.materialize(&placements),
+                base.materialize(&engine.placements()),
                 reference,
                 "assignment {assignment:?}"
             );
             assert_eq!(
-                slack,
+                engine.slack_profile(),
                 SlackProfile::from_table(&arch, &reference),
                 "assignment {assignment:?}"
             );
-            prev = Some(assignment);
         }
         assert_eq!(engine.raw_schedule_count(), assignments.len());
         assert_eq!(expansions, 1);
         assert_eq!(patches, assignments.len() as u64 - 1);
     }
 
-    /// A chain of message slot-hint changes, each passed as its
-    /// one-variable `ChangedVar::Msg` hint: every run after the first
-    /// patches the successor table in the arena, and every result
-    /// equals the one-shot oracle.
+    /// A chain of message slot-hint changes: every run after the first
+    /// patches the successor table, and every result equals the one-shot
+    /// oracle.
     #[test]
     fn delta_path_tracks_slot_hint_moves() {
         let arch = arch2();
         let app = movable_app();
-        let mut mapping = Mapping::new();
-        mapping.assign(ProcRef::new(0, NodeId(0)), PeId(0));
-        mapping.assign(ProcRef::new(0, NodeId(1)), PeId(1));
-        let base = FrozenBase::empty(&arch, t(100)).unwrap();
-        let mut engine = Scheduler::new();
+        let mapping = mapping_of([0, 1]);
+        let mut engine = bound(&arch, &app, 100);
         let msg = MsgRef::new(0, EdgeId(0));
-        let moved = [ChangedVar::Msg {
-            spec: 0,
-            graph: 0,
-            edge: EdgeId(0),
-        }];
 
         let slots = [0, 2, 1, 3, 0, 1];
         let mut patches = 0;
         let mut starts = Vec::new();
-        for (i, slot) in slots.into_iter().enumerate() {
+        for slot in slots {
             let mut hints = Hints::empty();
             hints.set_msg_slot(msg, slot);
-            let spec = AppSpec::new(AppId(0), &app, &mapping, &hints);
-            let changed = (i > 0).then_some(&moved[..]);
             let before = counters::snapshot();
-            let (placements, slack) = engine
-                .schedule_hinted(&arch, &[spec], &base, changed)
-                .unwrap();
+            engine.run(&[(&mapping, &hints)]).result.unwrap();
             patches += counters::snapshot()
                 .delta_since(&before)
                 .get(Counter::ArenaPatched);
+            let spec = crate::AppSpec::new(AppId(0), &app, &mapping, &hints);
             let reference = crate::schedule(&arch, &[spec], None, t(100)).unwrap();
-            assert_eq!(base.materialize(&placements), reference, "slot hint {slot}");
+            assert_eq!(engine.table(), reference, "slot hint {slot}");
             assert_eq!(
-                slack,
+                engine.slack_profile(),
                 SlackProfile::from_table(&arch, &reference),
                 "slot hint {slot}"
             );
-            starts.push(placements.messages()[0].reservation.transmit_start);
+            starts.push(engine.placements().messages()[0].reservation.transmit_start);
         }
         assert_eq!(patches, slots.len() as u64 - 1);
         starts.sort_unstable();
@@ -1344,45 +1314,32 @@ mod tests {
         assert_eq!(starts.len(), 4, "every slot hint moves the message");
     }
 
-    /// A→B→A through the hinted entry point, pinned through the
-    /// deterministic `obs` counter registry: one expansion, two patches,
-    /// every job placed on every run, no bake.
+    /// A→B→A pinned through the deterministic `obs` counter registry:
+    /// one expansion, two patches, every job placed on every run, no
+    /// bake.
     #[test]
     fn observability_counters_pin_the_revisit_chain() {
         let arch = arch2();
         let app = movable_app();
         let hints = Hints::empty();
-        let base = FrozenBase::empty(&arch, t(100)).unwrap();
-
-        let mut map_a = Mapping::new();
-        map_a.assign(ProcRef::new(0, NodeId(0)), PeId(0));
-        map_a.assign(ProcRef::new(0, NodeId(1)), PeId(1));
-        let mut map_b = map_a.clone();
-        map_b.assign(ProcRef::new(0, NodeId(0)), PeId(1));
-        let spec_a = AppSpec::new(AppId(0), &app, &map_a, &hints);
-        let spec_b = AppSpec::new(AppId(0), &app, &map_b, &hints);
+        let (map_a, map_b) = (mapping_of([0, 1]), mapping_of([1, 1]));
+        let spec_a = crate::AppSpec::new(AppId(0), &app, &map_a, &hints);
         let ref_a = crate::schedule(&arch, &[spec_a], None, t(100)).unwrap();
 
-        let mut engine = Scheduler::new();
-        let moved = [proc_var(0)];
+        let mut engine = bound(&arch, &app, 100);
         let before = counters::snapshot();
-        let (first, _) = engine
-            .schedule_hinted(&arch, &[spec_a], &base, None)
-            .unwrap();
-        engine
-            .schedule_hinted(&arch, &[spec_b], &base, Some(&moved))
-            .unwrap();
-        let (revisit, _) = engine
-            .schedule_hinted(&arch, &[spec_a], &base, Some(&moved))
-            .unwrap();
+        engine.run(&[(&map_a, &hints)]).result.unwrap();
+        let first = engine.table();
+        engine.run(&[(&map_b, &hints)]).result.unwrap();
+        engine.run(&[(&map_a, &hints)]).result.unwrap();
         let d = counters::snapshot().delta_since(&before);
-        assert_eq!(base.materialize(&first), ref_a);
-        assert_eq!(base.materialize(&revisit), ref_a);
+        assert_eq!(first, ref_a);
+        assert_eq!(engine.table(), ref_a);
         assert_eq!(d.get(Counter::ArenaExpansions), 1);
         assert_eq!(d.get(Counter::ArenaPatched), 2);
         assert_eq!(d.get(Counter::HeapPops), 6, "two jobs per run");
-        // The empty frozen base was baked before the snapshot, so the
-        // chain itself bakes nothing.
+        // The base was baked before the snapshot, so the chain itself
+        // bakes nothing.
         assert_eq!(d.get(Counter::BaseBakes), 0);
     }
 
@@ -1397,32 +1354,18 @@ mod tests {
         g.add_process(Process::new("b").wcet(PeId(0), t(6)).wcet(PeId(1), t(6)));
         let app = Application::new("app", vec![g]);
         let hints = Hints::empty();
-        let base = FrozenBase::empty(&arch, t(100)).unwrap();
-        let mut engine = Scheduler::new();
+        let mut engine = bound(&arch, &app, 100);
+        let (good, bad) = (mapping_of([0, 1]), mapping_of([1, 1]));
 
-        let mut good = Mapping::new();
-        good.assign(ProcRef::new(0, NodeId(0)), PeId(0));
-        good.assign(ProcRef::new(0, NodeId(1)), PeId(1));
-        let mut bad = good.clone();
-        bad.assign(ProcRef::new(0, NodeId(0)), PeId(1));
-
-        let moved = [proc_var(0)];
-        let good_spec = AppSpec::new(AppId(0), &app, &good, &hints);
-        engine
-            .schedule_hinted(&arch, &[good_spec], &base, None)
-            .unwrap();
-        let bad_spec = AppSpec::new(AppId(0), &app, &bad, &hints);
-        let err = engine
-            .schedule_hinted(&arch, &[bad_spec], &base, Some(&moved))
-            .unwrap_err();
+        engine.run(&[(&good, &hints)]).result.unwrap();
+        let err = engine.run(&[(&bad, &hints)]).result.unwrap_err();
+        let bad_spec = crate::AppSpec::new(AppId(0), &app, &bad, &hints);
         assert_eq!(
             err,
             crate::schedule(&arch, &[bad_spec], None, t(100)).unwrap_err()
         );
         let before = counters::snapshot();
-        let (placements, slack) = engine
-            .schedule_hinted(&arch, &[good_spec], &base, Some(&moved))
-            .unwrap();
+        engine.run(&[(&good, &hints)]).result.unwrap();
         assert_eq!(
             counters::snapshot()
                 .delta_since(&before)
@@ -1430,114 +1373,94 @@ mod tests {
             1,
             "the arena survives a failed run"
         );
+        let good_spec = crate::AppSpec::new(AppId(0), &app, &good, &hints);
         let reference = crate::schedule(&arch, &[good_spec], None, t(100)).unwrap();
-        assert_eq!(base.materialize(&placements), reference);
-        assert_eq!(slack, SlackProfile::from_table(&arch, &reference));
+        assert_eq!(engine.table(), reference);
+        assert_eq!(
+            engine.slack_profile(),
+            SlackProfile::from_table(&arch, &reference)
+        );
     }
 
-    /// An `AppId` change alone (same app, same design variables) must
-    /// never reuse the arena: its jobs carry the old id, so an empty
-    /// hint still has to fall back to a full expansion.
+    /// A rerun of an infeasible design returns the same error without
+    /// re-placing; the live state stays that run's partial schedule.
     #[test]
-    fn delta_record_guarded_by_app_id() {
-        let arch = arch2();
-        let (app, mapping) = chain_app();
-        let hints = Hints::empty();
-        let base = FrozenBase::empty(&arch, t(100)).unwrap();
-        let mut engine = Scheduler::new();
-
-        let spec0 = AppSpec::new(AppId(0), &app, &mapping, &hints);
-        engine
-            .schedule_hinted(&arch, &[spec0], &base, None)
-            .unwrap();
-        let spec1 = AppSpec::new(AppId(1), &app, &mapping, &hints);
-        let before = counters::snapshot();
-        let (placements, slack) = engine
-            .schedule_hinted(&arch, &[spec1], &base, Some(&[]))
-            .unwrap();
-        let d = counters::snapshot().delta_since(&before);
-        assert_eq!(d.get(Counter::ArenaPatched), 0, "id change never patches");
-        assert_eq!(d.get(Counter::ArenaExpansions), 1);
-        let table = base.materialize(&placements);
-        let reference = crate::schedule(&arch, &[spec1], None, t(100)).unwrap();
-        assert_eq!(table, reference);
-        assert_eq!(slack, SlackProfile::from_table(&arch, &reference));
-        assert!(table.messages().iter().all(|m| m.app == AppId(1)));
-    }
-
-    /// A *shape* change (same job layout, different deadline) arrives as
-    /// a different `Application` object, so the arena is re-expanded
-    /// even under an empty hint.
-    #[test]
-    fn delta_record_guarded_by_graph_shape() {
+    fn unchanged_infeasible_design_is_answered_without_replacing() {
         let arch = arch2();
         let mut g = ProcessGraph::new("g", t(100), t(100));
-        g.add_process(Process::new("a").wcet(PeId(0), t(8)));
-        let app_a = Application::new("a", vec![g]);
-        let mut g2 = ProcessGraph::new("g", t(100), t(50));
-        g2.add_process(Process::new("a").wcet(PeId(0), t(8)));
-        let app_b = Application::new("b", vec![g2]);
+        g.add_process(Process::new("a").wcet(PeId(0), t(150)));
+        let app = Application::new("app", vec![g]);
         let mut mapping = Mapping::new();
         mapping.assign(ProcRef::new(0, NodeId(0)), PeId(0));
         let hints = Hints::empty();
-        let base = FrozenBase::empty(&arch, t(100)).unwrap();
-        let mut engine = Scheduler::new();
+        let mut engine = bound(&arch, &app, 100);
 
-        let spec_a = AppSpec::new(AppId(0), &app_a, &mapping, &hints);
-        let spec_b = AppSpec::new(AppId(0), &app_b, &mapping, &hints);
-        engine
-            .schedule_hinted(&arch, &[spec_a], &base, None)
-            .unwrap();
+        let first = engine.run(&[(&mapping, &hints)]);
+        assert!(first.result.as_ref().unwrap_err().is_infeasible());
         let before = counters::snapshot();
-        let (placements, _) = engine
-            .schedule_hinted(&arch, &[spec_b], &base, Some(&[]))
-            .unwrap();
-        assert_eq!(
-            counters::snapshot()
-                .delta_since(&before)
-                .get(Counter::ArenaPatched),
-            0,
-            "shape change never patches"
-        );
-        assert_eq!(
-            base.materialize(&placements),
-            crate::schedule(&arch, &[spec_b], None, t(100)).unwrap()
-        );
+        let rerun = engine.run(&[(&mapping, &hints)]);
+        let d = counters::snapshot().delta_since(&before);
+        assert_eq!(rerun.result, first.result);
+        assert!(rerun.unchanged);
+        assert_eq!(d.get(Counter::HeapPops), 0);
+        assert_eq!(d.get(Counter::ArenaPatched), 0);
+        assert_eq!(engine.raw_schedule_count(), 1);
     }
 
-    /// The arena describes the current application only, so a hinted
-    /// run may patch it across a switch of frozen base: the timelines
-    /// are reset from whichever base the run names.
+    /// A run whose sync fails leaves the arena to be expanded: the next
+    /// run expands even when its design equals the last list-scheduled
+    /// one, and an expansion clears the hints the arena held. Every
+    /// outcome matches the one-shot path.
     #[test]
-    fn arena_patch_survives_a_base_switch() {
+    fn failed_sync_expands_the_next_run() {
         let arch = arch2();
-        let (app, mapping) = chain_app();
-        let hints = Hints::empty();
-        let spec = AppSpec::new(AppId(0), &app, &mapping, &hints);
-        let frozen = crate::schedule(&arch, &[spec], None, t(100)).unwrap();
+        let app = movable_app();
+        let mut engine = bound(&arch, &app, 100);
+        let good = mapping_of([0, 1]);
+        let mut unmapped = good.clone();
+        unmapped.unassign(ProcRef::new(0, NodeId(1)));
+        let outside = mapping_of([0, 5]);
+        let plain = Hints::empty();
+        let mut hinted = Hints::empty();
+        hinted.set_proc_gap(ProcRef::new(0, NodeId(0)), 1);
+        hinted.set_msg_slot(MsgRef::new(0, EdgeId(0)), 1);
+        let one_shot = |mapping: &Mapping, hints: &Hints| {
+            let spec = crate::AppSpec::new(AppId(0), &app, mapping, hints);
+            crate::schedule(&arch, &[spec], None, t(100))
+        };
 
-        let base_a = FrozenBase::empty(&arch, t(100)).unwrap();
-        let base_b = FrozenBase::new(&arch, Some(&frozen), t(100)).unwrap();
+        for bad in [&unmapped, &outside] {
+            for hints in [&hinted, &plain] {
+                let run = engine.run(&[(bad, hints)]);
+                assert_eq!(run.result, Err(one_shot(bad, hints).unwrap_err()));
+                assert!(!run.unchanged);
+                let before = counters::snapshot();
+                let run = engine.run(&[(&good, hints)]);
+                let d = counters::snapshot().delta_since(&before);
+                assert!(!run.unchanged, "a failed sync forgets the last outcome");
+                assert_eq!(d.get(Counter::ArenaExpansions), 1);
+                assert_eq!(d.get(Counter::ArenaPatched), 0);
+                match one_shot(&good, hints) {
+                    Ok(reference) => {
+                        assert_eq!(run.result, Ok(()));
+                        assert_eq!(engine.table(), reference);
+                    }
+                    Err(e) => assert_eq!(run.result, Err(e)),
+                }
+            }
+        }
+        assert_eq!(engine.raw_schedule_count(), 4);
+    }
 
-        let (app2, mapping2) = chain_app();
-        let spec2 = AppSpec::new(AppId(1), &app2, &mapping2, &hints);
-        let mut engine = Scheduler::new();
-        engine
-            .schedule_hinted(&arch, &[spec2], &base_a, None)
-            .unwrap();
-        let before = counters::snapshot();
-        let (placements, slack) = engine
-            .schedule_hinted(&arch, &[spec2], &base_b, Some(&[]))
-            .unwrap();
+    #[test]
+    fn new_rejects_a_horizon_off_the_periods() {
+        let arch = arch2();
+        let (app, _) = chain_app();
+        let base = Arc::new(FrozenBase::empty(&arch, t(60)).unwrap());
         assert_eq!(
-            counters::snapshot()
-                .delta_since(&before)
-                .get(Counter::ArenaPatched),
-            1
+            Scheduler::new(&arch, base, &[(AppId(0), &app)]).unwrap_err(),
+            SchedError::BadHorizon { horizon: t(60) }
         );
-        let reference = crate::schedule(&arch, &[spec2], Some(&frozen), t(100)).unwrap();
-        assert_eq!(base_b.materialize(&placements), reference);
-        assert_eq!(slack, SlackProfile::from_table(&arch, &reference));
     }
 
     #[test]
@@ -1545,7 +1468,7 @@ mod tests {
         let arch = arch2();
         let (app, mapping) = chain_app();
         let hints = Hints::empty();
-        let spec = AppSpec::new(AppId(0), &app, &mapping, &hints);
+        let spec = crate::AppSpec::new(AppId(0), &app, &mapping, &hints);
         let first = crate::schedule(&arch, &[spec], None, t(100)).unwrap();
 
         let base = FrozenBase::new(&arch, Some(&first), t(100)).unwrap();
@@ -1563,12 +1486,15 @@ mod tests {
 
         // Scheduling a second app on the base matches the naive path.
         let (app2, mapping2) = chain_app();
-        let spec2 = AppSpec::new(AppId(1), &app2, &mapping2, &hints);
+        let spec2 = crate::AppSpec::new(AppId(1), &app2, &mapping2, &hints);
         let reference = crate::schedule(&arch, &[spec2], Some(&first), t(100)).unwrap();
-        let mut engine = Scheduler::new();
-        let (table, slack) = engine.schedule_with_slack(&arch, &[spec2], &base).unwrap();
-        assert_eq!(table, reference);
-        assert_eq!(slack, SlackProfile::from_table(&arch, &reference));
+        let mut engine = Scheduler::new(&arch, Arc::new(base), &[(AppId(1), &app2)]).unwrap();
+        engine.run(&[(&mapping2, &hints)]).result.unwrap();
+        assert_eq!(engine.table(), reference);
+        assert_eq!(
+            engine.slack_profile(),
+            SlackProfile::from_table(&arch, &reference)
+        );
     }
 
     #[test]
@@ -1576,7 +1502,7 @@ mod tests {
         let arch = arch2();
         let (app, mapping) = chain_app();
         let hints = Hints::empty();
-        let spec = AppSpec::new(AppId(0), &app, &mapping, &hints);
+        let spec = crate::AppSpec::new(AppId(0), &app, &mapping, &hints);
         let first = crate::schedule(&arch, &[spec], None, t(100)).unwrap();
         assert_eq!(
             FrozenBase::new(&arch, Some(&first), t(200)).unwrap_err(),
@@ -1592,51 +1518,6 @@ mod tests {
         ));
     }
 
-    /// Reusing one `Scheduler` across *different* applications whose
-    /// graphs happen to share a node → PE assignment must not serve
-    /// stale priorities: the cache is keyed by the full cost inputs
-    /// (WCETs, topology, message sizes), not the assignment alone.
-    #[test]
-    fn priority_cache_does_not_alias_across_apps() {
-        let arch = arch2();
-        let base = FrozenBase::empty(&arch, t(200)).unwrap();
-        let mut engine = Scheduler::new();
-        let hints = Hints::empty();
-
-        // App A: root → long(50) and root → short(5), all on PE0 — the
-        // long branch outranks the short one.
-        let mut ga = ProcessGraph::new("ga", t(200), t(200));
-        let r = ga.add_process(Process::new("r").wcet(PeId(0), t(2)));
-        let l = ga.add_process(Process::new("l").wcet(PeId(0), t(50)));
-        let s = ga.add_process(Process::new("s").wcet(PeId(0), t(5)));
-        ga.add_message(r, l, Message::new("m1", 1)).unwrap();
-        ga.add_message(r, s, Message::new("m2", 1)).unwrap();
-        let app_a = Application::new("a", vec![ga]);
-        // App B: same shape and assignment, but the branch weights are
-        // swapped — stale priorities from A would flip its order.
-        let mut gb = ProcessGraph::new("gb", t(200), t(200));
-        let r2 = gb.add_process(Process::new("r").wcet(PeId(0), t(2)));
-        let l2 = gb.add_process(Process::new("l").wcet(PeId(0), t(5)));
-        let s2 = gb.add_process(Process::new("s").wcet(PeId(0), t(50)));
-        gb.add_message(r2, l2, Message::new("m1", 1)).unwrap();
-        gb.add_message(r2, s2, Message::new("m2", 1)).unwrap();
-        let app_b = Application::new("b", vec![gb]);
-
-        let mapping: Mapping = [
-            (ProcRef::new(0, NodeId(0)), PeId(0)),
-            (ProcRef::new(0, NodeId(1)), PeId(0)),
-            (ProcRef::new(0, NodeId(2)), PeId(0)),
-        ]
-        .into_iter()
-        .collect();
-        for app in [&app_a, &app_b, &app_a] {
-            let spec = AppSpec::new(AppId(0), app, &mapping, &hints);
-            let engine_table = engine.schedule(&arch, &[spec], &base).unwrap();
-            let naive = crate::schedule(&arch, &[spec], None, t(200)).unwrap();
-            assert_eq!(engine_table, naive, "stale priorities served");
-        }
-    }
-
     #[test]
     fn priority_cache_invalidates_on_remap() {
         let arch = arch2();
@@ -1646,22 +1527,14 @@ mod tests {
         g.add_message(a, b, Message::new("m", 4)).unwrap();
         let app = Application::new("app", vec![g]);
         let hints = Hints::empty();
-        let base = FrozenBase::empty(&arch, t(100)).unwrap();
-        let mut engine = Scheduler::new();
+        let mut engine = bound(&arch, &app, 100);
 
-        for assignment in [
-            [PeId(0), PeId(0)],
-            [PeId(1), PeId(1)],
-            [PeId(0), PeId(1)],
-            [PeId(0), PeId(0)],
-        ] {
-            let mut mapping = Mapping::new();
-            mapping.assign(ProcRef::new(0, NodeId(0)), assignment[0]);
-            mapping.assign(ProcRef::new(0, NodeId(1)), assignment[1]);
-            let spec = AppSpec::new(AppId(0), &app, &mapping, &hints);
-            let engine_table = engine.schedule(&arch, &[spec], &base).unwrap();
+        for assignment in [[0, 0], [1, 1], [0, 1], [0, 0]] {
+            let mapping = mapping_of(assignment);
+            engine.run(&[(&mapping, &hints)]).result.unwrap();
+            let spec = crate::AppSpec::new(AppId(0), &app, &mapping, &hints);
             let naive = crate::schedule(&arch, &[spec], None, t(100)).unwrap();
-            assert_eq!(engine_table, naive, "assignment {assignment:?}");
+            assert_eq!(engine.table(), naive, "assignment {assignment:?}");
         }
     }
 

@@ -16,11 +16,11 @@
 //! * [`priority`] — partial-critical-path priorities for list scheduling.
 //! * [`list`] — the one-shot list-scheduler entry point ([`schedule`]).
 //! * [`engine`] — the incremental evaluation engine behind it:
-//!   [`FrozenBase`] bakes the frozen schedule once, and [`Scheduler`]
-//!   reuses scratch arenas across evaluations, patches its job arena in
-//!   place from a changed-variable hint, resets the timelines from the
-//!   base and re-places the current application, deriving `Arc`-shared
-//!   slack (see the [`engine`] module docs).
+//!   [`FrozenBase`] bakes the frozen schedule once, and a [`Scheduler`]
+//!   bound to the current applications finds what changed in each run's
+//!   design, patches its job arena in place, resets the timelines from
+//!   the base and re-places the current application (see the [`engine`]
+//!   module docs).
 //! * [`table`] — the resulting [`ScheduleTable`] plus exhaustive validity
 //!   checking and replication of frozen schedules to longer horizons.
 //! * [`slack`] — extraction of the slack profile consumed by the design
@@ -73,7 +73,7 @@ pub mod slack;
 pub mod table;
 
 pub use analysis::{InstanceResponse, PeLoad, ScheduleReport};
-pub use engine::{ChangedVar, FrozenBase, Placements, Scheduler};
+pub use engine::{FrozenBase, Placements, Run, Scheduler};
 pub use job::JobId;
 pub use list::{schedule, AppSpec, SchedError};
 pub use mapping::{Hints, Mapping, MsgRef};

@@ -21,6 +21,7 @@
 //! design alternatives against one frozen schedule should hold on to
 //! both and skip the per-call replay entirely.
 
+use crate::engine::{FrozenBase, Scheduler};
 use crate::job::JobId;
 use crate::mapping::{Hints, Mapping, MsgRef};
 use crate::pe_timeline::PeTimelineError;
@@ -28,6 +29,7 @@ use crate::table::ScheduleTable;
 use incdes_model::{AppId, Application, Architecture, PeId, ProcRef, Time};
 use incdes_tdma::BusTimelineError;
 use std::fmt;
+use std::sync::Arc;
 
 /// One application to schedule, with its design variables.
 #[derive(Debug, Clone, Copy)]
@@ -173,9 +175,13 @@ pub fn schedule(
 ) -> Result<ScheduleTable, SchedError> {
     // Input validation runs in the historical order (horizon and period
     // alignment before bus/frozen replay) so error precedence is stable.
-    crate::engine::check_horizon(apps, horizon)?;
-    let base = crate::engine::FrozenBase::new(arch, frozen, horizon)?;
-    crate::engine::Scheduler::new().schedule(arch, apps, &base)
+    crate::engine::check_horizon(apps.iter().map(|s| s.app), horizon)?;
+    let base = Arc::new(FrozenBase::new(arch, frozen, horizon)?);
+    let bound: Vec<_> = apps.iter().map(|s| (s.id, s.app)).collect();
+    let designs: Vec<_> = apps.iter().map(|s| (s.mapping, s.hints)).collect();
+    let mut scheduler = Scheduler::new(arch, base, &bound)?;
+    scheduler.run(&designs).result?;
+    Ok(scheduler.table())
 }
 
 #[cfg(test)]

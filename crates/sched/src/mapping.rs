@@ -171,12 +171,12 @@ impl Hints {
     }
 
     /// Iterator over the non-zero process gap hints, in process order.
-    pub fn proc_gaps(&self) -> impl Iterator<Item = (ProcRef, u32)> + '_ {
+    pub fn proc_gaps(&self) -> impl Iterator<Item = (ProcRef, u32)> + Clone + '_ {
         self.proc_gap.iter().map(|(&p, &s)| (p, s))
     }
 
     /// Iterator over the non-zero message slot hints, in message order.
-    pub fn msg_slots(&self) -> impl Iterator<Item = (MsgRef, u32)> + '_ {
+    pub fn msg_slots(&self) -> impl Iterator<Item = (MsgRef, u32)> + Clone + '_ {
         self.msg_slot.iter().map(|(&m, &s)| (m, s))
     }
 

@@ -13,35 +13,16 @@ use crate::pe_timeline::PeTimeline;
 use crate::table::ScheduleTable;
 use incdes_model::{Architecture, PeId, Time};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
-
-/// One immutable gap/window list: a flattened `Arc<[..]>` slab.
-///
-/// The flat slice (rather than `Arc<Vec<..>>`) drops one pointer
-/// indirection on every scan — the C1/C2 window kernels walk the spans
-/// straight off the `Arc` allocation — and makes the lists immutable by
-/// construction, so profile clones can share them (see
-/// [`SlackProfile`]).
-pub type GapList = Arc<[(Time, Time)]>;
 
 /// The slack left by a schedule.
-///
-/// The [`GapList`] storage is immutable, so clones of one profile share
-/// it and no profile can be altered through another; the engine builds
-/// every profile from a copy of its live timelines, so no base or
-/// timeline shares a profile's storage. Sharing is invisible through
-/// this API: reads return plain slices, and equality and serialization
-/// are by content.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SlackProfile {
     horizon: Time,
     /// Per PE: maximal idle intervals `(start, end)`, in time order.
-    /// The outer table is `Arc`-shared too, so a clone costs two
-    /// reference-count bumps, not one per PE.
-    pe_gaps: Arc<[GapList]>,
+    pe_gaps: Vec<Vec<(Time, Time)>>,
     /// Free bus windows `(start, end)` — the unused tail of each slot
     /// occurrence, in time order.
-    bus_windows: GapList,
+    bus_windows: Vec<(Time, Time)>,
 }
 
 impl SlackProfile {
@@ -61,13 +42,13 @@ impl SlackProfile {
     }
 
     /// Assembles a profile from its parts: per-PE gap lists (in PE
-    /// order, each in time order) and the bus windows (in time order),
-    /// each stored as an immutable [`GapList`]. The parts must be
-    /// exactly what [`SlackProfile::from_table`] would derive.
-    pub fn new<G: Into<GapList>>(
+    /// order, each in time order) and the bus windows (in time order).
+    /// The parts must be exactly what [`SlackProfile::from_table`] would
+    /// derive.
+    pub fn new<G: Into<Vec<(Time, Time)>>>(
         horizon: Time,
         pe_gaps: impl IntoIterator<Item = G>,
-        bus_windows: impl Into<GapList>,
+        bus_windows: impl Into<Vec<(Time, Time)>>,
     ) -> Self {
         SlackProfile {
             horizon,
@@ -94,25 +75,12 @@ impl SlackProfile {
     /// Every PE's idle intervals, in PE order: the gap slices the
     /// objective reads.
     pub fn gap_lists(&self) -> impl ExactSizeIterator<Item = &[(Time, Time)]> + Clone {
-        self.pe_gaps.iter().map(|gaps| &gaps[..])
-    }
-
-    /// All processor gaps across PEs, as durations.
-    pub fn all_pe_gap_sizes(&self) -> Vec<Time> {
-        self.pe_gaps
-            .iter()
-            .flat_map(|gaps| gaps.iter().map(|&(s, e)| e - s))
-            .collect()
+        self.pe_gaps.iter().map(Vec::as_slice)
     }
 
     /// Free bus windows.
     pub fn bus_windows(&self) -> &[(Time, Time)] {
         &self.bus_windows
-    }
-
-    /// Bus window sizes.
-    pub fn bus_window_sizes(&self) -> Vec<Time> {
-        self.bus_windows.iter().map(|&(s, e)| e - s).collect()
     }
 
     /// Total idle time of `pe`.
@@ -140,14 +108,6 @@ impl SlackProfile {
     /// Free bus time inside the window `[from, to)`.
     pub fn bus_slack_in(&self, from: Time, to: Time) -> Time {
         window_overlap(&self.bus_windows, from, to)
-    }
-
-    /// The largest single processor gap, or zero if none.
-    pub fn largest_pe_gap(&self) -> Time {
-        self.all_pe_gap_sizes()
-            .into_iter()
-            .max()
-            .unwrap_or(Time::ZERO)
     }
 }
 
@@ -209,7 +169,6 @@ mod tests {
         assert_eq!(p.total_pe_slack(), t(200));
         assert_eq!(p.total_bus_slack(), t(100));
         assert_eq!(p.gaps_of(PeId(0)), &[(t(0), t(100))]);
-        assert_eq!(p.largest_pe_gap(), t(100));
         assert_eq!(p.pe_count(), 2);
     }
 
@@ -229,9 +188,6 @@ mod tests {
         assert!(p.gaps_of(PeId(1)).is_empty());
         assert_eq!(p.total_slack_of(PeId(0)), t(70));
         assert_eq!(p.total_pe_slack(), t(70));
-        let mut sizes = p.all_pe_gap_sizes();
-        sizes.sort();
-        assert_eq!(sizes, vec![t(10), t(20), t(40)]);
     }
 
     #[test]
@@ -253,7 +209,14 @@ mod tests {
         let table = ScheduleTable::empty(t(40));
         let p = SlackProfile::from_table(&arch, &table);
         // 2 cycles × 2 slots = 4 windows of 10.
-        assert_eq!(p.bus_windows().len(), 4);
-        assert_eq!(p.bus_window_sizes(), vec![t(10); 4]);
+        assert_eq!(
+            p.bus_windows(),
+            &[
+                (t(0), t(10)),
+                (t(10), t(20)),
+                (t(20), t(30)),
+                (t(30), t(40))
+            ]
+        );
     }
 }

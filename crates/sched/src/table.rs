@@ -57,7 +57,7 @@ pub struct ScheduledMessage {
 ///
 /// The single source of truth shared by [`ScheduleTable::new`]'s sort,
 /// the engine's per-run sort and the sorted-merge fast path
-/// ([`ScheduleTable::from_sorted_merge`]) — the merge reproduces a
+/// (`ScheduleTable::from_sorted_merge`) — the merge reproduces a
 /// stable sort only because all three use exactly this key.
 pub fn job_sort_key(j: &ScheduledJob) -> (PeId, Time, JobId) {
     (j.pe, j.start, j.job)

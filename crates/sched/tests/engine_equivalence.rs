@@ -2,11 +2,11 @@
 //!
 //! `schedule()` itself delegates to the engine (a fresh `FrozenBase` +
 //! `Scheduler` per call), so what these properties actually pin is the
-//! *reuse* machinery: one long-lived `Scheduler` whose scratch arenas,
-//! priority cache and touched-resource bookkeeping are recycled across
-//! many evaluations — with varying mappings, hints and frozen tables —
-//! must keep producing exactly the table and slack profile a cold
-//! one-shot run produces. (The `DesignCost` leg of the equivalence lives
+//! *reuse* machinery: one long-lived `Scheduler` whose job arena,
+//! priority cache and timelines are recycled across many evaluations —
+//! with varying mappings and hints over random frozen tables — must
+//! keep producing exactly the table and slack profile a cold one-shot
+//! run produces. (The `DesignCost` leg of the equivalence lives
 //! in the facade-level `tests/eval_engine.rs`, since `incdes-metrics`
 //! sits above this crate.)
 
@@ -17,6 +17,7 @@ use incdes_model::{
 use incdes_sched::engine::{FrozenBase, Scheduler};
 use incdes_sched::{schedule, AppSpec, Hints, Mapping, MsgRef, SlackProfile};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// 3 PEs, 10-tick slots, cycle 30.
 fn arch3() -> Architecture {
@@ -138,19 +139,24 @@ proptest! {
         let g = build_graph(&layers, &wcets, &parents, &msg_bytes, Time::new(240));
         let app = Application::new("current", vec![g]);
 
-        let base = FrozenBase::new(&arch, frozen.as_ref(), horizon).unwrap();
-        let mut engine = Scheduler::new();
+        let base = Arc::new(FrozenBase::new(&arch, frozen.as_ref(), horizon).unwrap());
+        let mut engine = Scheduler::new(&arch, base, &[(AppId(1), &app)]).unwrap();
 
         for salt in 0..rounds {
             let (mapping, hints) = solution_of(&app, &pe_choice, &gap_hints, &slot_hints, salt);
             let spec = AppSpec::new(AppId(1), &app, &mapping, &hints);
             let one_shot = schedule(&arch, &[spec], frozen.as_ref(), horizon);
-            let engine_run = engine.schedule_with_slack(&arch, &[spec], &base);
+            let engine_run = engine.run(&[(&mapping, &hints)]).result;
             match (one_shot, engine_run) {
-                (Ok(reference), Ok((table, slack))) => {
-                    prop_assert_eq!(&table, &reference, "tables diverged (salt {})", salt);
+                (Ok(reference), Ok(())) => {
+                    prop_assert_eq!(&engine.table(), &reference, "tables diverged (salt {})", salt);
                     let reference_slack = SlackProfile::from_table(&arch, &reference);
-                    prop_assert_eq!(&slack, &reference_slack, "slack diverged (salt {})", salt);
+                    prop_assert_eq!(
+                        &engine.slack_profile(),
+                        &reference_slack,
+                        "slack diverged (salt {})",
+                        salt
+                    );
                 }
                 (Err(a), Err(b)) => prop_assert_eq!(a, b, "errors diverged (salt {})", salt),
                 (a, b) => prop_assert!(
@@ -195,10 +201,10 @@ proptest! {
         }
         prop_assert_eq!(base.bus_timeline().free_windows(), naive_slack.bus_windows());
         // Scheduling *nothing* on the base reproduces the frozen table.
-        let mut engine = Scheduler::new();
-        let (table, slack) = engine.schedule_with_slack(&arch, &[], &base).unwrap();
-        prop_assert_eq!(table, frozen);
-        prop_assert_eq!(slack, naive_slack);
+        let mut engine = Scheduler::new(&arch, Arc::new(base), &[]).unwrap();
+        engine.run(&[]).result.unwrap();
+        prop_assert_eq!(engine.table(), frozen);
+        prop_assert_eq!(engine.slack_profile(), naive_slack);
     }
 
     /// The baked timelines the initial mapping probes against equal the

@@ -1,5 +1,5 @@
 //! Offline shim of `serde_json`: a complete JSON emitter and parser
-//! over the serde shim's [`Value`](serde::export::Value) data model.
+//! over the serde shim's [`Value`] data model.
 //!
 //! Supports the subset of the real crate's API used by this workspace:
 //! [`to_string`], [`to_string_pretty`], [`from_str`], [`Error`], and
