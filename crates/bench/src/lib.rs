@@ -268,10 +268,10 @@ fn current_commit(outcome: &CompletedScenario, current_step: usize) -> Option<(f
     step.cost.map(|c| (c.total, step.elapsed))
 }
 
-/// Percentage deviation of `cost` from the reference `sa`.
-///
-/// When the reference is (near) zero the deviation is measured against a
-/// floor of 1 cost unit — documented in `EXPERIMENTS.md`.
+/// Percentage deviation of `cost` from the reference `sa`:
+/// `100 · (cost − sa) / max(sa, 1)`. The denominator is floored at 1
+/// cost unit, so a reference cost of (near) zero yields the absolute
+/// difference in cost units, times 100, instead of a division by zero.
 pub fn deviation_percent(cost: f64, sa: f64) -> f64 {
     100.0 * (cost - sa) / sa.max(1.0)
 }

@@ -176,6 +176,17 @@ pub enum SpecError {
     UnknownPreset(String),
     /// The resolved generator configuration is degenerate.
     Synth(SynthError),
+    /// `sizes[index]` is zero: an application needs at least one
+    /// process.
+    ZeroSize {
+        /// Index of the offending entry of the size axis.
+        index: usize,
+    },
+    /// `script[step]` adds or probes `Count::Fixed(0)` processes.
+    ZeroProcesses {
+        /// Index of the offending step in the script.
+        step: usize,
+    },
     /// `script[step]` decommissions `app`, but only `adds` earlier
     /// `Add` steps can have committed an application: app ids are
     /// handed out by successful commits alone, so the step can never
@@ -208,6 +219,14 @@ impl fmt::Display for SpecError {
                 "unknown preset `{name}` (expected \"dac2001\" or \"dac2001-small\")"
             ),
             SpecError::Synth(e) => write!(f, "invalid generator configuration: {e}"),
+            SpecError::ZeroSize { index } => write!(
+                f,
+                "sizes[{index}] is 0, but an application needs at least one process"
+            ),
+            SpecError::ZeroProcesses { step } => write!(
+                f,
+                "script[{step}]: process count is 0, but an application needs at least one process"
+            ),
             SpecError::UnknownDecommission { step, app, adds } => {
                 let (noun, verb) = if *adds == 1 {
                     ("step", "precedes")
@@ -233,7 +252,7 @@ impl From<SynthError> for SpecError {
 
 impl CampaignSpec {
     /// Checks the spec's structure (axes, script, future profile,
-    /// decommission targets).
+    /// process counts, decommission targets).
     ///
     /// # Errors
     ///
@@ -269,9 +288,20 @@ impl CampaignSpec {
         if uses_size && self.sizes.is_empty() {
             return Err(SpecError::SizeAxisMissing);
         }
+        if let Some(index) = self.sizes.iter().position(|&size| size == 0) {
+            return Err(SpecError::ZeroSize { index });
+        }
         let mut adds = 0usize;
         for (step, s) in self.script.iter().enumerate() {
             match *s {
+                ScriptStep::Add {
+                    processes: Count::Fixed(0),
+                    ..
+                }
+                | ScriptStep::Probe {
+                    processes: Count::Fixed(0),
+                    ..
+                } => return Err(SpecError::ZeroProcesses { step }),
                 ScriptStep::Add { .. } => adds += 1,
                 ScriptStep::Decommission { app } if app as usize >= adds => {
                     return Err(SpecError::UnknownDecommission { step, app, adds });
@@ -552,6 +582,53 @@ mod tests {
             spec.validate().unwrap_err().to_string(),
             "script[0]: Decommission names app 0, but only 0 Add steps precede it"
         );
+    }
+
+    /// A zero process count, on the size axis or fixed in a step, is a
+    /// spec error that names its place, not an infeasible step.
+    #[test]
+    fn zero_process_counts_are_rejected() {
+        let mut spec = CampaignSpec::small_demo();
+        spec.sizes = vec![6, 0];
+        let err = spec.validate().unwrap_err();
+        assert_eq!(err, SpecError::ZeroSize { index: 1 });
+        assert_eq!(
+            err.to_string(),
+            "sizes[1] is 0, but an application needs at least one process"
+        );
+
+        spec.sizes = vec![6];
+        spec.script = vec![
+            ScriptStep::Add {
+                processes: Count::Size,
+                strategy: None,
+                future: false,
+            },
+            ScriptStep::Add {
+                processes: Count::Fixed(0),
+                strategy: None,
+                future: false,
+            },
+        ];
+        let err = spec.validate().unwrap_err();
+        assert_eq!(err, SpecError::ZeroProcesses { step: 1 });
+        assert_eq!(
+            err.to_string(),
+            "script[1]: process count is 0, but an application needs at least one process"
+        );
+
+        spec.script[1] = ScriptStep::Probe {
+            processes: Count::Fixed(0),
+            strategy: None,
+            future: true,
+        };
+        assert_eq!(
+            spec.validate().unwrap_err(),
+            SpecError::ZeroProcesses { step: 1 }
+        );
+
+        spec.script.truncate(1);
+        spec.validate().unwrap();
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! * a compact adjacency-list [`Dag`] with typed node/edge payloads,
 //! * Kahn topological ordering and cycle detection ([`algo::topological_order`]),
 //! * longest-path (critical-path) computations ([`algo::longest_path_to_sink`]),
-//! * reachability / transitive successor queries ([`algo::reachable_from`]),
-//! * Graphviz DOT export for debugging ([`dot::to_dot`]).
+//! * reachability / transitive successor queries ([`algo::reachable_from`]).
 //!
 //! # Example
 //!
@@ -31,7 +30,6 @@
 
 pub mod algo;
 pub mod dag;
-pub mod dot;
 
 pub use algo::CycleError;
 pub use dag::{Dag, EdgeId, NodeId};

@@ -76,12 +76,9 @@ counters! {
     /// profile: one per PE per profile (added once per profile). The
     /// search builds profiles for kept designs only.
     SlackGapsMaterialized => "slack_gaps_materialized",
-    /// Ready-queue pushes (seeding and successor releases). The queue
-    /// was a binary heap when the counter was named.
-    HeapPushes => "heap_pushes",
-    /// Ready-queue pops by the list-scheduling loop (one per job it
-    /// tries to place). Named, like `heap_pushes`, after the old binary
-    /// heap.
+    /// Jobs the list-scheduling loop takes from its pop order to place,
+    /// one per job it tries to place (a failed placement included).
+    /// Named after the binary heap the pop order replaced.
     HeapPops => "heap_pops",
     /// Free gaps examined by `PeTimeline`'s gap search (added once per
     /// search).
@@ -223,10 +220,10 @@ mod tests {
     fn bump_and_delta_are_exact() {
         let before = snapshot();
         bump(Counter::MemoHits);
-        add(Counter::HeapPushes, 3);
+        add(Counter::GapSteps, 3);
         let d = snapshot().delta_since(&before);
         assert_eq!(d.get(Counter::MemoHits), 1);
-        assert_eq!(d.get(Counter::HeapPushes), 3);
+        assert_eq!(d.get(Counter::GapSteps), 3);
         assert_eq!(d.get(Counter::BaseBakes), 0);
     }
 

@@ -62,8 +62,9 @@ phases! {
     Objective => "objective",
     /// Baking a `FrozenBase` (frozen schedule replay + validation).
     Bake => "bake",
-    /// Recomputing a graph's priorities after a cost change (nested
-    /// inside `Expand`, so not summed with the other phases).
+    /// Recomputing a graph's priorities after a cost change, and on a
+    /// patch moving each job whose priority changed in the pop order
+    /// (nested inside `Expand`, so not summed with the other phases).
     PriorityRefresh => "priority_refresh",
 }
 

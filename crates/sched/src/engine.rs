@@ -14,16 +14,18 @@
 //!   occupancy snapshot.
 //! * [`Scheduler`] is bound to one architecture, one base and one set of
 //!   current applications. It lays out its job arena once (job records,
-//!   a flat successor table, the ready queue, a per-graph priority
-//!   cache) and is the one owner of what changed between runs: each run
-//!   hands it only the design variables, and it answers in three steps:
+//!   a flat successor table, the pop order, a per-graph priority cache)
+//!   and is the one owner of what changed between runs: each run hands
+//!   it only the design variables, and it answers in three steps:
 //!   1. **sync** the arena with the design: one pass in key order over
 //!      the mapping, the non-zero gap hints and the non-zero slot hints,
 //!      compared with the arena's own records (each process's PE, the
 //!      non-zero hints it holds), **patches** whatever differs and
-//!      refreshes the priorities of remapped graphs. The first run, and
-//!      the first after a run whose sync failed, **expands** the arena
-//!      instead: every record is written from the design;
+//!      refreshes the priorities of remapped graphs, moving each job
+//!      whose priority moved to its new place in the pop order. The
+//!      first run, and the first after a run whose sync failed,
+//!      **expands** the arena instead: every record is written from the
+//!      design and the pop order is sorted afresh;
 //!   2. **reset** the timelines from the base: a copy of each PE's
 //!      frozen gap list and of the bus's per-occurrence fill;
 //!   3. **re-place** the whole current application with the list
@@ -34,22 +36,31 @@
 //!
 //! A failed run needs no rollback: the next run resets from the base.
 //! Debug builds re-expand every patched arena from scratch and assert
-//! that the two agree.
+//! that the two agree, pop order included.
 //!
 //! The list-scheduling loop touches no application data. Each graph's
 //! out-edges are laid out once into a flat successor table of
 //! `(target node, edge, transmission time, slot hint)` records, and
 //! each job record stores its instance's first arena index and its
 //! node's slice of that table: a successor is one add away, and a
-//! message's duration and slot hint are one load. The ready queue is a
-//! monotone radix queue on urgency (`deadline − partial critical
-//! path`). It is exact because a node's partial critical path is at
-//! least its successor's plus its own cost and both share the instance
-//! deadline, so a released successor is never more urgent than the job
-//! that released it. Entries of equal urgency sit in a small binary
-//! heap under the tie-break, so the pop order is the one a single
-//! binary heap over the entries' order (urgency, then the longer
-//! critical path, the earlier ready time, the smaller job index) gives.
+//! message's duration and slot hint are one load.
+//!
+//! Jobs are placed in the order a binary heap of released jobs would
+//! pop them: urgency (`deadline − partial critical path`, saturating at
+//! 0) first, then the longer critical path, the earlier ready time and
+//! the smaller arena index. No heap is needed, because a job's *rank*
+//! (urgency, then priority descending) is strictly smaller than each of
+//! its successors'. Its partial critical path exceeds a successor's by
+//! at least its own WCET, which is positive, and both share the
+//! instance deadline, so either its urgency is smaller or the two
+//! urgencies saturate at 0 and its priority is larger. So the scheduler
+//! keeps every arena job sorted by (rank, arena index) across runs, and
+//! a run walks that order: when it reaches a group of equal rank, every
+//! predecessor of every member has been placed, so the members' ready
+//! times are final and one sort of the group by (ready time, arena
+//! index) finishes the heap's order. A patch that moves a graph's
+//! priorities moves only the jobs whose priority changed, by binary
+//! search.
 //!
 //! [`Scheduler::run`] leaves its result live in the scheduler: the
 //! timelines and the placements (jobs in step order, messages in
@@ -74,8 +85,7 @@ use incdes_model::{AppId, Application, Architecture, PeId, ProcRef, Time};
 use incdes_obs::counters::{self, Counter};
 use incdes_obs::phase::{self, Phase};
 use incdes_tdma::BusTimeline;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::cmp::Reverse;
 use std::sync::Arc;
 
 /// Checks that `horizon` is positive and a multiple of every graph
@@ -328,12 +338,11 @@ pub struct Run {
 
 /// Internal per-job scheduling state (one expanded process instance).
 ///
-/// Deliberately *static* per run: the dynamic fields the scheduling
-/// loop rewrites on every step (`ready`, `preds_remaining`) live in
-/// dense parallel arrays on [`Scheduler`] instead, so the hot successor
-/// updates and the queue seed touch two packed arrays rather than
-/// striding through this fat record — and the loop can hold the arena
-/// immutably while mutating the per-run state.
+/// Deliberately *static* per run: the one field the scheduling loop
+/// rewrites on every step (`ready`) lives in a dense parallel array on
+/// [`Scheduler`] instead, so the hot successor updates touch a packed
+/// array rather than striding through this fat record — and the loop can
+/// hold the arena immutably while mutating the per-run state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct JobRec {
     id: JobId,
@@ -364,160 +373,36 @@ struct SuccRec {
     edge: EdgeId,
 }
 
-/// Ready-queue entry. Jobs are ordered by *urgency* — the latest start
-/// time `deadline − partial critical path` (smaller = more urgent) — so
-/// tight-deadline instances are not crowded out by lax ones sharing the
-/// hyperperiod. Ties fall back to the longer critical path, then earliest
-/// ready, then the smallest job index (full determinism).
-#[derive(Clone, Copy)]
-struct ReadyEntry {
-    /// `deadline − pcp`, saturating at zero.
-    urgency: Time,
-    priority: Time,
-    ready: Time,
-    job_idx: usize,
+/// A job's rank in the pop order: urgency (`deadline − priority`,
+/// saturating at 0; smaller is more urgent, so tight-deadline instances
+/// are not crowded out by lax ones sharing the hyperperiod), then the
+/// longer critical path. The arena index breaks ties between ranks; the
+/// ready time breaks them first, inside a run (see the module docs).
+fn rank(j: &JobRec) -> (Time, Reverse<Time>) {
+    (j.deadline.saturating_sub(j.priority), Reverse(j.priority))
 }
 
-impl ReadyEntry {
-    fn of(jobs: &[JobRec], ready: &[Time], job_idx: usize) -> Self {
-        let j = &jobs[job_idx];
-        ReadyEntry {
-            urgency: j.deadline.saturating_sub(j.priority),
-            priority: j.priority,
-            ready: ready[job_idx],
-            job_idx,
-        }
-    }
+/// Job `i`'s key in the pop order: its rank, then its arena index.
+fn pop_key(jobs: &[JobRec], i: u32) -> ((Time, Reverse<Time>), u32) {
+    (rank(&jobs[i as usize]), i)
 }
 
-impl PartialEq for ReadyEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for ReadyEntry {}
-impl PartialOrd for ReadyEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for ReadyEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap: larger = popped first, so reverse the
-        // urgency comparison (smallest urgency pops first).
-        other
-            .urgency
-            .cmp(&self.urgency)
-            .then_with(|| self.priority.cmp(&other.priority))
-            .then_with(|| other.ready.cmp(&self.ready))
-            .then_with(|| other.job_idx.cmp(&self.job_idx))
-    }
-}
-
-/// The ready queue: a monotone radix queue on urgency. Pops come out in
-/// the order a `BinaryHeap<ReadyEntry>` gives, provided no push is more
-/// urgent than the last pop (debug builds assert it; see the module docs
-/// for why the list scheduler keeps to it).
-///
-/// Bucket `b` holds the entries whose urgency first differs from the
-/// last popped urgency in bit `b`, so every entry of a lower bucket is
-/// more urgent than every entry of a higher one. Entries exactly as
-/// urgent as the last pop sit in `equal`, a binary heap under the
-/// tie-break. When `equal` runs dry, the lowest non-empty bucket is
-/// redistributed around its smallest urgency; each entry moves down a
-/// bucket at most 64 times over its life.
-///
-/// The buckets are linked lists through one slab, so a cold queue (a
-/// fresh engine's first run, as in every probe) grows one allocation,
-/// like a binary heap, instead of one per bucket.
-struct ReadyQueue {
-    /// The last popped urgency (0 before the first pop).
-    last: u64,
-    equal: BinaryHeap<ReadyEntry>,
-    /// Every entry pushed into a bucket since the last clear, with the
-    /// slab index of the next entry of its bucket.
-    slab: Vec<(ReadyEntry, u32)>,
-    /// Slab index of each bucket's first entry; only meaningful while
-    /// the bucket's bit in `occupied` is set.
-    heads: [u32; 64],
-    occupied: u64,
-}
-
-impl Default for ReadyQueue {
-    fn default() -> Self {
-        ReadyQueue {
-            last: 0,
-            equal: BinaryHeap::new(),
-            slab: Vec::new(),
-            heads: [0; 64],
-            occupied: 0,
-        }
-    }
-}
-
-impl ReadyQueue {
-    /// Ends a bucket's list.
-    const NIL: u32 = u32::MAX;
-
-    fn clear(&mut self) {
-        self.last = 0;
-        self.equal.clear();
-        self.slab.clear();
-        self.occupied = 0;
-    }
-
-    fn push(&mut self, entry: ReadyEntry) {
-        let u = entry.urgency.ticks();
-        debug_assert!(
-            u >= self.last,
-            "ready queue push of urgency {u} below the last pop {}",
-            self.last
-        );
-        let at = self.slab.len() as u32;
-        self.slab.push((entry, Self::NIL));
-        self.file(at);
-    }
-
-    /// Files slab entry `at` into `equal` or the head of its bucket.
-    fn file(&mut self, at: u32) {
-        let (entry, next) = &mut self.slab[at as usize];
-        let diff = entry.urgency.ticks() ^ self.last;
-        if diff == 0 {
-            self.equal.push(*entry);
-        } else {
-            let b = 63 - diff.leading_zeros() as usize;
-            let bit = 1u64 << b;
-            *next = if self.occupied & bit != 0 {
-                self.heads[b]
-            } else {
-                Self::NIL
-            };
-            self.heads[b] = at;
-            self.occupied |= bit;
-        }
-    }
-
-    fn pop(&mut self) -> Option<ReadyEntry> {
-        if self.equal.is_empty() && self.occupied != 0 {
-            let b = self.occupied.trailing_zeros() as usize;
-            self.occupied &= !(1 << b);
-            let head = self.heads[b];
-            let mut last = u64::MAX;
-            let mut at = head;
-            while at != Self::NIL {
-                let (entry, next) = self.slab[at as usize];
-                last = last.min(entry.urgency.ticks());
-                at = next;
-            }
-            self.last = last;
-            let mut at = head;
-            while at != Self::NIL {
-                let next = self.slab[at as usize].1;
-                self.file(at);
-                at = next;
-            }
-        }
-        self.equal.pop()
+/// Sets job `i`'s priority to `priority` and moves it to its new place
+/// in `order` (every arena job sorted by [`pop_key`]): a binary search
+/// for the old place and one for the new, then one rotation of the jobs
+/// between them.
+fn rekey(order: &mut [u32], jobs: &mut [JobRec], i: u32, priority: Time) {
+    let old = pop_key(jobs, i);
+    let at = order.partition_point(|&k| pop_key(jobs, k) < old);
+    debug_assert_eq!(order[at], i, "the pop order holds every job at its key");
+    jobs[i as usize].priority = priority;
+    let new = pop_key(jobs, i);
+    if new > old {
+        let to = at + order[at + 1..].partition_point(|&k| pop_key(jobs, k) < new);
+        order[at..=to].rotate_left(1);
+    } else {
+        let to = order[..at].partition_point(|&k| pop_key(jobs, k) < new);
+        order[to..=at].rotate_right(1);
     }
 }
 
@@ -540,7 +425,7 @@ struct GraphSlot {
 
 /// The scheduling engine, bound to one architecture, one frozen base and
 /// one set of current applications for its lifetime: the job arena, the
-/// successor table, the ready queue and the timelines are laid out for
+/// successor table, the pop order and the timelines are laid out for
 /// them once and reused by every run.
 ///
 /// A run hands it only the design variables, one `(mapping, hints)`
@@ -561,19 +446,18 @@ pub struct Scheduler<'a> {
     graphs: Vec<GraphSlot>,
     /// Per application, the non-zero hints the arena holds.
     held: Vec<HeldHints>,
+    /// Every arena index, sorted by [`pop_key`]: the order runs walk.
+    /// Sorted by an expansion, kept sorted by each patch.
+    order: Vec<u32>,
+    /// A run's scratch for one group of equal rank, sorted by ready time.
+    group: Vec<u32>,
     /// Dynamic per-job state, parallel to `jobs`: the earliest time the
     /// job's input data is available in the current run. Structure-of-
     /// arrays on purpose — see [`JobRec`].
     ready: Vec<Time>,
-    /// Dynamic per-job state, parallel to `jobs`: predecessors not yet
-    /// placed in the current run.
-    preds_remaining: Vec<u32>,
-    /// Static per-job values parallel to `jobs`: release times and
-    /// in-degrees. Every run resets `ready` and `preds_remaining` from
-    /// these with two flat copies.
+    /// Per-job release times, parallel to `jobs`: every run resets
+    /// `ready` from them with one flat copy.
     releases: Vec<Time>,
-    in_degs: Vec<u32>,
-    queue: ReadyQueue,
     pes: Vec<PeTimeline>,
     bus: BusTimeline,
     assign_scratch: Vec<Option<PeId>>,
@@ -623,7 +507,6 @@ impl<'a> Scheduler<'a> {
         let mut edge_succs = Vec::new();
         let mut graphs = Vec::new();
         let mut releases = Vec::new();
-        let mut in_degs = Vec::new();
         for &(id, app) in apps {
             for (gi, g) in app.graphs.iter().enumerate() {
                 let dag = g.dag();
@@ -672,7 +555,6 @@ impl<'a> Scheduler<'a> {
                             succ_hi,
                         });
                         releases.push(release);
-                        in_degs.push(dag.in_degree(n) as u32);
                         succ_lo = succ_hi;
                     }
                 }
@@ -689,11 +571,10 @@ impl<'a> Scheduler<'a> {
             edge_succs,
             graphs,
             held: apps.iter().map(|_| HeldHints::default()).collect(),
+            order: Vec::new(),
+            group: Vec::new(),
             ready: Vec::new(),
-            preds_remaining: Vec::new(),
             releases,
-            in_degs,
-            queue: ReadyQueue::default(),
             assign_scratch: Vec::new(),
             cost_scratch: PriorityCosts::default(),
             placed: Vec::new(),
@@ -806,8 +687,9 @@ impl<'a> Scheduler<'a> {
     /// application, one pass in key order walks the mapping beside each
     /// process's record (instance 0): a process whose PE differs has
     /// every instance remapped, and a graph with a remapped process
-    /// refreshes its priorities. Then the non-zero gap and slot hints
-    /// are walked beside the ones the arena holds: a process whose gap
+    /// refreshes its priorities, moving each job whose priority changed
+    /// to its new place in the pop order. Then the non-zero gap and slot
+    /// hints are walked beside the ones the arena holds: a process whose gap
     /// hint differs has every instance rewritten, a message whose slot
     /// hint differs has its successor record rewritten (found through
     /// the edge-indexed view of the successor table). No lookup runs
@@ -817,8 +699,8 @@ impl<'a> Scheduler<'a> {
     ///
     /// With `full`, every process and graph counts as changed and every
     /// hint as unset: the arena is rebuilt from the design alone,
-    /// whatever it held (an expansion). Returns whether anything
-    /// changed.
+    /// whatever it held, and the pop order sorted afresh (an expansion).
+    /// Returns whether anything changed.
     ///
     /// # Errors
     ///
@@ -835,6 +717,7 @@ impl<'a> Scheduler<'a> {
             edge_succs,
             graphs,
             held,
+            order,
             assign_scratch,
             cost_scratch,
             ..
@@ -898,20 +781,32 @@ impl<'a> Scheduler<'a> {
                 // Priorities are a pure function of the graph's mapping
                 // (node WCETs on the assigned PEs, edge same-PE-ness), so
                 // a hint change cannot move them. Every successful sync
-                // leaves a graph's jobs holding `slot.prio`, so unchanged
-                // costs need no rewrite unless expanding.
+                // leaves a graph's jobs holding `slot.prio`, so a patch
+                // rewrites, and re-keys in the pop order, only the jobs
+                // whose node's priority changed; an expansion rewrites
+                // them all and sorts the order below.
                 if remapped {
                     assign_scratch.clear();
                     assign_scratch
                         .extend(jobs[slot.first_job..][..nodes].iter().map(|j| Some(j.pe)));
                     cost_scratch.fill(arch, g, assign_scratch);
-                    let stale = slot.costs != *cost_scratch;
-                    if stale {
+                    if slot.costs != *cost_scratch {
                         let _refresh = phase::scope(Phase::PriorityRefresh);
-                        slot.prio = cost_scratch.priorities(g);
+                        let prio = cost_scratch.priorities(g);
                         std::mem::swap(&mut slot.costs, cost_scratch);
+                        if !full {
+                            for (n, (&old, &new)) in slot.prio.iter().zip(&prio).enumerate() {
+                                if old != new {
+                                    for k in 0..slot.instances {
+                                        let i = (slot.first_job + k * nodes + n) as u32;
+                                        rekey(order, jobs, i, new);
+                                    }
+                                }
+                            }
+                        }
+                        slot.prio = prio;
                     }
-                    if stale || full {
+                    if full {
                         let graph_jobs = &mut jobs[slot.first_job..][..slot.instances * nodes];
                         for (j, &p) in graph_jobs.iter_mut().zip(slot.prio.iter().cycle()) {
                             j.priority = p;
@@ -949,19 +844,33 @@ impl<'a> Scheduler<'a> {
                 }
             });
         }
+        if full {
+            let mut keyed: Vec<_> = (0..jobs.len() as u32).map(|i| pop_key(jobs, i)).collect();
+            keyed.sort_unstable();
+            order.clear();
+            order.extend(keyed.into_iter().map(|(_, i)| i));
+        }
         Ok(changed)
     }
 
     /// Debug-build oracle for a patching [`sync`](Self::sync):
     /// snapshots the patched arena, re-expands it from the same design
-    /// and asserts equality. The differential fuzz suite drives this on
-    /// every patched run.
+    /// and asserts equality, the re-keyed pop order against a fresh
+    /// sort included. The re-expansion leaves every field equal to what
+    /// the patch left and marks nothing for a re-sort, so the next patch
+    /// re-keys this order as a release build would. The differential
+    /// fuzz suite drives this on every patched run.
     #[cfg(debug_assertions)]
     fn debug_verify_patch(&mut self, designs: &[(&Mapping, &Hints)]) {
         let jobs = self.jobs.clone();
         let succs = self.succs.clone();
+        let order = self.order.clone();
         self.sync(designs, true)
             .expect("a design that patches cleanly expands cleanly");
+        assert_eq!(
+            self.order, order,
+            "re-keyed pop order diverged from a fresh sort"
+        );
         for (j, s) in self.jobs.iter().zip(&jobs) {
             assert_eq!(
                 j, s,
@@ -983,11 +892,10 @@ impl<'a> Scheduler<'a> {
             base,
             jobs,
             succs,
+            order,
+            group,
             ready,
-            preds_remaining,
             releases,
-            in_degs,
-            queue,
             pes,
             bus,
             placed,
@@ -1003,29 +911,7 @@ impl<'a> Scheduler<'a> {
         placed.clear();
         msgs.clear();
         ready.clone_from(releases);
-        preds_remaining.clone_from(in_degs);
-
-        queue.clear();
-        let mut seeded = 0u64;
-        for (i, &p) in preds_remaining.iter().enumerate() {
-            if p == 0 {
-                queue.push(ReadyEntry::of(jobs, ready, i));
-                seeded += 1;
-            }
-        }
-        counters::add(Counter::HeapPushes, seeded);
-
-        schedule_loop(
-            jobs,
-            succs,
-            ready,
-            preds_remaining,
-            queue,
-            pes,
-            bus,
-            placed,
-            msgs,
-        )
+        schedule_loop(jobs, succs, order, group, ready, pes, bus, placed, msgs)
     }
 }
 
@@ -1071,10 +957,13 @@ fn diff_hints<K: Ord + Copy>(
 }
 
 /// The WCET of process `n` of `g` on `pe`, if the process may run
-/// there: its WCET table lists `pe` and `pe` is in the architecture.
-/// Applications may list WCETs for PEs beyond the architecture (the
-/// validator ignores them), so a mapping onto one is refused here, not
-/// left to index past the timelines.
+/// there: its WCET table lists `pe`, `pe` is in the architecture and the
+/// WCET is positive. Applications may list WCETs for PEs beyond the
+/// architecture (the validator ignores them), so a mapping onto one is
+/// refused here, not left to index past the timelines. The validator
+/// rejects a zero WCET; refusing it here too keeps every job's rank
+/// strictly below its successors' for any input, which the pop order
+/// relies on (see the module docs).
 fn allowed_wcet(
     arch: &Architecture,
     g: &incdes_model::ProcessGraph,
@@ -1084,80 +973,112 @@ fn allowed_wcet(
     g.process(n)
         .wcets
         .get(pe)
-        .filter(|_| pe.index() < arch.pe_count())
+        .filter(|w| !w.is_zero() && pe.index() < arch.pe_count())
 }
 
-/// The list-scheduling loop: pops ready jobs from `queue` until none
-/// remain, reserving processor time and bus slots and appending each
-/// placed job and message. The caller has reset the timelines and
-/// seeded the queue. A failure leaves a partial run in the timelines;
-/// the next run resets them from the base.
+/// The list-scheduling loop: walks `order` group by group of equal
+/// rank, sorts each group by (ready time, arena index) in the `group`
+/// scratch when it reaches it, and places its jobs, reserving processor
+/// time and bus slots and appending each placed job and message. The
+/// caller has reset the timelines and `ready`. A failure leaves a
+/// partial run in the timelines; the next run resets them from the base.
 #[allow(clippy::too_many_arguments)]
 fn schedule_loop(
     jobs: &[JobRec],
     succs: &[SuccRec],
+    order: &[u32],
+    group: &mut Vec<u32>,
     ready: &mut [Time],
-    preds_remaining: &mut [u32],
-    queue: &mut ReadyQueue,
     pes: &mut [PeTimeline],
     bus: &mut BusTimeline,
     placed: &mut Vec<ScheduledJob>,
     msgs: &mut Vec<ScheduledMessage>,
 ) -> Result<(), SchedError> {
-    while let Some(entry) = queue.pop() {
-        counters::bump(Counter::HeapPops);
-        let idx = entry.job_idx;
-        let j = &jobs[idx];
-        let (id, pe) = (j.id, j.pe);
-        let start = pes[pe.index()]
-            .reserve_earliest(ready[idx], j.wcet, j.gap_hint)
-            .map_err(|source| SchedError::NoGap { job: id, source })?;
-        let end = start + j.wcet;
-        if end > j.deadline {
-            return Err(SchedError::DeadlineMiss {
+    // Debug builds count each job's unplaced predecessors, to assert that
+    // the walk reaches no job before all of them are placed.
+    #[cfg(debug_assertions)]
+    let mut pending = {
+        let mut pending = vec![0u32; jobs.len()];
+        for j in jobs {
+            for s in &succs[j.succ_lo as usize..j.succ_hi as usize] {
+                pending[(j.inst_base + s.target) as usize] += 1;
+            }
+        }
+        pending
+    };
+    let mut rest = order;
+    while let Some(&first) = rest.first() {
+        let r = rank(&jobs[first as usize]);
+        let len = 1 + rest[1..]
+            .iter()
+            .take_while(|&&i| rank(&jobs[i as usize]) == r)
+            .count();
+        let (members, tail) = rest.split_at(len);
+        rest = tail;
+        let members = if len == 1 {
+            members
+        } else {
+            group.clear();
+            group.extend_from_slice(members);
+            group.sort_unstable_by_key(|&i| (ready[i as usize], i));
+            &group[..]
+        };
+        for &i in members {
+            counters::bump(Counter::HeapPops);
+            let idx = i as usize;
+            #[cfg(debug_assertions)]
+            assert_eq!(pending[idx], 0, "job {idx} reached before its predecessors");
+            let j = &jobs[idx];
+            let (id, pe) = (j.id, j.pe);
+            let start = pes[pe.index()]
+                .reserve_earliest(ready[idx], j.wcet, j.gap_hint)
+                .map_err(|source| SchedError::NoGap { job: id, source })?;
+            let end = start + j.wcet;
+            if end > j.deadline {
+                return Err(SchedError::DeadlineMiss {
+                    job: id,
+                    end,
+                    deadline: j.deadline,
+                });
+            }
+
+            // Propagate to successors: messages over the bus where needed.
+            for s in &succs[j.succ_lo as usize..j.succ_hi as usize] {
+                let succ_idx = (j.inst_base + s.target) as usize;
+                let data_ready = if jobs[succ_idx].pe == pe {
+                    end
+                } else {
+                    let msg = MsgRef::new(id.graph, s.edge);
+                    let r = bus
+                        .schedule_message_nth(pe, end, s.tx, s.slot as usize)
+                        .map_err(|source| SchedError::NoSlot {
+                            job: id,
+                            msg,
+                            source,
+                        })?;
+                    msgs.push(ScheduledMessage {
+                        app: id.app,
+                        msg,
+                        instance: id.instance,
+                        reservation: r,
+                    });
+                    r.arrival
+                };
+                ready[succ_idx] = ready[succ_idx].max(data_ready);
+                #[cfg(debug_assertions)]
+                {
+                    pending[succ_idx] -= 1;
+                }
+            }
+            placed.push(ScheduledJob {
                 job: id,
+                pe,
+                start,
                 end,
+                release: j.release,
                 deadline: j.deadline,
             });
         }
-
-        // Propagate to successors: messages over the bus where needed.
-        for s in &succs[j.succ_lo as usize..j.succ_hi as usize] {
-            let succ_idx = (j.inst_base + s.target) as usize;
-            let data_ready = if jobs[succ_idx].pe == pe {
-                end
-            } else {
-                let msg = MsgRef::new(id.graph, s.edge);
-                let r = bus
-                    .schedule_message_nth(pe, end, s.tx, s.slot as usize)
-                    .map_err(|source| SchedError::NoSlot {
-                        job: id,
-                        msg,
-                        source,
-                    })?;
-                msgs.push(ScheduledMessage {
-                    app: id.app,
-                    msg,
-                    instance: id.instance,
-                    reservation: r,
-                });
-                r.arrival
-            };
-            ready[succ_idx] = ready[succ_idx].max(data_ready);
-            preds_remaining[succ_idx] -= 1;
-            if preds_remaining[succ_idx] == 0 {
-                queue.push(ReadyEntry::of(jobs, ready, succ_idx));
-                counters::bump(Counter::HeapPushes);
-            }
-        }
-        placed.push(ScheduledJob {
-            job: id,
-            pe,
-            start,
-            end,
-            release: j.release,
-            deadline: j.deadline,
-        });
     }
     debug_assert_eq!(placed.len(), jobs.len(), "acyclic graphs schedule fully");
     Ok(())
@@ -1167,7 +1088,6 @@ fn schedule_loop(
 mod tests {
     use super::*;
     use incdes_model::{AppId, Application, BusConfig, Message, Process, ProcessGraph};
-    use proptest::prelude::*;
 
     fn t(v: u64) -> Time {
         Time::new(v)
@@ -1452,6 +1372,34 @@ mod tests {
         assert_eq!(engine.raw_schedule_count(), 4);
     }
 
+    /// A zero WCET, which the validator rejects, is refused by the sync
+    /// as a PE the process may not run on: the pop order needs every
+    /// job's rank strictly below its successors'.
+    #[test]
+    fn zero_wcet_is_not_allowed() {
+        let arch = arch2();
+        let mut g = ProcessGraph::new("g", t(100), t(100));
+        let a = g.add_process(
+            Process::new("a")
+                .wcet(PeId(0), Time::ZERO)
+                .wcet(PeId(1), t(5)),
+        );
+        let b = g.add_process(Process::new("b").wcet(PeId(0), t(6)));
+        g.add_message(a, b, Message::new("m", 4)).unwrap();
+        let app = Application::new("app", vec![g]);
+        let hints = Hints::empty();
+        let mut engine = bound(&arch, &app, 100);
+        assert_eq!(
+            engine.run(&[(&mapping_of([0, 0]), &hints)]).result,
+            Err(SchedError::NotAllowed {
+                app: AppId(0),
+                proc_ref: ProcRef::new(0, a),
+                pe: PeId(0),
+            })
+        );
+        engine.run(&[(&mapping_of([1, 0]), &hints)]).result.unwrap();
+    }
+
     #[test]
     fn new_rejects_a_horizon_off_the_periods() {
         let arch = arch2();
@@ -1535,72 +1483,6 @@ mod tests {
             let spec = crate::AppSpec::new(AppId(0), &app, &mapping, &hints);
             let naive = crate::schedule(&arch, &[spec], None, t(100)).unwrap();
             assert_eq!(engine.table(), naive, "assignment {assignment:?}");
-        }
-    }
-
-    /// An urgency drawn by `kind` from `raw`, at or above `floor`:
-    /// `floor` itself (an equal urgency; a saturated 0 while `floor` is
-    /// 0), a near tie, a mid-range step or anything up to `u64::MAX`.
-    fn urgency(kind: u8, raw: u64, floor: u64) -> u64 {
-        match kind {
-            0 => floor,
-            1 => floor.saturating_add(raw % 4),
-            2 => floor.saturating_add(raw % (1 << 20)),
-            _ => floor.saturating_add(raw),
-        }
-    }
-
-    fn entry_key(e: ReadyEntry) -> (Time, Time, Time, usize) {
-        (e.urgency, e.priority, e.ready, e.job_idx)
-    }
-
-    proptest! {
-        /// The radix ready queue pops exactly the sequence a binary heap
-        /// under `ReadyEntry`'s order pops: a random seed set, then after
-        /// every pop a few pushes no more urgent than that pop (equal
-        /// urgencies, saturated zeros and far urgencies included).
-        /// Priorities and ready times come from tiny ranges so the
-        /// tie-break decides often.
-        #[test]
-        fn prop_ready_queue_matches_binary_heap(
-            seeds in proptest::collection::vec((0u8..4, any::<u64>(), 0u64..3, 0u64..3), 0..48),
-            rounds in proptest::collection::vec(
-                proptest::collection::vec((0u8..4, any::<u64>(), 0u64..3, 0u64..3), 0..4),
-                0..64,
-            ),
-        ) {
-            let mut queue = ReadyQueue::default();
-            let mut heap = BinaryHeap::new();
-            let mut next = 0usize;
-            let mut push = |queue: &mut ReadyQueue, heap: &mut BinaryHeap<ReadyEntry>, u, p, r| {
-                let e = ReadyEntry {
-                    urgency: t(u),
-                    priority: t(p),
-                    ready: t(r),
-                    job_idx: next,
-                };
-                next += 1;
-                queue.push(e);
-                heap.push(e);
-            };
-            for &(kind, raw, p, r) in &seeds {
-                push(&mut queue, &mut heap, urgency(kind, raw, 0), p, r);
-            }
-            let mut rounds = rounds.into_iter();
-            loop {
-                let popped = queue.pop();
-                prop_assert_eq!(popped.map(entry_key), heap.pop().map(entry_key));
-                let Some(e) = popped else { break };
-                for (kind, raw, p, r) in rounds.next().unwrap_or_default() {
-                    push(&mut queue, &mut heap, urgency(kind, raw, e.urgency.ticks()), p, r);
-                }
-            }
-            // A cleared queue starts over from urgency 0.
-            push(&mut queue, &mut heap, u64::MAX, 0, 0);
-            queue.clear();
-            prop_assert!(queue.pop().is_none());
-            push(&mut queue, &mut heap, 0, 0, 0);
-            prop_assert_eq!(queue.pop().map(|e| e.urgency), Some(Time::ZERO));
         }
     }
 }

@@ -20,9 +20,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let preset = dac2001_small();
     let arch = generate_architecture(&preset.cfg)?;
     let mut future = incdes::synth::future_profile_for(&preset.cfg, preset.future_processes);
-    // Press on the system: the expected future family is demanding (the
-    // experiment harness applies the same kind of scaling; see
-    // EXPERIMENTS.md).
+    // Press on the system: the expected future family is demanding. The
+    // figure campaigns scale `t_need` and `b_need` the same way, by their
+    // spec's `demand_factor` (4 for the paper figures).
     future.t_need = Time::new(future.t_need.ticks() * 8);
     future.b_need = Time::new(future.b_need.ticks() * 8);
     let weights = Weights::default();
