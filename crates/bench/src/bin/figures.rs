@@ -1,19 +1,23 @@
-//! Regenerates the figures of Pop et al., DAC 2001.
+//! Runs the paper's experiment campaigns and renders their tables
+//! (Pop et al., DAC 2001).
 //!
 //! ```text
-//! figures [f1|f2|f3|t1|ablate-fit|ablate-mh|all] [--small]
 //! figures campaign [--spec FILE] [--workers N] [--shard I/N]
 //!                  [--store [DIR]] [--no-cache] [--gc] [--out FILE]
 //!                  [--stats-json FILE] [--profile-out FILE]
 //!                  [--inject-faults PLAN.json] [--fault-seed S]
 //! figures merge SHARD.json... [--out FILE]
-//! figures tables REPORT.json [--csv FILE]
+//! figures tables REPORT.json [--csv FILE] [--profile FILE]
 //! figures bench-store [--store DIR] [--out FILE]
 //! ```
 //!
-//! `--small` switches to the scaled-down preset (seconds instead of
-//! minutes). Output is plain text tables. The campaign subcommands
-//! drive `incdes_explore`:
+//! A figure comes from one path: a campaign spec run by `campaign`, and
+//! its report rendered by `tables`. `ci/paper-quality.json` holds
+//! figures 1 and 2 and Table 1, `ci/paper-future.json` figure 3, and
+//! `ci/ablate-fit.json` and `ci/ablate-mh.json` the two ablations.
+//! Without a subcommand, or with an unknown one, the binary prints its
+//! usage to stderr and exits with code 2; an unknown flag is an error
+//! that names it, with the same exit code.
 //!
 //! * `campaign` runs a campaign spec (the small demo by default, or a
 //!   JSON `CampaignSpec` via `--spec`) and prints its byte-stable JSON
@@ -23,91 +27,59 @@
 //!   blobs not reachable from this spec; `--shard I/N` runs only one
 //!   deterministic shard of the grid. Cache-hit/miss accounting always
 //!   goes to **stderr** so sharded CI logs are auditable while stdout
-//!   stays byte-stable. `--inject-faults PLAN.json` wraps the store's
-//!   filesystem backend in a seeded fault injector (`--fault-seed`, for
-//!   the fault-soak CI job): the report bytes must still equal the
-//!   fault-free run's. Quarantined (panicked) scenarios are listed on
-//!   stderr and turn the exit code to 3 — partial failure, never abort.
+//!   stays byte-stable. `--profile-out FILE` writes each executed
+//!   scenario's counters, phase timings and step wall-clock beside the
+//!   report (see `incdes_bench::profile`). `--inject-faults PLAN.json`
+//!   wraps the store's filesystem backend in a seeded fault injector
+//!   (`--fault-seed`, for the fault-soak CI job): the report bytes must
+//!   still equal the fault-free run's. Quarantined (panicked) scenarios
+//!   are listed on stderr and turn the exit code to 3 — partial
+//!   failure, never abort.
 //! * `merge` joins shard reports back into the canonical report —
 //!   byte-identical to an unsharded run.
-//! * `tables` renders a (merged) report into the paper's result tables
-//!   as aligned text + CSV (see `incdes_bench::tables`).
+//! * `tables` renders a (merged) report into the paper's tables as
+//!   aligned text + CSV (see `incdes_bench::tables`). `--profile FILE`
+//!   adds figure 2's wall-clock from the `--profile-out` file of the
+//!   run that wrote the report; run it at `--workers 1`, so no scenario
+//!   competes for the CPU.
 //! * `bench-store` times a cold vs. warm (fully cached) demo campaign
 //!   and writes the wall-clock comparison as `BENCH_campaign.json`.
 
-use incdes_bench::{
-    run_fit_ablation, run_future, run_mh_ablation, run_quality, run_runtime, scaled_future, tables,
-    QualityRow,
-};
+use incdes_bench::profile::{self, StepTimes};
+use incdes_bench::tables;
 use incdes_explore::{
     live_keys, merge_reports, run_campaign_store, CampaignReport, CampaignSpec, Shard,
     StoreOptions, StoredCampaign,
 };
-use incdes_mapping::{MhConfig, SaConfig};
 use incdes_store::{FaultPlan, FaultyBackend, FsBackend, Store};
-use incdes_synth::paper::{dac2001, dac2001_small, PaperPreset};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Default on-disk location of the persistent campaign store.
 const DEFAULT_STORE_DIR: &str = ".campaign-store";
 
+const USAGE: &str = "\
+usage: figures campaign [--spec FILE] [--workers N] [--shard I/N]
+                        [--store [DIR]] [--no-cache] [--gc] [--out FILE]
+                        [--stats-json FILE] [--profile-out FILE]
+                        [--inject-faults PLAN.json] [--fault-seed S]
+       figures merge SHARD.json... [--out FILE]
+       figures tables REPORT.json [--csv FILE] [--profile FILE]
+       figures bench-store [--store DIR] [--out FILE]";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("campaign") => return campaign_cmd(&args[1..]),
-        Some("merge") => return merge_cmd(&args[1..]),
-        Some("tables") => return tables_cmd(&args[1..]),
-        Some("bench-store") => return bench_store_cmd(&args[1..]),
-        _ => {}
-    }
-    let small = args.iter().any(|a| a == "--small");
-    let what = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "all".to_string());
-
-    let preset = if small { dac2001_small() } else { dac2001() };
-    let (mh_cfg, sa_cfg) = configs(small);
-
-    println!(
-        "# incdes figures — preset: {} (existing {} processes, seeds {:?})",
-        if small { "small" } else { "dac2001" },
-        preset.existing_processes,
-        preset.seeds,
-    );
-    let f = scaled_future(&preset);
-    println!(
-        "# future profile: Tmin={} tneed={} bneed={}\n",
-        f.t_min, f.t_need, f.b_need
-    );
-
-    let t0 = Instant::now();
-    match what.as_str() {
-        "f1" => fig1(&preset, &mh_cfg, &sa_cfg),
-        "f2" => fig2(&preset, &mh_cfg, &sa_cfg),
-        "f3" => fig3(&preset, &mh_cfg),
-        "t1" => table1(&preset),
-        "ablate-fit" => ablate_fit(&preset),
-        "ablate-mh" => ablate_mh(&preset),
-        "all" => {
-            print_fig1(&run_quality(&preset, &mh_cfg, &sa_cfg));
-            fig2(&preset, &mh_cfg, &sa_cfg);
-            fig3(&preset, &mh_cfg);
-            table1(&preset);
-            ablate_fit(&preset);
-            ablate_mh(&preset);
-        }
-        other => {
-            eprintln!(
-                "unknown figure '{other}' (expected f1|f2|f3|t1|ablate-fit|ablate-mh|all \
-                 or a subcommand: campaign|merge|tables|bench-store)"
-            );
+        Some("campaign") => campaign_cmd(&args[1..]),
+        Some("merge") => merge_cmd(&args[1..]),
+        Some("tables") => tables_cmd(&args[1..]),
+        Some("bench-store") => bench_store_cmd(&args[1..]),
+        Some(other) => die(format!("unknown subcommand `{other}`\n{USAGE}")),
+        None => {
+            eprintln!("{USAGE}");
             std::process::exit(2);
         }
     }
-    println!("\n# total wall-clock: {:.1?}", t0.elapsed());
 }
 
 fn die(msg: impl std::fmt::Display) -> ! {
@@ -299,19 +271,7 @@ fn campaign_cmd(args: &[String]) {
     // Per-scenario observability profiles (executed scenarios only;
     // cache hits did their work in an earlier process).
     if let Some(path) = &profile_out {
-        let mut json = format!("{{\"campaign\":{:?},\"scenarios\":[", spec.name);
-        for (k, p) in profiles.iter().enumerate() {
-            if k > 0 {
-                json.push(',');
-            }
-            json.push_str(&format!(
-                "{{\"index\":{},\"counters\":{},\"phases\":{}}}",
-                p.index,
-                p.counters.to_json(),
-                p.phases.to_json(),
-            ));
-        }
-        json.push_str("]}\n");
+        let json = profile::to_json(&spec.name, &profiles);
         std::fs::write(path, json).unwrap_or_else(|e| die(format!("cannot write {path}: {e}")));
     }
     if gc {
@@ -359,11 +319,13 @@ fn merge_cmd(args: &[String]) {
 /// `figures tables`: render a report into the paper's result tables.
 fn tables_cmd(args: &[String]) {
     let mut csv_out: Option<String> = None;
+    let mut profile_path: Option<String> = None;
     let mut path: Option<&String> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--csv" => csv_out = Some(flag_value(args, &mut i, "--csv").to_string()),
+            "--profile" => profile_path = Some(flag_value(args, &mut i, "--profile").to_string()),
             flag if flag.starts_with("--") => die(format!("unknown tables flag `{flag}`")),
             _ if path.is_some() => {
                 die("tables takes exactly one report file (run `figures merge` first to combine shards)")
@@ -374,7 +336,12 @@ fn tables_cmd(args: &[String]) {
     }
     let path = path.unwrap_or_else(|| die("tables needs a report file"));
     let report = read_report(path);
-    print!("{}", tables::render_text(&report));
+    let times = profile_path.map(|path| {
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| die(format!("cannot read {path}: {e}")));
+        StepTimes::parse(&text, &report).unwrap_or_else(|e| die(format!("{path}: {e}")))
+    });
+    print!("{}", tables::render_text(&report, times.as_ref()));
     let csv = tables::render_csv(&report);
     match csv_out {
         Some(path) => {
@@ -450,135 +417,4 @@ fn bench_store_cmd(args: &[String]) {
          ({} scenarios, all cached on rerun) -> {out}",
         cold.stats.scenarios
     );
-}
-
-fn configs(small: bool) -> (MhConfig, SaConfig) {
-    if small {
-        (
-            MhConfig {
-                max_iterations: 24,
-                ..MhConfig::default()
-            },
-            SaConfig::quick(),
-        )
-    } else {
-        (
-            MhConfig::default(),
-            SaConfig {
-                max_evaluations: 4000,
-                ..SaConfig::default()
-            },
-        )
-    }
-}
-
-fn fig1(preset: &PaperPreset, mh: &MhConfig, sa: &SaConfig) {
-    print_fig1(&run_quality(preset, mh, sa));
-}
-
-fn fig2(preset: &PaperPreset, mh: &MhConfig, sa: &SaConfig) {
-    // Single-threaded: figure 2 is about wall-clock per strategy.
-    print_fig2(&run_runtime(preset, mh, sa));
-}
-
-fn print_fig1(rows: &[QualityRow]) {
-    println!("## Figure 1 — avg % deviation of cost C from near-optimal (SA)");
-    println!(
-        "{:>6} {:>10} {:>10} {:>10} | {:>10} {:>10} {:>10} {:>5}",
-        "size", "AH dev%", "MH dev%", "SA dev%", "AH cost", "MH cost", "SA cost", "n"
-    );
-    for r in rows {
-        println!(
-            "{:>6} {:>10.1} {:>10.1} {:>10.1} | {:>10.1} {:>10.1} {:>10.1} {:>5}",
-            r.size,
-            r.ah_deviation,
-            r.mh_deviation,
-            0.0,
-            r.ah_cost,
-            r.mh_cost,
-            r.sa_cost,
-            r.instances
-        );
-    }
-    println!();
-}
-
-fn print_fig2(rows: &[QualityRow]) {
-    println!("## Figure 2 — avg execution time per strategy");
-    println!("{:>6} {:>12} {:>12} {:>12}", "size", "AH", "MH", "SA");
-    for r in rows {
-        println!(
-            "{:>6} {:>12.3?} {:>12.3?} {:>12.3?}",
-            r.size, r.ah_time, r.mh_time, r.sa_time
-        );
-    }
-    println!();
-}
-
-fn fig3(preset: &PaperPreset, mh: &MhConfig) {
-    println!("## Figure 3 — % of future applications mappable after the current app");
-    let rows = run_future(preset, mh, 4);
-    println!(
-        "{:>6} {:>10} {:>10} {:>7}",
-        "size", "AH %", "MH %", "probes"
-    );
-    for r in &rows {
-        println!(
-            "{:>6} {:>10.1} {:>10.1} {:>7}",
-            r.size, r.ah_mapped_percent, r.mh_mapped_percent, r.probes
-        );
-    }
-    println!();
-}
-
-fn table1(preset: &PaperPreset) {
-    println!("## Table 1 — metric sanity on the frozen base system (per seed)");
-    println!(
-        "{:>6} {:>8} {:>8} {:>10} {:>10}",
-        "seed", "C1P%", "C1m%", "C2P", "C2m"
-    );
-    let f = scaled_future(preset);
-    for &seed in &preset.seeds {
-        let base = incdes_bench::build_base_system(preset, seed);
-        let slack = base.system.slack();
-        let c1p = incdes_metrics::c1_processes(&slack, &f, incdes_metrics::FitPolicy::BestFit);
-        let c1m = incdes_metrics::c1_messages(
-            base.system.arch(),
-            &slack,
-            &f,
-            incdes_metrics::FitPolicy::BestFit,
-        );
-        let c2p = incdes_metrics::c2_processes(&slack, f.t_min);
-        let c2m = incdes_metrics::c2_messages(&slack, f.t_min);
-        println!(
-            "{:>6} {:>8.1} {:>8.1} {:>10} {:>10}",
-            seed, c1p, c1m, c2p, c2m
-        );
-    }
-    println!();
-}
-
-fn ablate_fit(preset: &PaperPreset) {
-    println!("## Ablation — C1 bin-packing policy");
-    println!("{:>10} {:>10} {:>10}", "policy", "C1P%", "C1m%");
-    for (name, c1p, c1m) in run_fit_ablation(preset) {
-        println!("{:>10} {:>10.1} {:>10.1}", name, c1p, c1m);
-    }
-    println!();
-}
-
-fn ablate_mh(preset: &PaperPreset) {
-    let size = preset.current_sizes[preset.current_sizes.len() / 2];
-    println!("## Ablation — MH candidate filtering (size {size})");
-    println!(
-        "{:>6} {:>12} {:>10} {:>12} {:>10}",
-        "seed", "filt cost", "filt evals", "exh cost", "exh evals"
-    );
-    for (seed, fc, fe, ec, ee) in run_mh_ablation(preset, size) {
-        println!(
-            "{:>6} {:>12.1} {:>10} {:>12.1} {:>10}",
-            seed, fc, fe, ec, ee
-        );
-    }
-    println!();
 }

@@ -233,7 +233,8 @@ pub struct StoredCampaign {
 }
 
 /// The observability slice of one executed scenario: deterministic
-/// counters plus (when enabled) per-phase wall-clock aggregates.
+/// counters, (when enabled) per-phase wall-clock aggregates, and the
+/// wall-clock time of each script step.
 #[derive(Debug, Clone)]
 pub struct ScenarioProfile {
     /// Scenario index in the campaign grid.
@@ -243,6 +244,9 @@ pub struct ScenarioProfile {
     /// Per-phase wall-clock aggregates (all zero unless phase timing
     /// was enabled).
     pub phases: incdes_obs::phase::PhaseSnapshot,
+    /// Wall-clock time of each script step, in script order (always
+    /// measured; see [`crate::runner::StepOutcome::elapsed`]).
+    pub steps: Vec<Duration>,
 }
 
 /// Attempts after the first a failing put gets when its error is
@@ -380,6 +384,7 @@ pub fn run_campaign_store(
             index: done.key.index,
             counters: done.counters,
             phases: done.phases,
+            steps: done.steps.iter().map(|s| s.elapsed).collect(),
         });
         scenarios.push(report);
     }

@@ -187,6 +187,21 @@ pub enum SpecError {
         /// Index of the offending step in the script.
         step: usize,
     },
+    /// `{axis}[index]` has the name of `{axis}[first]`: two strategies
+    /// with one display name (say, two MH configurations), or two weight
+    /// settings with one label. A report names a scenario by its size,
+    /// strategy name, seed and weights label, so it could not tell them
+    /// apart.
+    DuplicateName {
+        /// `"strategies"` or `"weight_settings"`.
+        axis: &'static str,
+        /// Index of the later entry.
+        index: usize,
+        /// Index of the earlier entry with the same name.
+        first: usize,
+        /// The shared name.
+        name: String,
+    },
     /// `script[step]` decommissions `app`, but only `adds` earlier
     /// `Add` steps can have committed an application: app ids are
     /// handed out by successful commits alone, so the step can never
@@ -227,6 +242,15 @@ impl fmt::Display for SpecError {
                 f,
                 "script[{step}]: process count is 0, but an application needs at least one process"
             ),
+            SpecError::DuplicateName {
+                axis,
+                index,
+                first,
+                name,
+            } => write!(
+                f,
+                "{axis}[{index}]: name `{name}` is already used by {axis}[{first}]"
+            ),
             SpecError::UnknownDecommission { step, app, adds } => {
                 let (noun, verb) = if *adds == 1 {
                     ("step", "precedes")
@@ -250,9 +274,18 @@ impl From<SynthError> for SpecError {
     }
 }
 
+/// The first name an earlier one repeats, as `(index, earlier index)`.
+fn first_repeat(names: &[&str]) -> Option<(usize, usize)> {
+    names.iter().enumerate().find_map(|(index, name)| {
+        let first = names[..index].iter().position(|earlier| earlier == name)?;
+        Some((index, first))
+    })
+}
+
 impl CampaignSpec {
     /// Checks the spec's structure (axes, script, future profile,
-    /// process counts, decommission targets).
+    /// process counts, decommission targets, and that no two strategies
+    /// share a display name and no two weight settings a label).
     ///
     /// # Errors
     ///
@@ -290,6 +323,19 @@ impl CampaignSpec {
         }
         if let Some(index) = self.sizes.iter().position(|&size| size == 0) {
             return Err(SpecError::ZeroSize { index });
+        }
+        let strategies: Vec<&str> = self.strategies.iter().map(Strategy::name).collect();
+        let labels: Vec<&str> = self.weight_settings.iter().map(|w| &*w.label).collect();
+        for (axis, names) in [("strategies", strategies), ("weight_settings", labels)] {
+            if let Some((index, first)) = first_repeat(&names) {
+                let name = names[index].to_string();
+                return Err(SpecError::DuplicateName {
+                    axis,
+                    index,
+                    first,
+                    name,
+                });
+            }
         }
         let mut adds = 0usize;
         for (step, s) in self.script.iter().enumerate() {
@@ -582,6 +628,66 @@ mod tests {
             spec.validate().unwrap_err().to_string(),
             "script[0]: Decommission names app 0, but only 0 Add steps precede it"
         );
+    }
+
+    /// A report names a scenario by (size, strategy name, seed, weights
+    /// label), so two strategies with one display name, or two weight
+    /// settings with one label, are spec errors that name both entries.
+    #[test]
+    fn duplicate_strategy_names_and_weight_labels_are_rejected() {
+        use incdes_mapping::MhConfig;
+        let mut spec = CampaignSpec::small_demo();
+        spec.strategies
+            .push(Strategy::MappingHeuristic(MhConfig::default()));
+        let err = spec.validate().unwrap_err();
+        assert_eq!(
+            err,
+            SpecError::DuplicateName {
+                axis: "strategies",
+                index: 2,
+                first: 0,
+                name: "MH".to_string()
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "strategies[2]: name `MH` is already used by strategies[0]"
+        );
+
+        let mut spec = CampaignSpec::small_demo();
+        let packing = WeightSetting {
+            label: "packing".to_string(),
+            weights: Weights {
+                w2_processes: 0.0,
+                ..Weights::default()
+            },
+        };
+        spec.weight_settings = vec![
+            packing.clone(),
+            WeightSetting::default(),
+            WeightSetting {
+                weights: Weights::default(),
+                ..packing
+            },
+        ];
+        let err = spec.validate().unwrap_err();
+        assert_eq!(
+            err,
+            SpecError::DuplicateName {
+                axis: "weight_settings",
+                index: 2,
+                first: 0,
+                name: "packing".to_string()
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "weight_settings[2]: name `packing` is already used by weight_settings[0]"
+        );
+
+        // Distinct labels over equal weights are a valid axis.
+        spec.weight_settings[2].label = "unit".to_string();
+        spec.validate().unwrap();
     }
 
     /// A zero process count, on the size axis or fixed in a step, is a

@@ -5,8 +5,9 @@
 //! w2m·max(0, bneed−C2m)` mixes a percentage scale (C1) with a time scale
 //! (C2); the weights calibrate them. This example maps the same current
 //! application under different weight settings and shows how the chosen
-//! design trades packing failure against periodic-slack deficit — the
-//! ablation called out in `DESIGN.md`.
+//! design trades packing failure against periodic-slack deficit. Run as
+//! a spec through `figures campaign`, the same sweep renders with
+//! `figures tables` as one row per weight label.
 //!
 //! The sweep is one `incdes::explore` campaign: the weight settings are
 //! a grid axis, every scenario replays the same lifecycle script (five
