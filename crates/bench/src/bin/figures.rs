@@ -52,6 +52,7 @@ use incdes_explore::{
     StoreOptions, StoredCampaign,
 };
 use incdes_store::{FaultPlan, FaultyBackend, FsBackend, Store};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -95,13 +96,34 @@ fn flag_value<'a>(args: &'a [String], i: &mut usize, flag: &str) -> &'a str {
         .unwrap_or_else(|| die(format!("{flag} needs a value")))
 }
 
+/// Set once a reader has closed stdout.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Writes `text` to stdout. A reader that closed it (`figures tables
+/// REPORT | head`) is not an error: this write and every later one are
+/// skipped, so the files still to be written and the exit status are
+/// unaffected. Any other write error is fatal.
+fn print_out(text: &str) {
+    use std::io::Write;
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            die(format!("cannot write to stdout: {e}"));
+        }
+        STDOUT_CLOSED.store(true, Ordering::Relaxed);
+    }
+}
+
 /// Writes `text` to `--out FILE` when given, stdout otherwise.
 fn emit(out: Option<&str>, text: &str) {
     match out {
         Some(path) => {
             std::fs::write(path, text).unwrap_or_else(|e| die(format!("cannot write {path}: {e}")));
         }
-        None => print!("{text}"),
+        None => print_out(text),
     }
 }
 
@@ -341,7 +363,7 @@ fn tables_cmd(args: &[String]) {
             .unwrap_or_else(|e| die(format!("cannot read {path}: {e}")));
         StepTimes::parse(&text, &report).unwrap_or_else(|e| die(format!("{path}: {e}")))
     });
-    print!("{}", tables::render_text(&report, times.as_ref()));
+    print_out(&tables::render_text(&report, times.as_ref()));
     let csv = tables::render_csv(&report);
     match csv_out {
         Some(path) => {
@@ -349,8 +371,8 @@ fn tables_cmd(args: &[String]) {
                 .unwrap_or_else(|e| die(format!("cannot write {path}: {e}")));
         }
         None => {
-            println!("## CSV");
-            print!("{csv}");
+            print_out("## CSV\n");
+            print_out(&csv);
         }
     }
 }

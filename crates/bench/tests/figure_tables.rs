@@ -225,3 +225,36 @@ fn figures_without_a_subcommand_prints_usage() {
         assert!(out.stdout.is_empty(), "{args:?}");
     }
 }
+
+/// A reader that closes stdout early (`figures tables REPORT | head`)
+/// ends `tables` quietly with status 0: no panic, no backtrace, and a
+/// `--csv FILE` due after the text tables is still written.
+#[test]
+fn tables_exits_quietly_when_stdout_closes() {
+    let dir = std::env::temp_dir();
+    let path = dir.join(format!("figures-tables-{}.json", std::process::id()));
+    let csv = dir.join(format!("figures-tables-{}.csv", std::process::id()));
+    let report = small_quality_report();
+    std::fs::write(&path, report.to_json_pretty().unwrap()).unwrap();
+    for csv_args in [vec![], vec!["--csv".into(), csv.clone().into_os_string()]] {
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_figures"))
+            .arg("tables")
+            .arg(&path)
+            .args(&csv_args)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("the figures binary runs");
+        // Close the read end before the report is rendered: every write
+        // then fails with a broken pipe.
+        drop(child.stdout.take());
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{csv_args:?}: {stderr}");
+        assert!(stderr.is_empty(), "{csv_args:?}: {stderr}");
+    }
+    let written = std::fs::read_to_string(&csv).expect("--csv FILE is written");
+    assert_eq!(written, incdes_bench::tables::render_csv(report));
+    std::fs::remove_file(&path).unwrap();
+    std::fs::remove_file(&csv).unwrap();
+}

@@ -202,6 +202,19 @@ pub enum SpecError {
         /// The shared name.
         name: String,
     },
+    /// `{axis}[index]` repeats `{axis}[first]`: a seed or a size listed
+    /// twice would run each of its scenarios twice, and the tables would
+    /// count one instance as two.
+    DuplicateEntry {
+        /// `"seeds"` or `"sizes"`.
+        axis: &'static str,
+        /// Index of the later entry.
+        index: usize,
+        /// Index of the earlier, equal entry.
+        first: usize,
+        /// The repeated value.
+        value: u64,
+    },
     /// `script[step]` decommissions `app`, but only `adds` earlier
     /// `Add` steps can have committed an application: app ids are
     /// handed out by successful commits alone, so the step can never
@@ -251,6 +264,12 @@ impl fmt::Display for SpecError {
                 f,
                 "{axis}[{index}]: name `{name}` is already used by {axis}[{first}]"
             ),
+            SpecError::DuplicateEntry {
+                axis,
+                index,
+                first,
+                value,
+            } => write!(f, "{axis}[{index}]: {value} repeats {axis}[{first}]"),
             SpecError::UnknownDecommission { step, app, adds } => {
                 let (noun, verb) = if *adds == 1 {
                     ("step", "precedes")
@@ -275,17 +294,18 @@ impl From<SynthError> for SpecError {
 }
 
 /// The first name an earlier one repeats, as `(index, earlier index)`.
-fn first_repeat(names: &[&str]) -> Option<(usize, usize)> {
-    names.iter().enumerate().find_map(|(index, name)| {
-        let first = names[..index].iter().position(|earlier| earlier == name)?;
+fn first_repeat<T: PartialEq>(items: &[T]) -> Option<(usize, usize)> {
+    items.iter().enumerate().find_map(|(index, item)| {
+        let first = items[..index].iter().position(|earlier| earlier == item)?;
         Some((index, first))
     })
 }
 
 impl CampaignSpec {
     /// Checks the spec's structure (axes, script, future profile,
-    /// process counts, decommission targets, and that no two strategies
-    /// share a display name and no two weight settings a label).
+    /// process counts, decommission targets, that no seed or size is
+    /// listed twice, and that no two strategies share a display name and
+    /// no two weight settings a label).
     ///
     /// # Errors
     ///
@@ -323,6 +343,17 @@ impl CampaignSpec {
         }
         if let Some(index) = self.sizes.iter().position(|&size| size == 0) {
             return Err(SpecError::ZeroSize { index });
+        }
+        let sizes: Vec<u64> = self.sizes.iter().map(|&size| size as u64).collect();
+        for (axis, values) in [("seeds", &self.seeds), ("sizes", &sizes)] {
+            if let Some((index, first)) = first_repeat(values) {
+                return Err(SpecError::DuplicateEntry {
+                    axis,
+                    index,
+                    first,
+                    value: values[index],
+                });
+            }
         }
         let strategies: Vec<&str> = self.strategies.iter().map(Strategy::name).collect();
         let labels: Vec<&str> = self.weight_settings.iter().map(|w| &*w.label).collect();
@@ -687,6 +718,43 @@ mod tests {
 
         // Distinct labels over equal weights are a valid axis.
         spec.weight_settings[2].label = "unit".to_string();
+        spec.validate().unwrap();
+    }
+
+    /// A seed or a size listed twice would run its scenarios twice and
+    /// count one instance as two, so it is a spec error naming both
+    /// entries.
+    #[test]
+    fn duplicate_seeds_and_sizes_are_rejected() {
+        let mut spec = CampaignSpec::small_demo();
+        spec.seeds = vec![11, 23, 11];
+        let err = spec.validate().unwrap_err();
+        assert_eq!(
+            err,
+            SpecError::DuplicateEntry {
+                axis: "seeds",
+                index: 2,
+                first: 0,
+                value: 11
+            }
+        );
+        assert_eq!(err.to_string(), "seeds[2]: 11 repeats seeds[0]");
+
+        let mut spec = CampaignSpec::small_demo();
+        spec.sizes = vec![6, 320, 10, 320];
+        let err = spec.validate().unwrap_err();
+        assert_eq!(
+            err,
+            SpecError::DuplicateEntry {
+                axis: "sizes",
+                index: 3,
+                first: 1,
+                value: 320
+            }
+        );
+        assert_eq!(err.to_string(), "sizes[3]: 320 repeats sizes[1]");
+
+        spec.sizes = vec![6, 320, 10];
         spec.validate().unwrap();
     }
 

@@ -486,8 +486,8 @@ impl<'a> MappingContext<'a> {
         self.counts.get().evaluations
     }
 
-    /// Number of raw schedules: evaluations whose candidate the
-    /// scheduler found changed, so it synced its arena and (unless that
+    /// Number of raw schedules: evaluations the scheduler did not answer
+    /// from its last run, so it synced its arena and (unless that
     /// failed) re-placed. Always ≤
     /// [`evaluation_count`](Self::evaluation_count) on the engine path.
     pub fn raw_schedule_count(&self) -> usize {
@@ -495,7 +495,9 @@ impl<'a> MappingContext<'a> {
     }
 
     /// Number of evaluations answered without re-placing: the candidate
-    /// equalled the last evaluated design.
+    /// equalled the last evaluated design, or that design failed and the
+    /// candidate changed only jobs ranked after its failure (see
+    /// [`Scheduler::run`]).
     pub fn memo_hit_count(&self) -> usize {
         self.counts.get().memo_hits
     }

@@ -19,11 +19,14 @@ use crate::context::{MapError, MappingContext};
 use crate::solution::Solution;
 use incdes_graph::NodeId;
 use incdes_model::{PeId, ProcRef, Time};
+use incdes_obs::phase::{self, Phase};
 use incdes_sched::{priority, Mapping};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Number of repair attempts when the probe mapping turns out infeasible
 /// on the full hyperperiod.
@@ -57,8 +60,10 @@ fn hcp_probe(ctx: &MappingContext<'_>) -> Result<Mapping, MapError> {
     let arch = ctx.arch;
     let app = ctx.app;
 
-    // Frozen occupancy, straight from the baked base.
+    // Frozen occupancy, straight from the baked base (a first bake is
+    // timed as `bake`, outside this construction's phase).
     let (mut pes, mut bus) = ctx.frozen_occupancy().map_err(MapError::InvalidInput)?;
+    let _probe = phase::scope(Phase::HcpProbe);
 
     let priorities = priority::app_priorities(arch, app);
 
@@ -78,32 +83,36 @@ fn hcp_probe(ctx: &MappingContext<'_>) -> Result<Mapping, MapError> {
         .iter()
         .map(|g| vec![None; g.process_count()])
         .collect();
-    let mut ready: Vec<(usize, NodeId)> = Vec::new();
+    // Highest partial critical path first; ties go to the lower graph,
+    // then the lower node.
+    let key = |gi: usize, n: NodeId| (priorities[gi][n.index()], Reverse(gi), Reverse(n));
+    let mut ready = BinaryHeap::new();
     for (gi, g) in app.graphs.iter().enumerate() {
         for n in g.dag().node_ids() {
             if preds_left[gi][n.index()] == 0 {
-                ready.push((gi, n));
+                ready.push(key(gi, n));
             }
         }
     }
+    // Per in-edge of the process being placed, the message's bus arrival
+    // (`None` when no slot fits): it depends on the sender, not on the
+    // candidate PE, so it is peeked the first time a candidate needs it.
+    let mut arrivals: Vec<Option<Option<Time>>> = Vec::new();
 
-    let mut mapping = Mapping::new();
+    // Assignments in placement order; the mapping sorts them once.
     let total = app.process_count();
+    let mut assigned = Vec::with_capacity(total);
     for _ in 0..total {
-        // Highest partial critical path first; deterministic tie-break.
-        ready.sort_by(|&(ga, na), &(gb, nb)| {
-            priorities[ga][na.index()]
-                .cmp(&priorities[gb][nb.index()])
-                .then_with(|| gb.cmp(&ga))
-                .then_with(|| nb.cmp(&na))
-        });
-        let (gi, n) = ready.pop().ok_or(MapError::Infeasible {
+        let (_, Reverse(gi), Reverse(n)) = ready.pop().ok_or(MapError::Infeasible {
             last: incdes_sched::SchedError::BadHorizon {
                 horizon: ctx.horizon,
             },
         })?;
         let g = &app.graphs[gi];
         let proc = g.process(n);
+        let in_edges = g.dag().in_edges(n);
+        arrivals.clear();
+        arrivals.resize(in_edges.len(), None);
 
         // Try each allowed PE; earliest finish wins.
         let mut best: Option<(Time, Time, PeId)> = None; // (finish, ready, pe)
@@ -113,20 +122,20 @@ fn hcp_probe(ctx: &MappingContext<'_>) -> Result<Mapping, MapError> {
             }
             let mut data_ready = Time::ZERO;
             let mut feasible = true;
-            for &e in g.dag().in_edges(n) {
+            for (&e, arrival) in in_edges.iter().zip(&mut arrivals) {
                 let p = g.dag().source(e);
                 let (pf, ppe) = finish[gi][p.index()].expect("predecessors are placed first");
                 let avail = if ppe == pe {
-                    pf
+                    Some(pf)
                 } else {
-                    let tx = arch.bus().transmission_time(g.message(e).bytes);
-                    match bus.peek_message(ppe, pf, tx) {
-                        Ok(r) => r.arrival,
-                        Err(_) => {
-                            feasible = false;
-                            break;
-                        }
-                    }
+                    *arrival.get_or_insert_with(|| {
+                        let tx = arch.bus().transmission_time(g.message(e).bytes);
+                        bus.peek_message(ppe, pf, tx).ok().map(|r| r.arrival)
+                    })
+                };
+                let Some(avail) = avail else {
+                    feasible = false;
+                    break;
                 };
                 data_ready = data_ready.max(avail);
             }
@@ -190,16 +199,16 @@ fn hcp_probe(ctx: &MappingContext<'_>) -> Result<Mapping, MapError> {
                 },
             })?;
         finish[gi][n.index()] = Some((start + wcet, pe));
-        mapping.assign(ProcRef::new(gi, n), pe);
+        assigned.push((ProcRef::new(gi, n), pe));
 
         for s in g.dag().successors(n) {
             preds_left[gi][s.index()] -= 1;
             if preds_left[gi][s.index()] == 0 {
-                ready.push((gi, s));
+                ready.push(key(gi, s));
             }
         }
     }
-    Ok(mapping)
+    Ok(assigned.into_iter().collect())
 }
 
 /// Deterministic random repair: remap random processes to random allowed
@@ -363,6 +372,223 @@ mod tests {
             initial_mapping(&ctx).unwrap_err(),
             MapError::Infeasible { .. }
         ));
+    }
+
+    /// HCP as it was before the ready list became a heap and the
+    /// in-message arrivals were peeked once per process: the ready list
+    /// re-sorted before every pop, and every candidate PE peeking every
+    /// in-message. The oracle of `hcp_heap_matches_the_resort_oracle`.
+    fn hcp_probe_resort(ctx: &MappingContext<'_>) -> Result<Mapping, MapError> {
+        let arch = ctx.arch;
+        let app = ctx.app;
+        let (mut pes, mut bus) = ctx.frozen_occupancy().map_err(MapError::InvalidInput)?;
+        let priorities = priority::app_priorities(arch, app);
+        let mut preds_left: Vec<Vec<u32>> = app
+            .graphs
+            .iter()
+            .map(|g| {
+                g.dag()
+                    .node_ids()
+                    .map(|n| g.dag().in_degree(n) as u32)
+                    .collect()
+            })
+            .collect();
+        let mut finish: Vec<Vec<Option<(Time, PeId)>>> = app
+            .graphs
+            .iter()
+            .map(|g| vec![None; g.process_count()])
+            .collect();
+        let mut ready: Vec<(usize, NodeId)> = Vec::new();
+        for (gi, g) in app.graphs.iter().enumerate() {
+            for n in g.dag().node_ids() {
+                if preds_left[gi][n.index()] == 0 {
+                    ready.push((gi, n));
+                }
+            }
+        }
+        let mut mapping = Mapping::new();
+        for _ in 0..app.process_count() {
+            ready.sort_by(|&(ga, na), &(gb, nb)| {
+                priorities[ga][na.index()]
+                    .cmp(&priorities[gb][nb.index()])
+                    .then_with(|| gb.cmp(&ga))
+                    .then_with(|| nb.cmp(&na))
+            });
+            let (gi, n) = ready
+                .pop()
+                .expect("an acyclic graph always has a ready process");
+            let g = &app.graphs[gi];
+            let proc = g.process(n);
+            let mut best: Option<(Time, Time, PeId)> = None;
+            for (pe, wcet) in proc.wcets.iter() {
+                if pe.index() >= arch.pe_count() {
+                    continue;
+                }
+                let mut data_ready = Time::ZERO;
+                let mut feasible = true;
+                for &e in g.dag().in_edges(n) {
+                    let p = g.dag().source(e);
+                    let (pf, ppe) = finish[gi][p.index()].unwrap();
+                    let avail = if ppe == pe {
+                        pf
+                    } else {
+                        let tx = arch.bus().transmission_time(g.message(e).bytes);
+                        match bus.peek_message(ppe, pf, tx) {
+                            Ok(r) => r.arrival,
+                            Err(_) => {
+                                feasible = false;
+                                break;
+                            }
+                        }
+                    };
+                    data_ready = data_ready.max(avail);
+                }
+                if !feasible {
+                    continue;
+                }
+                let Ok(start) = pes[pe.index()].peek_earliest(data_ready, wcet, 0) else {
+                    continue;
+                };
+                let f = start + wcet;
+                let better = match best {
+                    None => true,
+                    Some((bf, _, bpe)) => {
+                        f < bf
+                            || (f == bf
+                                && pes[pe.index()].busy_time() < pes[bpe.index()].busy_time())
+                    }
+                };
+                if better {
+                    best = Some((f, data_ready, pe));
+                }
+            }
+            let Some((_, _, pe)) = best else {
+                return Err(MapError::Infeasible {
+                    last: incdes_sched::SchedError::NoGap {
+                        job: incdes_sched::JobId::new(ctx.app_id, gi, 0, n),
+                        source: incdes_sched::pe_timeline::PeTimelineError::NoGap {
+                            ready: Time::ZERO,
+                            duration: proc.wcets.max().unwrap_or(Time::ZERO),
+                            skipped: 0,
+                        },
+                    },
+                });
+            };
+            let wcet = proc.wcets.get(pe).unwrap();
+            let mut data_ready = Time::ZERO;
+            for &e in g.dag().in_edges(n) {
+                let p = g.dag().source(e);
+                let (pf, ppe) = finish[gi][p.index()].unwrap();
+                let avail = if ppe == pe {
+                    pf
+                } else {
+                    let tx = arch.bus().transmission_time(g.message(e).bytes);
+                    bus.schedule_message(ppe, pf, tx)
+                        .map_err(|_| MapError::Infeasible {
+                            last: incdes_sched::SchedError::BadHorizon {
+                                horizon: ctx.horizon,
+                            },
+                        })?
+                        .arrival
+                };
+                data_ready = data_ready.max(avail);
+            }
+            let start = pes[pe.index()]
+                .reserve_earliest(data_ready, wcet, 0)
+                .map_err(|source| MapError::Infeasible {
+                    last: incdes_sched::SchedError::NoGap {
+                        job: incdes_sched::JobId::new(ctx.app_id, gi, 0, n),
+                        source,
+                    },
+                })?;
+            finish[gi][n.index()] = Some((start + wcet, pe));
+            mapping.assign(ProcRef::new(gi, n), pe);
+            for s in g.dag().successors(n) {
+                preds_left[gi][s.index()] -= 1;
+                if preds_left[gi][s.index()] == 0 {
+                    ready.push((gi, s));
+                }
+            }
+        }
+        Ok(mapping)
+    }
+
+    /// Three PEs, 10-tick slots.
+    fn arch3() -> Architecture {
+        Architecture::builder()
+            .pe("N0")
+            .pe("N1")
+            .pe("N2")
+            .bus(BusConfig::uniform_round(3, Time::new(10), 1).unwrap())
+            .build()
+            .unwrap()
+    }
+
+    /// A random application of `graphs` layered graphs drawn from `raw`:
+    /// processes allowed on one to three PEs, WCETs from a narrow range
+    /// so priorities tie across graphs and nodes, messages of 1–8 bytes.
+    fn random_app(name: &str, graphs: usize, raw: &[u32], period: u64) -> Application {
+        let mut draw = raw.iter().cycle().copied();
+        let mut next = move |m: u32| draw.next().unwrap_or(0) % m;
+        let period = Time::new(period);
+        let app_graphs = (0..graphs)
+            .map(|gi| {
+                let mut g = ProcessGraph::new(format!("{name}{gi}"), period, period);
+                let mut nodes: Vec<NodeId> = Vec::new();
+                for i in 0..2 + next(6) as usize {
+                    let mut p = Process::new(format!("p{i}"));
+                    let first = next(3);
+                    for k in 0..1 + next(3) {
+                        p = p.wcet(PeId((first + k) % 3), Time::new(2 + u64::from(next(4))));
+                    }
+                    let n = g.add_process(p);
+                    if !nodes.is_empty() && next(4) != 0 {
+                        let parent = nodes[next(nodes.len() as u32) as usize];
+                        g.add_message(parent, n, Message::new(format!("m{i}"), 1 + next(8)))
+                            .unwrap();
+                    }
+                    nodes.push(n);
+                }
+                g
+            })
+            .collect();
+        Application::new(name, app_graphs)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The heap-driven construction maps every process where the
+        /// re-sorting one does (or fails alike), on random applications
+        /// over random frozen bases (none, or an application mapped by IM
+        /// and committed first).
+        #[test]
+        fn hcp_heap_matches_the_resort_oracle(
+            raw in proptest::collection::vec(0u32..1000, 24..64),
+            graphs in 1usize..4,
+            frozen_graphs in 0usize..3,
+            long_period in 0u64..2,
+        ) {
+            let arch = arch3();
+            let future = FutureProfile::slide_example();
+            let weights = Weights::default();
+            let horizon = Time::new(240);
+            let frozen_app = random_app("f", frozen_graphs, &raw[7..], 240);
+            let frozen = (frozen_graphs > 0)
+                .then(|| {
+                    let ctx = MappingContext::new(
+                        &arch, AppId(0), &frozen_app, None, horizon, &future, &weights,
+                    );
+                    let sol = initial_mapping(&ctx).ok()?;
+                    Some(ctx.evaluate(&sol).ok()?.table)
+                })
+                .flatten();
+            let app = random_app("c", graphs, &raw, 120 + 120 * long_period);
+            let ctx = MappingContext::new(
+                &arch, AppId(1), &app, frozen.as_ref(), horizon, &future, &weights,
+            );
+            proptest::prop_assert_eq!(hcp_probe(&ctx), hcp_probe_resort(&ctx));
+        }
     }
 
     #[test]

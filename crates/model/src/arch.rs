@@ -220,16 +220,6 @@ impl BusConfig {
         Time::new(t.max(1))
     }
 
-    /// The longest slot owned by `pe` anywhere in the cycle, if any.
-    pub fn longest_slot_of(&self, pe: PeId) -> Option<Time> {
-        self.rounds
-            .iter()
-            .flat_map(|r| &r.slots)
-            .filter(|s| s.owner == pe)
-            .map(|s| s.length)
-            .max()
-    }
-
     /// Total slot time owned by `pe` in one cycle.
     pub fn slot_time_of(&self, pe: PeId) -> Time {
         self.rounds
@@ -416,10 +406,7 @@ mod tests {
         ]);
         let bus = BusConfig::new(vec![r1, r2], 1).unwrap();
         assert_eq!(bus.cycle_length(), Time::new(20));
-        assert_eq!(bus.longest_slot_of(PeId(0)), Some(Time::new(6)));
-        assert_eq!(bus.longest_slot_of(PeId(1)), Some(Time::new(8)));
         assert_eq!(bus.slot_time_of(PeId(0)), Time::new(10));
-        assert_eq!(bus.longest_slot_of(PeId(9)), None);
     }
 
     #[test]

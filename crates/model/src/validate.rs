@@ -95,6 +95,14 @@ pub fn check_application(app: &Application, arch: &Architecture) -> Result<(), M
     if app.graphs.is_empty() || app.graphs.iter().any(|g| g.process_count() == 0) {
         return Err(ModelError::EmptyApplication);
     }
+    // Each PE's longest slot in the cycle (zero for a PE owning none),
+    // from one walk of the slots.
+    let mut longest = vec![Time::ZERO; arch.pe_count()];
+    for slot in arch.bus().rounds.iter().flat_map(|r| &r.slots) {
+        if let Some(l) = longest.get_mut(slot.owner.index()) {
+            *l = (*l).max(slot.length);
+        }
+    }
     for (gi, g) in app.graphs.iter().enumerate() {
         if !algo::is_acyclic(g.dag()) {
             return Err(ModelError::CyclicGraph { graph: gi });
@@ -110,18 +118,23 @@ pub fn check_application(app: &Application, arch: &Architecture) -> Result<(), M
             });
         }
         for n in g.dag().node_ids() {
-            let p = g.process(n);
-            let allowed: Vec<_> = p
+            // PEs beyond the architecture are ignored.
+            let (mut allowed, mut zero) = (false, false);
+            for (_, w) in g
+                .process(n)
                 .wcets
                 .iter()
-                .filter(|(pe, _)| pe.index() < arch.pe_count())
-                .collect();
-            if allowed.is_empty() {
+                .filter(|(pe, _)| pe.index() < longest.len())
+            {
+                allowed = true;
+                zero |= w.is_zero();
+            }
+            if !allowed {
                 return Err(ModelError::Unmappable {
                     proc_ref: ProcRef::new(gi, n),
                 });
             }
-            if allowed.iter().any(|&(_, w)| w.is_zero()) {
+            if zero {
                 return Err(ModelError::ZeroWcet {
                     proc_ref: ProcRef::new(gi, n),
                 });
@@ -130,21 +143,20 @@ pub fn check_application(app: &Application, arch: &Architecture) -> Result<(), M
         for e in g.dag().edge_ids() {
             let m = g.message(e);
             let tx = arch.bus().transmission_time(m.bytes);
-            let src = g.dag().source(e);
             // Every PE the sender may be mapped to must own a slot long
             // enough for the message.
-            for (pe, _) in g.process(src).wcets.iter() {
-                if pe.index() >= arch.pe_count() {
-                    continue;
-                }
-                let longest = arch.bus().longest_slot_of(pe).unwrap_or(Time::ZERO);
-                if tx > longest {
-                    return Err(ModelError::MessageTooLarge {
-                        graph: gi,
-                        message: m.name.clone(),
-                        bytes: m.bytes,
-                    });
-                }
+            let src = g.dag().source(e);
+            let too_large = g
+                .process(src)
+                .wcets
+                .iter()
+                .any(|(pe, _)| longest.get(pe.index()).is_some_and(|&l| tx > l));
+            if too_large {
+                return Err(ModelError::MessageTooLarge {
+                    graph: gi,
+                    message: m.name.clone(),
+                    bytes: m.bytes,
+                });
             }
         }
     }
@@ -155,7 +167,8 @@ pub fn check_application(app: &Application, arch: &Architecture) -> Result<(), M
 mod tests {
     use super::*;
     use crate::app::{Message, Process, ProcessGraph};
-    use crate::arch::{BusConfig, PeId};
+    use crate::arch::{BusConfig, PeId, Round, Slot};
+    use incdes_graph::NodeId;
 
     fn arch() -> Architecture {
         Architecture::builder()
@@ -266,6 +279,178 @@ mod tests {
             check_application(&app, &arch()),
             Err(ModelError::MessageTooLarge { bytes: 20, .. })
         ));
+    }
+
+    /// The longest slot owned by `pe` anywhere in the cycle (zero for a
+    /// PE owning none), by a scan of every slot: the oracle's per-message
+    /// lookup.
+    fn longest_slot_of(bus: &BusConfig, pe: PeId) -> Time {
+        bus.rounds
+            .iter()
+            .flat_map(|r| &r.slots)
+            .filter(|s| s.owner == pe)
+            .map(|s| s.length)
+            .max()
+            .unwrap_or(Time::ZERO)
+    }
+
+    /// The validator as it was before it computed each PE's longest slot
+    /// once per call: the oracle of the differential property below.
+    fn check_application_oracle(app: &Application, arch: &Architecture) -> Result<(), ModelError> {
+        if app.graphs.is_empty() || app.graphs.iter().any(|g| g.process_count() == 0) {
+            return Err(ModelError::EmptyApplication);
+        }
+        for (gi, g) in app.graphs.iter().enumerate() {
+            if !algo::is_acyclic(g.dag()) {
+                return Err(ModelError::CyclicGraph { graph: gi });
+            }
+            if g.period.is_zero() {
+                return Err(ModelError::ZeroPeriod { graph: gi });
+            }
+            if g.deadline.is_zero() || g.deadline > g.period {
+                return Err(ModelError::BadDeadline {
+                    graph: gi,
+                    deadline: g.deadline,
+                    period: g.period,
+                });
+            }
+            for n in g.dag().node_ids() {
+                let p = g.process(n);
+                let allowed: Vec<_> = p
+                    .wcets
+                    .iter()
+                    .filter(|(pe, _)| pe.index() < arch.pe_count())
+                    .collect();
+                if allowed.is_empty() {
+                    return Err(ModelError::Unmappable {
+                        proc_ref: ProcRef::new(gi, n),
+                    });
+                }
+                if allowed.iter().any(|&(_, w)| w.is_zero()) {
+                    return Err(ModelError::ZeroWcet {
+                        proc_ref: ProcRef::new(gi, n),
+                    });
+                }
+            }
+            for e in g.dag().edge_ids() {
+                let m = g.message(e);
+                let tx = arch.bus().transmission_time(m.bytes);
+                let src = g.dag().source(e);
+                for (pe, _) in g.process(src).wcets.iter() {
+                    if pe.index() >= arch.pe_count() {
+                        continue;
+                    }
+                    if tx > longest_slot_of(arch.bus(), pe) {
+                        return Err(ModelError::MessageTooLarge {
+                            graph: gi,
+                            message: m.name.clone(),
+                            bytes: m.bytes,
+                        });
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Three PEs; PE 2 owns one long slot in the second round and none in
+    /// the first, so the longest slot differs per PE.
+    fn uneven_arch() -> Architecture {
+        let round = |slots: &[(u32, u64)]| {
+            Round::new(
+                slots
+                    .iter()
+                    .map(|&(pe, len)| Slot::new(PeId(pe), Time::new(len)))
+                    .collect(),
+            )
+        };
+        Architecture::builder()
+            .pe("N0")
+            .pe("N1")
+            .pe("N2")
+            .bus(
+                BusConfig::new(
+                    vec![round(&[(0, 4), (1, 6)]), round(&[(1, 3), (0, 5), (2, 9)])],
+                    1,
+                )
+                .unwrap(),
+            )
+            .build()
+            .unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// The validator agrees with the oracle, error and all, on random
+        /// applications: valid ones and ones with cycles, zero or
+        /// off-architecture WCETs, bad periods or deadlines and messages
+        /// too large for some sender PE's slots.
+        #[test]
+        fn check_application_matches_the_oracle(
+            graphs in proptest::collection::vec(
+                (
+                    proptest::collection::vec((0u32..4, 0u64..12, 0u32..4, 0u64..12), 1..6),
+                    proptest::collection::vec((0usize..6, 0usize..6, 0u32..8), 0..6),
+                    0u64..10,
+                    0u64..10,
+                ),
+                0..4,
+            ),
+        ) {
+            let arch = uneven_arch();
+            let app_graphs = graphs
+                .iter()
+                .enumerate()
+                .map(|(gi, (procs, edges, period, deadline))| {
+                    // Mostly valid: a zero period, a zero deadline or one
+                    // past the period one time in ten each.
+                    let period = Time::new(*period * 60);
+                    let deadline = match deadline {
+                        0 => Time::ZERO,
+                        1 => period + Time::new(30),
+                        _ => period,
+                    };
+                    let mut g = ProcessGraph::new(format!("g{gi}"), period, deadline);
+                    // PE 3 is off the architecture and WCET 0 is zero, each
+                    // one time in four or twelve.
+                    for (i, &(pe_a, w_a, pe_b, w_b)) in procs.iter().enumerate() {
+                        g.add_process(
+                            Process::new(format!("p{i}"))
+                                .wcet(PeId(pe_a), Time::new(w_a))
+                                .wcet(PeId(pe_b), Time::new(w_b + 1)),
+                        );
+                    }
+                    // Edges run forward, except the one in six whose
+                    // endpoints come out equal and get reversed into a
+                    // back edge, which may close a cycle. Messages of more
+                    // than 5 bytes overflow some PE's longest slot.
+                    let n = procs.len();
+                    for (ei, &(s, t, bytes)) in edges.iter().enumerate() {
+                        let (s, t) = (s % n, t % n);
+                        let (s, t) = match s.cmp(&t) {
+                            std::cmp::Ordering::Less => (s, t),
+                            std::cmp::Ordering::Greater => (t, s),
+                            std::cmp::Ordering::Equal => (n - 1, 0),
+                        };
+                        if s != t {
+                            g.add_message(
+                                NodeId(s as u32),
+                                NodeId(t as u32),
+                                Message::new(format!("m{ei}"), bytes),
+                            )
+                            .unwrap();
+                        }
+                    }
+                    g
+                })
+                .collect();
+            let app = Application::new("app", app_graphs);
+            proptest::prop_assert_eq!(
+                check_application(&app, &arch),
+                check_application_oracle(&app, &arch)
+            );
+        }
     }
 
     #[test]

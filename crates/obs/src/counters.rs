@@ -143,6 +143,18 @@ pub fn snapshot() -> CounterSnapshot {
         .unwrap_or_default()
 }
 
+/// Sets the calling thread's cells to `snap`: a debug-build cross-check
+/// that repeats counted work takes its counts back out this way. Release
+/// builds have no way to rewrite the counters.
+#[cfg(debug_assertions)]
+pub fn reset_to(snap: &CounterSnapshot) {
+    let _ = CELLS.try_with(|cells| {
+        for (cell, &n) in cells.iter().zip(snap.counts.iter()) {
+            cell.set(n);
+        }
+    });
+}
+
 /// Folds a harvested worker tally onto the calling thread's cells. The
 /// sum is associative and commutative, so the order workers are joined
 /// in cannot change the merged totals.

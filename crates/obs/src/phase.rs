@@ -66,6 +66,11 @@ phases! {
     /// patch moving each job whose priority changed in the pop order
     /// (nested inside `Expand`, so not summed with the other phases).
     PriorityRefresh => "priority_refresh",
+    /// The initial mapping's greedy HCP construction over instance 0 of
+    /// every graph (every AH step and probe runs one), after the frozen
+    /// base is baked and before the full-horizon schedule; nested in no
+    /// other phase.
+    HcpProbe => "hcp_probe",
 }
 
 /// Histogram buckets: bucket `b` holds durations with

@@ -80,7 +80,7 @@ use crate::pe_timeline::PeTimeline;
 use crate::priority::PriorityCosts;
 use crate::slack::SlackProfile;
 use crate::table::{frame_replay_order, ScheduleTable, ScheduledJob, ScheduledMessage};
-use incdes_graph::{EdgeId, NodeId};
+use incdes_graph::{algo, EdgeId, NodeId};
 use incdes_model::{AppId, Application, Architecture, PeId, ProcRef, Time};
 use incdes_obs::counters::{self, Counter};
 use incdes_obs::phase::{self, Phase};
@@ -126,9 +126,9 @@ pub struct FrozenBase {
     /// pre-sorted half of every [`materialize`](Self::materialize)
     /// merge. Shared with the caller's table, not copied.
     frozen: ScheduleTable,
-    /// Frozen-only free gaps per PE: the state every run's timelines
-    /// are reset to.
-    pe_gaps: Vec<Vec<(Time, Time)>>,
+    /// Per-PE timelines holding exactly the frozen jobs: the state every
+    /// run's timelines are reset to.
+    pes: Vec<PeTimeline>,
 }
 
 impl FrozenBase {
@@ -191,7 +191,7 @@ impl FrozenBase {
             frozen: frozen
                 .cloned()
                 .unwrap_or_else(|| ScheduleTable::empty(horizon)),
-            pe_gaps: pes.iter().map(|tl| tl.gaps().to_vec()).collect(),
+            pes,
         })
     }
 
@@ -211,7 +211,7 @@ impl FrozenBase {
 
     /// Number of PEs in the baked timelines.
     pub fn pe_count(&self) -> usize {
-        self.pe_gaps.len()
+        self.pes.len()
     }
 
     /// Number of frozen jobs baked into the base.
@@ -225,13 +225,10 @@ impl FrozenBase {
     }
 
     /// The per-PE timelines holding exactly the frozen jobs — equal to
-    /// [`ScheduleTable::pe_timelines`] of the frozen table, but built
-    /// from the baked gaps instead of a replay.
+    /// [`ScheduleTable::pe_timelines`] of the frozen table, but copied
+    /// from the bake instead of replayed.
     pub fn pe_timelines(&self) -> Vec<PeTimeline> {
-        self.pe_gaps
-            .iter()
-            .map(|gaps| PeTimeline::from_gaps(self.horizon, gaps))
-            .collect()
+        self.pes.clone()
     }
 
     /// The bus occupancy holding exactly the frozen messages — equal to
@@ -249,7 +246,7 @@ impl FrozenBase {
 
     /// Frozen-only idle intervals of `pe`, in time order.
     pub fn gaps_of(&self, pe: PeId) -> &[(Time, Time)] {
-        &self.pe_gaps[pe.index()]
+        self.pes[pe.index()].gaps()
     }
 }
 
@@ -330,9 +327,11 @@ pub struct Run {
     /// stopped the arena sync ([`SchedError::MappingIncomplete`],
     /// [`SchedError::NotAllowed`]).
     pub result: Result<(), SchedError>,
-    /// True when the design equals the last list-scheduled run's:
-    /// `result` repeats that run's outcome, nothing was re-placed, and
-    /// the live state is still that run's.
+    /// True when nothing was re-placed: `result` is the last
+    /// list-scheduled run's outcome and the live state is still that
+    /// run's. The design either equals that run's, or that run failed
+    /// and the design differs from it only in jobs ranked after the one
+    /// it failed at (see [`Scheduler::run`]).
     pub unchanged: bool,
 }
 
@@ -378,12 +377,23 @@ struct SuccRec {
 /// are not crowded out by lax ones sharing the hyperperiod), then the
 /// longer critical path. The arena index breaks ties between ranks; the
 /// ready time breaks them first, inside a run (see the module docs).
-fn rank(j: &JobRec) -> (Time, Reverse<Time>) {
+type Rank = (Time, Reverse<Time>);
+
+/// Job `j`'s [`Rank`].
+fn rank(j: &JobRec) -> Rank {
     (j.deadline.saturating_sub(j.priority), Reverse(j.priority))
 }
 
+/// Lowers `lowest` to `r`: the running minimum of the ranks a sync
+/// touches.
+fn touch(lowest: &mut Option<Rank>, r: Rank) {
+    if lowest.is_none_or(|l| r < l) {
+        *lowest = Some(r);
+    }
+}
+
 /// Job `i`'s key in the pop order: its rank, then its arena index.
-fn pop_key(jobs: &[JobRec], i: u32) -> ((Time, Reverse<Time>), u32) {
+fn pop_key(jobs: &[JobRec], i: u32) -> (Rank, u32) {
     (rank(&jobs[i as usize]), i)
 }
 
@@ -419,6 +429,9 @@ struct GraphSlot {
     instances: usize,
     /// The graph's first entry in `Scheduler::edge_succs`.
     first_edge: usize,
+    /// The graph's topological order, computed once: every priority
+    /// refresh walks it backwards.
+    topo: Vec<NodeId>,
     costs: PriorityCosts,
     prio: Vec<Time>,
 }
@@ -462,15 +475,19 @@ pub struct Scheduler<'a> {
     bus: BusTimeline,
     assign_scratch: Vec<Option<PeId>>,
     cost_scratch: PriorityCosts,
+    prio_scratch: Vec<Time>,
     /// The last run's jobs in step order.
     placed: Vec<ScheduledJob>,
     /// The last run's messages in emission order.
     msgs: Vec<ScheduledMessage>,
-    /// The outcome of the last list-scheduled run, kept exactly while
-    /// the arena describes that run's design: `None` before the first
-    /// run and after a run whose sync failed, which makes the next run
-    /// expand.
+    /// The outcome of the last list-scheduled run, kept while the arena
+    /// describes that run's design or one that repeats its outcome:
+    /// `None` before the first run and after a run whose sync failed,
+    /// which makes the next run expand.
     outcome: Option<Result<(), SchedError>>,
+    /// The rank of the job the last list-scheduled run failed at; `None`
+    /// when it succeeded.
+    failed_rank: Option<Rank>,
     raw_schedules: usize,
 }
 
@@ -516,6 +533,8 @@ impl<'a> Scheduler<'a> {
                     first_job: jobs.len(),
                     instances: instances as usize,
                     first_edge,
+                    topo: algo::topological_order(dag)
+                        .expect("process graphs are validated acyclic"),
                     costs: PriorityCosts::default(),
                     prio: Vec::new(),
                 });
@@ -577,9 +596,11 @@ impl<'a> Scheduler<'a> {
             releases,
             assign_scratch: Vec::new(),
             cost_scratch: PriorityCosts::default(),
+            prio_scratch: Vec::new(),
             placed: Vec::new(),
             msgs: Vec::new(),
             outcome: None,
+            failed_rank: None,
             raw_schedules: 0,
         })
     }
@@ -601,11 +622,25 @@ impl<'a> Scheduler<'a> {
     /// [`table`](Self::table). A failed run leaves a partial schedule
     /// there, which the next run resets.
     ///
-    /// A design equal to the last list-scheduled run's is answered with
-    /// a clone of that run's outcome and [`Run::unchanged`] set. A run
-    /// whose sync fails (an unmapped process, a PE the process may not
-    /// run on) returns that error and leaves the arena to be expanded
-    /// by the next run.
+    /// Two kinds of run re-place nothing and are answered with a clone
+    /// of the last list-scheduled run's outcome and [`Run::unchanged`]
+    /// set:
+    ///
+    /// * a design equal to that run's;
+    /// * a repeated failure: that run failed at a job of rank r, and the
+    ///   sync touched only jobs ranked after r. A run places jobs in rank
+    ///   order, so every step up to and including the failing one would
+    ///   repeat. "Touched" covers remapped jobs and their predecessors
+    ///   (which decide whether to send them a message), jobs re-keyed in
+    ///   the pop order at their old and new rank, jobs whose gap hint
+    ///   changed, and the senders of messages whose slot hint changed.
+    ///   The arena is still patched (and counted as patched); debug
+    ///   builds re-run the list scheduler and assert the same error and
+    ///   partial placements.
+    ///
+    /// A run whose sync fails (an unmapped process, a PE the process may
+    /// not run on) returns that error and leaves the arena to be
+    /// expanded by the next run.
     ///
     /// # Panics
     ///
@@ -622,18 +657,17 @@ impl<'a> Scheduler<'a> {
                         unchanged: false,
                     }
                 }
-                (Ok(false), Some(last)) => {
-                    self.outcome = Some(last.clone());
-                    return Run {
-                        result: last,
-                        unchanged: true,
-                    };
-                }
+                (Ok(None), Some(last)) => return self.repeat(last),
                 (Ok(_), None) => counters::bump(Counter::ArenaExpansions),
-                (Ok(true), Some(_)) => {
+                (Ok(Some(lowest)), Some(last)) => {
                     counters::bump(Counter::ArenaPatched);
                     #[cfg(debug_assertions)]
                     self.debug_verify_patch(designs);
+                    if self.failed_rank.is_some_and(|failed| lowest > failed) {
+                        #[cfg(debug_assertions)]
+                        self.debug_verify_repeat(&last);
+                        return self.repeat(last);
+                    }
                 }
             }
         }
@@ -643,6 +677,16 @@ impl<'a> Scheduler<'a> {
         Run {
             result,
             unchanged: false,
+        }
+    }
+
+    /// Answers a run with the last list-scheduled run's outcome, keeping
+    /// it for the next run.
+    fn repeat(&mut self, last: Result<(), SchedError>) -> Run {
+        self.outcome = Some(last.clone());
+        Run {
+            result: last,
+            unchanged: true,
         }
     }
 
@@ -700,7 +744,9 @@ impl<'a> Scheduler<'a> {
     /// With `full`, every process and graph counts as changed and every
     /// hint as unset: the arena is rebuilt from the design alone,
     /// whatever it held, and the pop order sorted afresh (an expansion).
-    /// Returns whether anything changed.
+    /// Returns `None` when nothing changed, and otherwise the lowest rank
+    /// of a job the changes touched (see [`run`](Self::run)); for an
+    /// expansion that rank is not meaningful.
     ///
     /// # Errors
     ///
@@ -708,7 +754,11 @@ impl<'a> Scheduler<'a> {
     /// for the first offending process in expansion order (unchanged
     /// processes were valid when last written). The arena is then left
     /// part-synced; the caller expands on the next run.
-    fn sync(&mut self, designs: &[(&Mapping, &Hints)], full: bool) -> Result<bool, SchedError> {
+    fn sync(
+        &mut self,
+        designs: &[(&Mapping, &Hints)],
+        full: bool,
+    ) -> Result<Option<Rank>, SchedError> {
         let Scheduler {
             arch,
             apps,
@@ -720,6 +770,7 @@ impl<'a> Scheduler<'a> {
             order,
             assign_scratch,
             cost_scratch,
+            prio_scratch,
             ..
         } = self;
         if full {
@@ -727,7 +778,7 @@ impl<'a> Scheduler<'a> {
                 s.slot = 0;
             }
         }
-        let mut changed = false;
+        let mut lowest = None;
         let mut first_graph = 0;
         for ((&(id, app), &(mapping, hints)), held) in apps.iter().zip(designs).zip(held) {
             let app_graphs = first_graph..first_graph + app.graphs.len();
@@ -767,8 +818,15 @@ impl<'a> Scheduler<'a> {
                         proc_ref: pr,
                         pe,
                     })?;
-                    changed = true;
+                    // Instance 0 holds each node's lowest rank. The
+                    // predecessors decide whether to send this job a
+                    // message.
                     remapped = true;
+                    touch(&mut lowest, rank(&jobs[slot.first_job + n]));
+                    for &e in g.dag().in_edges(node) {
+                        let p = g.dag().source(e).index();
+                        touch(&mut lowest, rank(&jobs[slot.first_job + p]));
+                    }
                     for k in 0..slot.instances {
                         let j = &mut jobs[slot.first_job + k * nodes + n];
                         j.pe = pe;
@@ -792,19 +850,23 @@ impl<'a> Scheduler<'a> {
                     cost_scratch.fill(arch, g, assign_scratch);
                     if slot.costs != *cost_scratch {
                         let _refresh = phase::scope(Phase::PriorityRefresh);
-                        let prio = cost_scratch.priorities(g);
+                        cost_scratch.priorities_into(g, &slot.topo, prio_scratch);
                         std::mem::swap(&mut slot.costs, cost_scratch);
                         if !full {
-                            for (n, (&old, &new)) in slot.prio.iter().zip(&prio).enumerate() {
+                            for (n, (&old, &new)) in
+                                slot.prio.iter().zip(&*prio_scratch).enumerate()
+                            {
                                 if old != new {
+                                    touch(&mut lowest, rank(&jobs[slot.first_job + n]));
                                     for k in 0..slot.instances {
                                         let i = (slot.first_job + k * nodes + n) as u32;
                                         rekey(order, jobs, i, new);
                                     }
+                                    touch(&mut lowest, rank(&jobs[slot.first_job + n]));
                                 }
                             }
                         }
-                        slot.prio = prio;
+                        std::mem::swap(&mut slot.prio, prio_scratch);
                     }
                     if full {
                         let graph_jobs = &mut jobs[slot.first_job..][..slot.instances * nodes];
@@ -830,7 +892,7 @@ impl<'a> Scheduler<'a> {
                     for k in 0..slot.instances {
                         jobs[slot.first_job + k * nodes + n].gap_hint = hint;
                     }
-                    changed = true;
+                    touch(&mut lowest, rank(&jobs[slot.first_job + n]));
                 }
             });
             diff_hints(&mut held.slots, hints.msg_slots(), |mr, hint| {
@@ -840,7 +902,8 @@ impl<'a> Scheduler<'a> {
                 };
                 if mr.edge.index() < g.dag().edge_count() {
                     succs[edge_succs[slot.first_edge + mr.edge.index()] as usize].slot = hint;
-                    changed = true;
+                    let source = g.dag().source(mr.edge).index();
+                    touch(&mut lowest, rank(&jobs[slot.first_job + source]));
                 }
             });
         }
@@ -850,7 +913,7 @@ impl<'a> Scheduler<'a> {
             order.clear();
             order.extend(keyed.into_iter().map(|(_, i)| i));
         }
-        Ok(changed)
+        Ok(lowest)
     }
 
     /// Debug-build oracle for a patching [`sync`](Self::sync):
@@ -884,10 +947,37 @@ impl<'a> Scheduler<'a> {
         );
     }
 
-    /// Steps 2 and 3 of a run: resets the timelines from the base and
-    /// list-schedules every job of the synced arena.
+    /// Debug-build oracle for a repeated failure answered without
+    /// re-placing: re-runs the list scheduler on the patched arena and
+    /// asserts that it fails at the same rank with the same error and
+    /// the same partial placements, which it leaves live as they were.
+    /// The re-run's work counters are taken back out. The differential
+    /// fuzz suite drives this on every such answer.
+    #[cfg(debug_assertions)]
+    fn debug_verify_repeat(&mut self, last: &Result<(), SchedError>) {
+        let counts = counters::snapshot();
+        let failed = self.failed_rank;
+        let (placed, msgs) = (self.placed.clone(), self.msgs.clone());
+        let rerun = self.place();
+        counters::reset_to(&counts);
+        assert_eq!(&rerun, last, "a repeated failure re-placed differently");
+        assert_eq!(self.failed_rank, failed, "a repeated failure moved");
+        assert!(
+            self.placed == placed && self.msgs == msgs,
+            "a repeated failure placed differently before failing"
+        );
+    }
+
+    /// Steps 2 and 3 of a run, timed as `replace`: see
+    /// [`place`](Self::place).
     fn replace(&mut self) -> Result<(), SchedError> {
         let _replace = phase::scope(Phase::RePlace);
+        self.place()
+    }
+
+    /// Resets the timelines from the base and list-schedules every job
+    /// of the synced arena, noting the rank a failure stopped at.
+    fn place(&mut self) -> Result<(), SchedError> {
         let Scheduler {
             base,
             jobs,
@@ -902,16 +992,21 @@ impl<'a> Scheduler<'a> {
             msgs,
             ..
         } = self;
-        // Copy each PE's frozen gaps and the bus fill into the scratch
-        // allocations.
-        for (tl, gaps) in pes.iter_mut().zip(&base.pe_gaps) {
-            tl.restore(base.horizon, gaps);
+        // Copy each PE's frozen timeline and the bus fill into the
+        // scratch allocations.
+        for (tl, frozen) in pes.iter_mut().zip(&base.pes) {
+            tl.reset_from(frozen);
         }
         bus.reset_from(&base.bus);
         placed.clear();
         msgs.clear();
         ready.clone_from(releases);
-        schedule_loop(jobs, succs, order, group, ready, pes, bus, placed, msgs)
+        let result = schedule_loop(jobs, succs, order, group, ready, pes, bus, placed, msgs);
+        self.failed_rank = result
+            .as_ref()
+            .err()
+            .map(|&(i, _)| rank(&self.jobs[i as usize]));
+        result.map_err(|(_, e)| e)
     }
 }
 
@@ -978,10 +1073,10 @@ fn allowed_wcet(
 
 /// The list-scheduling loop: walks `order` group by group of equal
 /// rank, sorts each group by (ready time, arena index) in the `group`
-/// scratch when it reaches it, and places its jobs, reserving processor
-/// time and bus slots and appending each placed job and message. The
-/// caller has reset the timelines and `ready`. A failure leaves a
-/// partial run in the timelines; the next run resets them from the base.
+/// scratch when it reaches it, and places its jobs ([`place_job`]). The
+/// caller has reset the timelines and `ready`. A failure names the arena
+/// index of the job it stopped at and leaves a partial run in the
+/// timelines; the next run resets them from the base.
 #[allow(clippy::too_many_arguments)]
 fn schedule_loop(
     jobs: &[JobRec],
@@ -993,7 +1088,7 @@ fn schedule_loop(
     bus: &mut BusTimeline,
     placed: &mut Vec<ScheduledJob>,
     msgs: &mut Vec<ScheduledMessage>,
-) -> Result<(), SchedError> {
+) -> Result<(), (u32, SchedError)> {
     // Debug builds count each job's unplaced predecessors, to assert that
     // the walk reaches no job before all of them are placed.
     #[cfg(debug_assertions)]
@@ -1025,62 +1120,86 @@ fn schedule_loop(
         };
         for &i in members {
             counters::bump(Counter::HeapPops);
-            let idx = i as usize;
             #[cfg(debug_assertions)]
-            assert_eq!(pending[idx], 0, "job {idx} reached before its predecessors");
-            let j = &jobs[idx];
-            let (id, pe) = (j.id, j.pe);
-            let start = pes[pe.index()]
-                .reserve_earliest(ready[idx], j.wcet, j.gap_hint)
-                .map_err(|source| SchedError::NoGap { job: id, source })?;
-            let end = start + j.wcet;
-            if end > j.deadline {
-                return Err(SchedError::DeadlineMiss {
-                    job: id,
-                    end,
-                    deadline: j.deadline,
-                });
-            }
-
-            // Propagate to successors: messages over the bus where needed.
-            for s in &succs[j.succ_lo as usize..j.succ_hi as usize] {
-                let succ_idx = (j.inst_base + s.target) as usize;
-                let data_ready = if jobs[succ_idx].pe == pe {
-                    end
-                } else {
-                    let msg = MsgRef::new(id.graph, s.edge);
-                    let r = bus
-                        .schedule_message_nth(pe, end, s.tx, s.slot as usize)
-                        .map_err(|source| SchedError::NoSlot {
-                            job: id,
-                            msg,
-                            source,
-                        })?;
-                    msgs.push(ScheduledMessage {
-                        app: id.app,
-                        msg,
-                        instance: id.instance,
-                        reservation: r,
-                    });
-                    r.arrival
-                };
-                ready[succ_idx] = ready[succ_idx].max(data_ready);
-                #[cfg(debug_assertions)]
-                {
-                    pending[succ_idx] -= 1;
+            {
+                assert_eq!(
+                    pending[i as usize], 0,
+                    "job {i} reached before its predecessors"
+                );
+                let j = &jobs[i as usize];
+                for s in &succs[j.succ_lo as usize..j.succ_hi as usize] {
+                    pending[(j.inst_base + s.target) as usize] -= 1;
                 }
             }
-            placed.push(ScheduledJob {
-                job: id,
-                pe,
-                start,
-                end,
-                release: j.release,
-                deadline: j.deadline,
-            });
+            place_job(jobs, succs, i, ready, pes, bus, placed, msgs).map_err(|e| (i, e))?;
         }
     }
     debug_assert_eq!(placed.len(), jobs.len(), "acyclic graphs schedule fully");
+    Ok(())
+}
+
+/// Places job `i`: reserves its processor time, sends a message to each
+/// successor on another PE, raises each successor's ready time and
+/// appends the placed job and messages.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn place_job(
+    jobs: &[JobRec],
+    succs: &[SuccRec],
+    i: u32,
+    ready: &mut [Time],
+    pes: &mut [PeTimeline],
+    bus: &mut BusTimeline,
+    placed: &mut Vec<ScheduledJob>,
+    msgs: &mut Vec<ScheduledMessage>,
+) -> Result<(), SchedError> {
+    let idx = i as usize;
+    let j = &jobs[idx];
+    let (id, pe) = (j.id, j.pe);
+    let start = pes[pe.index()]
+        .reserve_earliest(ready[idx], j.wcet, j.gap_hint)
+        .map_err(|source| SchedError::NoGap { job: id, source })?;
+    let end = start + j.wcet;
+    if end > j.deadline {
+        return Err(SchedError::DeadlineMiss {
+            job: id,
+            end,
+            deadline: j.deadline,
+        });
+    }
+
+    // Propagate to successors: messages over the bus where needed.
+    for s in &succs[j.succ_lo as usize..j.succ_hi as usize] {
+        let succ_idx = (j.inst_base + s.target) as usize;
+        let data_ready = if jobs[succ_idx].pe == pe {
+            end
+        } else {
+            let msg = MsgRef::new(id.graph, s.edge);
+            let r = bus
+                .schedule_message_nth(pe, end, s.tx, s.slot as usize)
+                .map_err(|source| SchedError::NoSlot {
+                    job: id,
+                    msg,
+                    source,
+                })?;
+            msgs.push(ScheduledMessage {
+                app: id.app,
+                msg,
+                instance: id.instance,
+                reservation: r,
+            });
+            r.arrival
+        };
+        ready[succ_idx] = ready[succ_idx].max(data_ready);
+    }
+    placed.push(ScheduledJob {
+        job: id,
+        pe,
+        start,
+        end,
+        release: j.release,
+        deadline: j.deadline,
+    });
     Ok(())
 }
 
@@ -1325,6 +1444,123 @@ mod tests {
         assert_eq!(d.get(Counter::HeapPops), 0);
         assert_eq!(d.get(Counter::ArenaPatched), 0);
         assert_eq!(engine.raw_schedule_count(), 1);
+    }
+
+    /// Runs `mapping`/`hints` on `engine` and checks it against the
+    /// one-shot oracle; returns the run and its `heap_pops`.
+    fn run_checked(
+        engine: &mut Scheduler<'_>,
+        arch: &Architecture,
+        app: &Application,
+        mapping: &Mapping,
+        hints: &Hints,
+    ) -> (Run, u64) {
+        let before = counters::snapshot();
+        let run = engine.run(&[(mapping, hints)]);
+        let pops = counters::snapshot()
+            .delta_since(&before)
+            .get(Counter::HeapPops);
+        let spec = crate::AppSpec::new(AppId(0), app, mapping, hints);
+        match crate::schedule(arch, &[spec], None, t(100)) {
+            Ok(reference) => {
+                assert_eq!(run.result, Ok(()));
+                assert_eq!(engine.table(), reference);
+            }
+            Err(e) => assert_eq!(run.result, Err(e)),
+        }
+        (run, pops)
+    }
+
+    /// After a run that failed at a job of rank r, a move that touches
+    /// only jobs ranked after r (a remap, a gap hint) is answered with
+    /// that run's error without placing a job, the arena still patched;
+    /// a move of the failing job itself re-places.
+    #[test]
+    fn repeated_failure_is_answered_without_replacing() {
+        let arch = arch2();
+        // `a` never fits the horizon; `b` is independent and ranks after
+        // it (urgency 94 against 0).
+        let mut g = ProcessGraph::new("g", t(100), t(100));
+        g.add_process(
+            Process::new("a")
+                .wcet(PeId(0), t(150))
+                .wcet(PeId(1), t(150)),
+        );
+        g.add_process(Process::new("b").wcet(PeId(0), t(6)).wcet(PeId(1), t(6)));
+        let app = Application::new("app", vec![g]);
+        let mut engine = bound(&arch, &app, 100);
+        let mut hints = Hints::empty();
+
+        let (first, pops) = run_checked(&mut engine, &arch, &app, &mapping_of([0, 0]), &hints);
+        assert!(first.result.is_err() && !first.unchanged && pops == 1);
+
+        let before = counters::snapshot();
+        let (run, pops) = run_checked(&mut engine, &arch, &app, &mapping_of([0, 1]), &hints);
+        assert!(run.unchanged, "a remap ranked after the failure");
+        assert_eq!((run.result, pops), (first.result.clone(), 0));
+        assert_eq!(
+            counters::snapshot()
+                .delta_since(&before)
+                .get(Counter::ArenaPatched),
+            1
+        );
+        hints.set_proc_gap(ProcRef::new(0, NodeId(1)), 2);
+        let (run, pops) = run_checked(&mut engine, &arch, &app, &mapping_of([0, 1]), &hints);
+        assert!(
+            run.unchanged && pops == 0,
+            "a gap hint ranked after the failure"
+        );
+        assert_eq!(engine.raw_schedule_count(), 1);
+
+        let (run, pops) = run_checked(&mut engine, &arch, &app, &mapping_of([1, 1]), &hints);
+        assert!(!run.unchanged && pops == 1, "a remap of the failing job");
+        assert!(run.result.is_err());
+        assert_eq!(engine.raw_schedule_count(), 2);
+    }
+
+    /// A move is ranked at the lowest rank it touches: a remap of a job
+    /// ranked after the failure re-places when that job's predecessor is
+    /// ranked before it (the predecessor's messages depend on the move),
+    /// and so does a slot hint on a message that predecessor sends.
+    #[test]
+    fn moves_touching_a_job_ranked_before_the_failure_replace() {
+        let arch = arch2();
+        // x → y, x → z, and an independent f whose gap hint skips every
+        // gap. Ranks (urgency): x 61, y 80, f 96, z 98, so the run fails
+        // at f, after placing x and y.
+        let mut g = ProcessGraph::new("g", t(100), t(100));
+        let both = |name: &str, w: u64| Process::new(name).wcet(PeId(0), t(w)).wcet(PeId(1), t(w));
+        let x = g.add_process(both("x", 5));
+        let y = g.add_process(both("y", 20));
+        let z = g.add_process(both("z", 2));
+        let f = g.add_process(both("f", 4));
+        g.add_message(x, y, Message::new("xy", 4)).unwrap();
+        g.add_message(x, z, Message::new("xz", 4)).unwrap();
+        let app = Application::new("app", vec![g]);
+        let assign = |pes: [u32; 4]| -> Mapping {
+            [x, y, z, f]
+                .iter()
+                .zip(pes)
+                .map(|(&n, pe)| (ProcRef::new(0, n), PeId(pe)))
+                .collect()
+        };
+        let mut hints = Hints::empty();
+        hints.set_proc_gap(ProcRef::new(0, f), 9);
+        let mut engine = bound(&arch, &app, 100);
+
+        let (first, pops) = run_checked(&mut engine, &arch, &app, &assign([0, 1, 1, 0]), &hints);
+        assert!(matches!(first.result, Err(SchedError::NoGap { job, .. }) if job.node == f));
+        assert_eq!(pops, 3, "x, y, then f");
+
+        // z ranks after f, but x sends it a message: moving z onto x's PE
+        // drops that message. x's priority runs through y, so it is not
+        // re-keyed; the predecessor rule alone re-places.
+        let (run, pops) = run_checked(&mut engine, &arch, &app, &assign([0, 1, 0, 0]), &hints);
+        assert!(!run.unchanged && pops == 3);
+        hints.set_msg_slot(MsgRef::new(0, EdgeId(0)), 1);
+        let (run, pops) = run_checked(&mut engine, &arch, &app, &assign([0, 1, 0, 0]), &hints);
+        assert!(!run.unchanged && pops == 3, "a slot hint on x's message");
+        assert_eq!(engine.raw_schedule_count(), 3);
     }
 
     /// A run whose sync fails leaves the arena to be expanded: the next

@@ -14,8 +14,7 @@
 
 use incdes_graph::EdgeId;
 use incdes_model::{PeId, ProcRef};
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
 
 /// Reference to a message (edge) within one application.
@@ -40,36 +39,76 @@ impl fmt::Display for MsgRef {
     }
 }
 
-/// (De)serializes a `BTreeMap` with a struct key as a sequence of pairs,
-/// keeping snapshots valid JSON (JSON object keys must be strings).
-mod pairs {
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-    use std::collections::BTreeMap;
+/// A key-sorted vector of `(key, value)` pairs with unique keys: the
+/// storage of [`Mapping`] and [`Hints`]. A lookup is a binary search, an
+/// in-order walk is a slice walk, and the (de)serialized form is the
+/// sequence of pairs in key order (JSON object keys must be strings, so a
+/// struct key cannot be an object key).
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct SortedPairs<K, V>(Vec<(K, V)>);
 
-    pub fn serialize<K, V, S>(map: &BTreeMap<K, V>, ser: S) -> Result<S::Ok, S::Error>
-    where
-        K: Serialize,
-        V: Serialize,
-        S: Serializer,
-    {
-        ser.collect_seq(map.iter())
+impl<K, V> Default for SortedPairs<K, V> {
+    fn default() -> Self {
+        SortedPairs(Vec::new())
+    }
+}
+
+impl<K: Ord + Copy, V: Copy> SortedPairs<K, V> {
+    /// The pairs of `iter`, sorted by key; a repeated key keeps its last
+    /// value, as inserting them one by one would.
+    fn from_pairs(iter: impl IntoIterator<Item = (K, V)>) -> Self {
+        let mut pairs: Vec<(K, V)> = iter.into_iter().collect();
+        // Reversed, a stable sort puts each key's last value first, and
+        // `dedup_by` keeps the first of a run.
+        pairs.reverse();
+        pairs.sort_by_key(|&(k, _)| k);
+        pairs.dedup_by(|a, b| a.0 == b.0);
+        SortedPairs(pairs)
     }
 
-    pub fn deserialize<'de, K, V, D>(de: D) -> Result<BTreeMap<K, V>, D::Error>
-    where
-        K: Deserialize<'de> + Ord,
-        V: Deserialize<'de>,
-        D: Deserializer<'de>,
-    {
-        Ok(Vec::<(K, V)>::deserialize(de)?.into_iter().collect())
+    fn find(&self, key: K) -> Result<usize, usize> {
+        self.0.binary_search_by(|&(k, _)| k.cmp(&key))
+    }
+
+    fn get(&self, key: K) -> Option<V> {
+        self.find(key).ok().map(|i| self.0[i].1)
+    }
+
+    fn insert(&mut self, key: K, value: V) -> Option<V> {
+        match self.find(key) {
+            Ok(i) => Some(std::mem::replace(&mut self.0[i].1, value)),
+            Err(i) => {
+                self.0.insert(i, (key, value));
+                None
+            }
+        }
+    }
+
+    fn remove(&mut self, key: K) -> Option<V> {
+        self.find(key).ok().map(|i| self.0.remove(i).1)
+    }
+}
+
+impl<K: Serialize, V: Serialize> Serialize for SortedPairs<K, V> {
+    fn serialize<S: Serializer>(&self, ser: S) -> Result<S::Ok, S::Error> {
+        ser.collect_seq(self.0.iter())
+    }
+}
+
+impl<'de, K, V> Deserialize<'de> for SortedPairs<K, V>
+where
+    K: Deserialize<'de> + Ord + Copy,
+    V: Deserialize<'de> + Copy,
+{
+    fn deserialize<D: Deserializer<'de>>(de: D) -> Result<Self, D::Error> {
+        Ok(SortedPairs::from_pairs(Vec::<(K, V)>::deserialize(de)?))
     }
 }
 
 /// Assignment of processes to processing elements for one application.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Mapping {
-    #[serde(with = "pairs")]
-    assign: BTreeMap<ProcRef, PeId>,
+    assign: SortedPairs<ProcRef, PeId>,
 }
 
 impl Mapping {
@@ -85,42 +124,39 @@ impl Mapping {
 
     /// Removes the assignment of process `p`; returns its PE.
     pub fn unassign(&mut self, p: ProcRef) -> Option<PeId> {
-        self.assign.remove(&p)
+        self.assign.remove(p)
     }
 
     /// The PE of process `p`, if assigned.
     pub fn pe_of(&self, p: ProcRef) -> Option<PeId> {
-        self.assign.get(&p).copied()
+        self.assign.get(p)
     }
 
     /// Number of assigned processes.
     pub fn len(&self) -> usize {
-        self.assign.len()
+        self.assign.0.len()
     }
 
     /// True if nothing is assigned.
     pub fn is_empty(&self) -> bool {
-        self.assign.is_empty()
+        self.assign.0.is_empty()
     }
 
     /// Iterator over `(process, pe)` pairs in process order.
     pub fn iter(&self) -> impl Iterator<Item = (ProcRef, PeId)> + '_ {
-        self.assign.iter().map(|(&p, &pe)| (p, pe))
+        self.assign.0.iter().copied()
     }
 
     /// Processes mapped to `pe`.
     pub fn on_pe(&self, pe: PeId) -> impl Iterator<Item = ProcRef> + '_ {
-        self.assign
-            .iter()
-            .filter(move |&(_, &q)| q == pe)
-            .map(|(&p, _)| p)
+        self.iter().filter(move |&(_, q)| q == pe).map(|(p, _)| p)
     }
 }
 
 impl FromIterator<(ProcRef, PeId)> for Mapping {
     fn from_iter<I: IntoIterator<Item = (ProcRef, PeId)>>(iter: I) -> Self {
         Mapping {
-            assign: iter.into_iter().collect(),
+            assign: SortedPairs::from_pairs(iter),
         }
     }
 }
@@ -130,10 +166,8 @@ impl FromIterator<(ProcRef, PeId)> for Mapping {
 /// Anything not mentioned defaults to 0 (earliest feasible placement).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Hints {
-    #[serde(with = "pairs")]
-    proc_gap: BTreeMap<ProcRef, u32>,
-    #[serde(with = "pairs")]
-    msg_slot: BTreeMap<MsgRef, u32>,
+    proc_gap: SortedPairs<ProcRef, u32>,
+    msg_slot: SortedPairs<MsgRef, u32>,
 }
 
 impl Hints {
@@ -145,7 +179,7 @@ impl Hints {
     /// Sets the gap hint of a process. A hint of 0 removes the entry.
     pub fn set_proc_gap(&mut self, p: ProcRef, skip: u32) {
         if skip == 0 {
-            self.proc_gap.remove(&p);
+            self.proc_gap.remove(p);
         } else {
             self.proc_gap.insert(p, skip);
         }
@@ -154,7 +188,7 @@ impl Hints {
     /// Sets the slot hint of a message. A hint of 0 removes the entry.
     pub fn set_msg_slot(&mut self, m: MsgRef, skip: u32) {
         if skip == 0 {
-            self.msg_slot.remove(&m);
+            self.msg_slot.remove(m);
         } else {
             self.msg_slot.insert(m, skip);
         }
@@ -162,32 +196,32 @@ impl Hints {
 
     /// The gap hint of process `p` (0 if unset).
     pub fn proc_gap(&self, p: ProcRef) -> u32 {
-        self.proc_gap.get(&p).copied().unwrap_or(0)
+        self.proc_gap.get(p).unwrap_or(0)
     }
 
     /// The slot hint of message `m` (0 if unset).
     pub fn msg_slot(&self, m: MsgRef) -> u32 {
-        self.msg_slot.get(&m).copied().unwrap_or(0)
+        self.msg_slot.get(m).unwrap_or(0)
     }
 
     /// Iterator over the non-zero process gap hints, in process order.
     pub fn proc_gaps(&self) -> impl Iterator<Item = (ProcRef, u32)> + Clone + '_ {
-        self.proc_gap.iter().map(|(&p, &s)| (p, s))
+        self.proc_gap.0.iter().copied()
     }
 
     /// Iterator over the non-zero message slot hints, in message order.
     pub fn msg_slots(&self) -> impl Iterator<Item = (MsgRef, u32)> + Clone + '_ {
-        self.msg_slot.iter().map(|(&m, &s)| (m, s))
+        self.msg_slot.0.iter().copied()
     }
 
     /// True if no hints are set.
     pub fn is_empty(&self) -> bool {
-        self.proc_gap.is_empty() && self.msg_slot.is_empty()
+        self.proc_gap.0.is_empty() && self.msg_slot.0.is_empty()
     }
 
     /// Number of non-zero hints.
     pub fn len(&self) -> usize {
-        self.proc_gap.len() + self.msg_slot.len()
+        self.proc_gap.0.len() + self.msg_slot.0.len()
     }
 }
 
@@ -226,6 +260,35 @@ mod tests {
             vec![ProcRef::new(0, NodeId(0)), ProcRef::new(0, NodeId(2))]
         );
         assert_eq!(m.on_pe(PeId(5)).count(), 0);
+    }
+
+    /// Collecting, like deserializing, sorts by key and keeps the last
+    /// value of a repeated key, as inserting the pairs one by one does.
+    #[test]
+    fn mapping_collect_sorts_and_keeps_the_last_value() {
+        let (p0, p1, p2) = (
+            ProcRef::new(0, NodeId(0)),
+            ProcRef::new(0, NodeId(1)),
+            ProcRef::new(1, NodeId(0)),
+        );
+        let pairs = [(p2, PeId(0)), (p0, PeId(1)), (p2, PeId(2)), (p1, PeId(0))];
+        let collected: Mapping = pairs.into_iter().collect();
+        let mut inserted = Mapping::new();
+        for (p, pe) in pairs {
+            inserted.assign(p, pe);
+        }
+        assert_eq!(collected, inserted);
+        assert_eq!(
+            collected.iter().collect::<Vec<_>>(),
+            vec![(p0, PeId(1)), (p1, PeId(0)), (p2, PeId(2))]
+        );
+        let json = serde_json::to_string(&collected).unwrap();
+        assert_eq!(serde_json::from_str::<Mapping>(&json).unwrap(), collected);
+        let unsorted = r#"{"assign":[[{"graph":1,"node":0},0],[{"graph":0,"node":0},1],[{"graph":1,"node":0},2],[{"graph":0,"node":1},0]]}"#;
+        assert_eq!(
+            serde_json::from_str::<Mapping>(unsorted).unwrap(),
+            collected
+        );
     }
 
     #[test]

@@ -100,28 +100,27 @@ impl PeTimeline {
     /// which must be sorted, disjoint, non-adjacent, non-empty and
     /// inside the horizon, as [`gaps`](Self::gaps) returns them.
     pub fn from_gaps(horizon: Time, gaps: &[(Time, Time)]) -> Self {
-        let mut tl = PeTimeline {
-            horizon,
-            gaps: Vec::new(),
-            free: Time::ZERO,
-        };
-        tl.restore(horizon, gaps);
-        tl
-    }
-
-    /// Resets this timeline to [`from_gaps`](Self::from_gaps)`(horizon,
-    /// gaps)`, reusing its allocation. The evaluation engine calls this
-    /// once per schedule to restore the frozen base's gaps.
-    pub fn restore(&mut self, horizon: Time, gaps: &[(Time, Time)]) {
         debug_assert!(
             gaps.windows(2).all(|w| w[0].1 < w[1].0)
                 && gaps.iter().all(|&(s, e)| s < e && e <= horizon),
             "gaps must be sorted, disjoint, non-adjacent, non-empty and inside the horizon"
         );
-        self.horizon = horizon;
+        PeTimeline {
+            horizon,
+            gaps: gaps.to_vec(),
+            free: gaps.iter().map(|&(s, e)| e - s).sum(),
+        }
+    }
+
+    /// Makes this timeline equal to `base`, reusing its allocation: the
+    /// gap list is copied and the free-time total taken over, not
+    /// re-summed. The evaluation engine calls this once per PE per
+    /// schedule to reset to the frozen base.
+    pub fn reset_from(&mut self, base: &PeTimeline) {
+        self.horizon = base.horizon;
         self.gaps.clear();
-        self.gaps.extend_from_slice(gaps);
-        self.free = gaps.iter().map(|&(s, e)| e - s).sum();
+        self.gaps.extend_from_slice(&base.gaps);
+        self.free = base.free;
     }
 
     /// The horizon.
@@ -403,10 +402,10 @@ mod tests {
         tl.reserve(t(90), t(100)).unwrap();
         assert_eq!(tl.gaps(), vec![(t(0), t(10)), (t(30), t(90))]);
         assert_eq!(tl.free_time(), t(70));
-        // Restoring the gaps rebuilds the same timeline, reusing storage.
+        // Resetting from it rebuilds the same timeline, reusing storage.
         let mut other = PeTimeline::new(t(5));
         other.reserve(t(0), t(5)).unwrap();
-        other.restore(t(100), tl.gaps());
+        other.reset_from(&tl);
         assert_eq!(other, tl);
         assert_eq!(PeTimeline::from_gaps(t(100), tl.gaps()), tl);
     }

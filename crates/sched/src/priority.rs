@@ -6,16 +6,8 @@
 //! Heterogeneous Critical Path algorithm (Jorgensen & Madsen, CODES'97)
 //! that the paper's initial mapping builds on.
 
-use incdes_graph::algo;
+use incdes_graph::{algo, NodeId};
 use incdes_model::{Application, Architecture, PeId, ProcessGraph, Time};
-
-/// Communication-cost estimate for priority purposes: transmission time
-/// plus half a bus cycle of expected slot wait. Used before (or instead
-/// of) exact knowledge of slot timing.
-pub fn estimated_comm_cost(arch: &Architecture, bytes: u32) -> Time {
-    let tx = arch.bus().transmission_time(bytes);
-    tx + arch.bus().cycle_length() / 2
-}
 
 /// The exact cost inputs of [`partial_critical_path`]: per-node costs
 /// plus per-edge `(source, target, cost)` triples, in id order. The
@@ -42,7 +34,9 @@ impl PriorityCosts {
     /// * Node cost: WCET on the assigned PE when present, otherwise the
     ///   mean WCET over allowed PEs.
     /// * Edge cost: zero if both endpoints are assigned to the same PE,
-    ///   otherwise [`estimated_comm_cost`].
+    ///   otherwise an estimate made before (or instead of) exact
+    ///   knowledge of slot timing: the transmission time plus half a bus
+    ///   cycle of expected slot wait.
     pub fn fill(&mut self, arch: &Architecture, graph: &ProcessGraph, assigned: &[Option<PeId>]) {
         let dag = graph.dag();
         self.nodes.clear();
@@ -55,42 +49,42 @@ impl PriorityCosts {
                     None => p.wcets.average().unwrap_or(Time::ZERO).ticks(),
                 });
         }
+        let bus = arch.bus();
+        let half_cycle = bus.cycle_length() / 2;
         for e in dag.edge_ids() {
             let (s, t) = dag.endpoints(e);
             let cost = match (assigned[s.index()], assigned[t.index()]) {
                 (Some(a), Some(b)) if a == b => 0,
-                _ => estimated_comm_cost(arch, graph.message(e).bytes).ticks(),
+                _ => (bus.transmission_time(graph.message(e).bytes) + half_cycle).ticks(),
             };
             self.edges.push((s.index() as u32, t.index() as u32, cost));
         }
     }
 
-    /// The partial-critical-path priorities under these costs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph is cyclic (validated applications never are)
-    /// or if the costs were filled for a different graph.
-    pub fn priorities(&self, graph: &ProcessGraph) -> Vec<Time> {
+    /// The partial-critical-path priorities under these costs, written
+    /// into `out` (its allocation reused), over `topo`, a topological
+    /// order of `graph` that the caller computed once: one backward walk,
+    /// no allocation. Any topological order gives the same priorities.
+    pub fn priorities_into(&self, graph: &ProcessGraph, topo: &[NodeId], out: &mut Vec<Time>) {
         let dag = graph.dag();
-        assert_eq!(self.nodes.len(), graph.process_count(), "costs match graph");
-        let dist = algo::longest_path_to_sink(
-            dag,
-            |n: incdes_graph::NodeId| self.nodes[n.index()],
-            |e: incdes_graph::EdgeId| self.edges[e.index()].2,
-        )
-        .expect("process graphs are validated acyclic");
-        dist.into_iter().map(Time::new).collect()
+        debug_assert_eq!(self.nodes.len(), topo.len(), "costs match graph");
+        out.clear();
+        out.resize(topo.len(), Time::ZERO);
+        for &v in topo.iter().rev() {
+            let best = dag
+                .out_edges(v)
+                .iter()
+                .map(|&e| self.edges[e.index()].2 + out[dag.target(e).index()].ticks())
+                .max()
+                .unwrap_or(0);
+            out[v.index()] = Time::new(self.nodes[v.index()] + best);
+        }
     }
 }
 
 /// Partial-critical-path priority of every node of `graph`, given an
-/// (optional) mapping of nodes to PEs.
-///
-/// * Node cost: WCET on the mapped PE when `pe_of` returns one, otherwise
-///   the mean WCET over allowed PEs.
-/// * Edge cost: zero if both endpoints are mapped to the same PE,
-///   otherwise [`estimated_comm_cost`].
+/// (optional) mapping of nodes to PEs (`pe_of`), with the node and edge
+/// costs of [`PriorityCosts::fill`].
 ///
 /// # Panics
 ///
@@ -98,12 +92,15 @@ impl PriorityCosts {
 pub fn partial_critical_path(
     arch: &Architecture,
     graph: &ProcessGraph,
-    mut pe_of: impl FnMut(incdes_graph::NodeId) -> Option<PeId>,
+    mut pe_of: impl FnMut(NodeId) -> Option<PeId>,
 ) -> Vec<Time> {
     let assigned: Vec<Option<PeId>> = graph.dag().node_ids().map(&mut pe_of).collect();
+    let topo = algo::topological_order(graph.dag()).expect("process graphs are validated acyclic");
     let mut costs = PriorityCosts::new();
     costs.fill(arch, graph, &assigned);
-    costs.priorities(graph)
+    let mut out = Vec::new();
+    costs.priorities_into(graph, &topo, &mut out);
+    out
 }
 
 /// Partial-critical-path priorities for every graph of an application,
@@ -119,6 +116,7 @@ pub fn app_priorities(arch: &Architecture, app: &Application) -> Vec<Vec<Time>> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use incdes_graph::EdgeId;
     use incdes_model::{Application, BusConfig, Message, Process, ProcessGraph};
 
     fn arch() -> Architecture {
@@ -146,8 +144,13 @@ mod tests {
     #[test]
     fn estimated_comm_includes_half_cycle() {
         let a = arch();
+        let g = chain();
+        let mut costs = PriorityCosts::new();
+        costs.fill(&a, &g, &[None, Some(PeId(1))]);
         // tx(4B at 1B/tick) = 4, cycle 20 → 4 + 10 = 14.
-        assert_eq!(estimated_comm_cost(&a, 4), Time::new(14));
+        assert_eq!(costs.edges, vec![(0, 1, 14)]);
+        costs.fill(&a, &g, &[Some(PeId(1)), Some(PeId(1))]);
+        assert_eq!(costs.edges, vec![(0, 1, 0)]);
     }
 
     #[test]
@@ -188,6 +191,80 @@ mod tests {
         assert_eq!(pr.len(), 2);
         assert_eq!(pr[0].len(), 2);
         assert_eq!(pr[0], pr[1]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Priorities written over a cached topological order into a
+        /// reused buffer, and `partial_critical_path`'s, equal the
+        /// construction they replace: `algo::longest_path_to_sink` over
+        /// the costs as defined, for random DAGs under random partial
+        /// mappings.
+        #[test]
+        fn cached_order_priorities_match_partial_critical_path(
+            wcets in proptest::collection::vec((1u64..20, 1u64..20), 1..12),
+            edges in proptest::collection::vec((0usize..12, 0usize..12, 0u32..20), 0..20),
+            pes in proptest::collection::vec(0u32..3, 12),
+        ) {
+            let a = arch();
+            let mut g = ProcessGraph::new("g", Time::new(200), Time::new(200));
+            let nodes: Vec<NodeId> = wcets
+                .iter()
+                .enumerate()
+                .map(|(i, &(w0, w1))| {
+                    g.add_process(
+                        Process::new(format!("p{i}"))
+                            .wcet(PeId(0), Time::new(w0))
+                            .wcet(PeId(1), Time::new(w1)),
+                    )
+                })
+                .collect();
+            for (i, &(s, t, bytes)) in edges.iter().enumerate() {
+                let (s, t) = (s % nodes.len(), t % nodes.len());
+                if s < t {
+                    g.add_message(nodes[s], nodes[t], Message::new(format!("m{i}"), bytes))
+                        .unwrap();
+                }
+            }
+            // PE 2 stands for "not yet mapped".
+            let assigned: Vec<Option<PeId>> = (0..nodes.len())
+                .map(|i| Some(PeId(pes[i])).filter(|pe| pe.0 < 2))
+                .collect();
+            let bus = a.bus();
+            let expected: Vec<Time> = algo::longest_path_to_sink(
+                g.dag(),
+                |n: NodeId| {
+                    let p = g.process(n);
+                    match assigned[n.index()].and_then(|pe| p.wcets.get(pe)) {
+                        Some(w) => w.ticks(),
+                        None => p.wcets.average().unwrap().ticks(),
+                    }
+                },
+                |e: EdgeId| {
+                    let (s, t) = g.dag().endpoints(e);
+                    match (assigned[s.index()], assigned[t.index()]) {
+                        (Some(x), Some(y)) if x == y => 0,
+                        _ => (bus.transmission_time(g.message(e).bytes) + bus.cycle_length() / 2)
+                            .ticks(),
+                    }
+                },
+            )
+            .unwrap()
+            .into_iter()
+            .map(Time::new)
+            .collect();
+            let topo = algo::topological_order(g.dag()).unwrap();
+            let mut costs = PriorityCosts::new();
+            costs.fill(&a, &g, &assigned);
+            let mut out = vec![Time::new(7); 3];
+            costs.priorities_into(&g, &topo, &mut out);
+            proptest::prop_assert_eq!(&out, &expected);
+            proptest::prop_assert_eq!(
+                &partial_critical_path(&a, &g, |n| assigned[n.index()]),
+                &expected
+            );
+        }
     }
 
     #[test]

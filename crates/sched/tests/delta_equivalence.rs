@@ -4,18 +4,20 @@
 //! and finds what changed between runs itself: each run diffs the
 //! design against its job arena, patches whatever differs, resets the
 //! timelines from the frozen base and re-places the whole current
-//! application, or answers a design equal to the last run's from that
-//! run's outcome. These properties drive thousands of random move
-//! chains — the exact workload the MH/SA strategies produce: remaps,
-//! gap- and slot-hint changes, exact revisits (a move undone, A→B→A),
-//! jumps of several moves at once and immediate reruns, many of them
-//! infeasible — over random architectures, applications and frozen
-//! tables, asserting that the engine's output (tables *and* slack
-//! profiles, or errors) is bit-equal to the one-shot
-//! [`incdes_sched::schedule`] oracle at **every** step. Debug builds
-//! additionally re-expand every patched arena and compare it with the
-//! patch. Failures shrink to a minimal failing move chain via the
-//! proptest harness.
+//! application, or answers without re-placing: a design equal to the
+//! last run's, or one that changes only jobs ranked after the job the
+//! last run failed at, gets that run's outcome. These properties drive
+//! thousands of random move chains — the exact workload the MH/SA
+//! strategies produce: remaps, gap- and slot-hint changes, exact
+//! revisits (a move undone, A→B→A), jumps of several moves at once and
+//! immediate reruns, many of them infeasible — over random
+//! architectures, applications and frozen tables, asserting that the
+//! engine's output (tables *and* slack profiles, or errors) is bit-equal
+//! to the one-shot [`incdes_sched::schedule`] oracle at **every** step.
+//! Debug builds additionally re-expand every patched arena and compare
+//! it with the patch, and re-run the list scheduler behind every
+//! repeated failure answered without re-placing. Failures shrink to a
+//! minimal failing move chain via the proptest harness.
 
 use incdes_graph::{EdgeId, NodeId};
 use incdes_model::{
@@ -147,6 +149,29 @@ fn assert_matches_oracle(
     Ok(())
 }
 
+/// The contract of [`Run::unchanged`]: a design equal to the last run's
+/// is answered `unchanged`, and a changed design answered `unchanged`
+/// follows a failed run and repeats its error (which
+/// [`assert_matches_oracle`] then holds to the one-shot oracle).
+fn assert_unchanged_contract(
+    run: &Run,
+    unchanged: bool,
+    previous: Option<&Result<(), SchedError>>,
+    step: usize,
+) -> Result<(), TestCaseError> {
+    if unchanged {
+        prop_assert!(run.unchanged, "unchanged design re-placed at step {}", step);
+    } else if run.unchanged {
+        prop_assert!(
+            matches!(previous, Some(Err(_))),
+            "changed design answered unchanged after a feasible run at step {}",
+            step
+        );
+        prop_assert_eq!(Some(&run.result), previous, "step {}", step);
+    }
+    Ok(())
+}
+
 /// Random frozen table (possibly none): an app scheduled the ordinary
 /// way on `arch`, taken as the immutable base.
 fn frozen_table(
@@ -220,6 +245,7 @@ proptest! {
         let base = Arc::new(FrozenBase::new(&arch, frozen.as_ref(), horizon).unwrap());
         let mut engine = Scheduler::new(&arch, base, &[(AppId(1), &app)]).unwrap();
         let (mut patches, mut changed_steps) = (0, 0);
+        let mut previous_result = None;
 
         // Step 0: the initial solution, then one single move per step.
         for step in 0..=moves.len() {
@@ -239,9 +265,10 @@ proptest! {
             let before = counters::snapshot();
             let run = engine.run(&[(&mapping, &hints)]);
             patches += counters::snapshot().delta_since(&before).get(Counter::ArenaPatched);
-            prop_assert_eq!(run.unchanged, unchanged, "step {}", step);
+            assert_unchanged_contract(&run, unchanged, previous_result.as_ref(), step)?;
             assert_matches_oracle(&engine, &run, &oracle, &arch, step)?;
             changed_steps += u64::from(step > 0 && !unchanged);
+            previous_result = Some(run.result);
         }
         // Every changed step patched the arena, failed runs included:
         // every mapping is complete and allowed, so no sync fails.
@@ -284,6 +311,7 @@ proptest! {
         let mut engine = Scheduler::new(&arch, base, &[(AppId(0), &app)]).unwrap();
         let (mut patches, mut changed_steps) = (0, 0);
         let mut prev: Option<usize> = None;
+        let mut previous_result = None;
         for (step, &sol) in visits.iter().enumerate() {
             let unchanged = prev.is_some_and(|p| palette[p] == palette[sol]);
             let spec = AppSpec::new(AppId(0), &app, &palette[sol], &hints);
@@ -291,10 +319,11 @@ proptest! {
             let before = counters::snapshot();
             let run = engine.run(&[(&palette[sol], &hints)]);
             patches += counters::snapshot().delta_since(&before).get(Counter::ArenaPatched);
-            prop_assert_eq!(run.unchanged, unchanged, "step {}", step);
+            assert_unchanged_contract(&run, unchanged, previous_result.as_ref(), step)?;
             assert_matches_oracle(&engine, &run, &oracle, &arch, step)?;
             changed_steps += u64::from(prev.is_some() && !unchanged);
             prev = Some(sol);
+            previous_result = Some(run.result);
         }
         prop_assert_eq!(patches, changed_steps);
     }
@@ -329,6 +358,7 @@ proptest! {
         let base = Arc::new(FrozenBase::new(&arch, frozen.as_ref(), horizon).unwrap());
         let mut engine = Scheduler::new(&arch, base, &[(AppId(1), &app)]).unwrap();
         let (mut expansions, mut patches, mut changed_steps) = (0, 0, 0);
+        let mut previous_result = None;
         for step in 0..=jumps.len() {
             let previous = (mapping.clone(), hints.clone());
             if step > 0 {
@@ -344,9 +374,10 @@ proptest! {
             let d = counters::snapshot().delta_since(&before);
             expansions += d.get(Counter::ArenaExpansions);
             patches += d.get(Counter::ArenaPatched);
-            prop_assert_eq!(run.unchanged, unchanged, "step {}", step);
+            assert_unchanged_contract(&run, unchanged, previous_result.as_ref(), step)?;
             assert_matches_oracle(&engine, &run, &oracle, &arch, step)?;
             changed_steps += u64::from(step > 0 && !unchanged);
+            previous_result = Some(run.result);
         }
         prop_assert_eq!(expansions, 1, "only the first run expands");
         prop_assert_eq!(patches, changed_steps);
