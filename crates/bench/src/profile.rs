@@ -1,32 +1,36 @@
 //! The `figures campaign --profile-out` file: the counters, phase
-//! timings and step wall-clock of every scenario a run executed. It is
+//! timings and step wall-clock of every scenario a run completed. It is
 //! written beside the report, never inside it, and `figures tables
 //! --profile` reads the step wall-clock back for figure 2.
 
-use incdes_explore::{CampaignReport, ScenarioProfile};
+use incdes_explore::{CampaignReport, CampaignRun};
 use serde::Deserialize;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Duration;
 
-/// Renders the profile file of a run of `campaign`:
+/// Renders the profile file of `run`:
 /// `{"campaign":…,"scenarios":[{"index":…,"counters":{…},"phases":{…},
-/// "steps_ns":[…]},…]}`, one entry per executed scenario.
+/// "steps_ns":[…]},…]}`, one entry per completed scenario.
 #[must_use]
-pub fn to_json(campaign: &str, profiles: &[ScenarioProfile]) -> String {
-    let name = serde_json::to_string(campaign).expect("strings always serialize");
+pub fn to_json(run: &CampaignRun) -> String {
+    let name = serde_json::to_string(&run.name).expect("strings always serialize");
     let mut json = format!("{{\"campaign\":{name},\"scenarios\":[");
-    for (k, p) in profiles.iter().enumerate() {
+    for (k, done) in run.completed().enumerate() {
         if k > 0 {
             json.push(',');
         }
-        let steps: Vec<String> = p.steps.iter().map(|d| d.as_nanos().to_string()).collect();
+        let steps: Vec<String> = done
+            .steps
+            .iter()
+            .map(|s| s.elapsed.as_nanos().to_string())
+            .collect();
         let _ = write!(
             json,
             "{{\"index\":{},\"counters\":{},\"phases\":{},\"steps_ns\":[{}]}}",
-            p.index,
-            p.counters.to_json(),
-            p.phases.to_json(),
+            done.key.index,
+            done.counters.to_json(),
+            done.phases.to_json(),
             steps.join(","),
         );
     }
@@ -47,8 +51,8 @@ struct ProfiledScenario {
     steps_ns: Vec<u64>,
 }
 
-/// The step wall-clock of the scenarios one campaign run executed, read
-/// from its profile file.
+/// The step wall-clock of the scenarios of one campaign run, read from
+/// its profile file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StepTimes {
     steps_ns: BTreeMap<usize, Vec<u64>>,
@@ -60,8 +64,9 @@ impl StepTimes {
     /// # Errors
     ///
     /// A message when `text` is not a profile file, when it names
-    /// another campaign, or when it names a scenario the report lacks or
-    /// times a different number of steps than the report has.
+    /// another campaign, when it names a scenario the report lacks or
+    /// lacks one the report has, or when it times a different number of
+    /// steps than the report has.
     pub fn parse(text: &str, report: &CampaignReport) -> Result<StepTimes, String> {
         let file: ProfileFile =
             serde_json::from_str(text).map_err(|e| format!("not a campaign profile: {e}"))?;
@@ -92,11 +97,21 @@ impl StepTimes {
             }
             steps_ns.insert(scenario.index, scenario.steps_ns);
         }
+        if let Some(missing) = report
+            .scenarios
+            .iter()
+            .find(|s| !steps_ns.contains_key(&s.index))
+        {
+            return Err(format!(
+                "the profile lacks scenario #{}, which the report has",
+                missing.index
+            ));
+        }
         Ok(StepTimes { steps_ns })
     }
 
     /// The wall-clock time of script step `step` of scenario `index`;
-    /// `None` when the run did not execute that scenario (a cache hit).
+    /// `None` for a scenario or step the report does not have.
     #[must_use]
     pub fn step(&self, index: usize, step: usize) -> Option<Duration> {
         let ns = *self.steps_ns.get(&index)?.get(step)?;

@@ -1,6 +1,6 @@
 //! Paper-table rendering of campaign reports.
 //!
-//! `figures tables REPORT.json [--profile FILE]` turns a (merged)
+//! `figures tables REPORT.json [--profile FILE]` turns a
 //! [`CampaignReport`] into the paper's result tables. Every number is
 //! read from a scenario's **modification step**, the script's last
 //! `Add`, which commits the current application onto the frozen base

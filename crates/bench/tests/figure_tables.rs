@@ -6,7 +6,7 @@ use incdes_bench::profile::{self, StepTimes};
 use incdes_bench::tables::{modification_cost, render_text, table_rows};
 use incdes_bench::{future_campaign_spec, quality_campaign_spec};
 use incdes_explore::{
-    run_campaign, run_campaign_store, CampaignReport, CampaignSpec, StoreOptions, WeightSetting,
+    run_campaign, CampaignReport, CampaignSpec, Count, ScriptStep, WeightSetting,
 };
 use incdes_mapping::{MhConfig, SaConfig, Strategy};
 use incdes_metrics::{FitPolicy, Weights};
@@ -177,37 +177,55 @@ fn figure_two_wall_clock_comes_from_the_profile() {
     let mut spec = small_quality_spec();
     spec.sizes = vec![10];
     spec.seeds = vec![5];
-    let opts = StoreOptions {
-        workers: 1,
-        ..StoreOptions::default()
-    };
-    let run = run_campaign_store(&spec, &opts).expect("spec is valid");
-    let json = profile::to_json(&spec.name, &run.profiles);
-    let times = StepTimes::parse(&json, &run.report).expect("the run's own profile");
-    for s in &run.report.scenarios {
-        assert_eq!(run.profiles[s.index].steps.len(), s.steps.len());
+    let run = run_campaign(&spec, 1).expect("spec is valid");
+    let report = run.report();
+    let json = profile::to_json(&run);
+    let times = StepTimes::parse(&json, &report).expect("the run's own profile");
+    for s in &report.scenarios {
         assert!(s
             .steps
             .iter()
             .all(|st| times.step(s.index, st.step).is_some()));
+        assert_eq!(times.step(s.index, s.steps.len()), None);
     }
-    let text = render_text(&run.report, Some(&times));
+    let text = render_text(&report, Some(&times));
     let rows = section_rows(&text, "## Modification-step wall-clock");
     assert_eq!(rows.len(), 1, "{text}");
     assert_eq!(rows[0].split_whitespace().count(), 4, "{text}");
-    assert!(!render_text(&run.report, None).contains("wall-clock"));
+    assert!(!render_text(&report, None).contains("wall-clock"));
 
-    let renamed = profile::to_json("another", &run.profiles);
+    let mut renamed = report.clone();
+    renamed.campaign = "another".to_string();
     assert_eq!(
-        StepTimes::parse(&renamed, &run.report),
-        Err("the profile is of campaign `another`, the report of `figures-quality`".to_string())
+        StepTimes::parse(&json, &renamed),
+        Err("the profile is of campaign `figures-quality`, the report of `another`".to_string())
     );
-    let mut partial = run.report.clone();
+    let mut partial = report.clone();
     partial.scenarios.pop();
     assert_eq!(
         StepTimes::parse(&json, &partial),
         Err("the profile names scenario #2, which the report lacks".to_string())
     );
+    // A profile must time every scenario of its report.
+    let (head, _) = json
+        .split_once(",{\"index\":1,")
+        .expect("the profile has scenario #1");
+    let (_, tail) = json
+        .split_once(",{\"index\":2,")
+        .expect("the profile has scenario #2");
+    let gapped = format!("{head},{{\"index\":2,{tail}");
+    assert_eq!(
+        StepTimes::parse(&gapped, &report),
+        Err("the profile lacks scenario #1, which the report has".to_string())
+    );
+}
+
+/// Runs the `figures` binary.
+fn figures(args: &[&str]) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(args)
+        .output()
+        .expect("the figures binary runs")
 }
 
 /// Without a subcommand the binary prints its usage and exits with 2,
@@ -215,15 +233,79 @@ fn figure_two_wall_clock_comes_from_the_profile() {
 #[test]
 fn figures_without_a_subcommand_prints_usage() {
     for args in [&[][..], &["f1"][..]] {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_figures"))
-            .args(args)
-            .output()
-            .expect("the figures binary runs");
+        let out = figures(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("usage: figures campaign"), "{stderr}");
         assert!(out.stdout.is_empty(), "{args:?}");
     }
+}
+
+/// A bad flag value or an unknown flag exits with 2 before any scenario
+/// runs, and the message names the flag.
+#[test]
+fn campaign_rejects_bad_flags_by_name() {
+    for (args, flag) in [
+        (&["campaign", "--workers", "0"][..], "--workers"),
+        (&["campaign", "--workers", "two"][..], "--workers"),
+        (&["campaign", "--no-cache"][..], "--no-cache"),
+    ] {
+        let out = figures(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+}
+
+/// A scenario that panics is quarantined: `campaign` still writes the
+/// report of the others, names the scenario on stderr and exits with 3.
+#[test]
+fn a_quarantined_scenario_exits_with_three() {
+    let mut spec = CampaignSpec::small_demo();
+    spec.sizes = vec![5];
+    spec.strategies = vec![Strategy::AdHoc];
+    spec.seeds = vec![1, 2, 3];
+    spec.script = vec![
+        ScriptStep::Add {
+            processes: Count::Size,
+            strategy: None,
+            future: false,
+        },
+        ScriptStep::InjectPanic { only_seed: Some(2) },
+    ];
+    let dir = std::env::temp_dir();
+    let spec_path = dir.join(format!("figures-quarantine-{}.json", std::process::id()));
+    let report_path = dir.join(format!(
+        "figures-quarantine-{}.report.json",
+        std::process::id()
+    ));
+    std::fs::write(&spec_path, serde_json::to_string(&spec).unwrap()).unwrap();
+    let out = figures(&[
+        "campaign",
+        "--spec",
+        spec_path.to_str().unwrap(),
+        "--out",
+        report_path.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    let poisoned = spec.scenarios().iter().find(|k| k.seed == 2).unwrap().index;
+    assert!(
+        stderr.contains(&format!(
+            "# quarantined scenario #{poisoned}: injected panic"
+        )),
+        "{stderr}"
+    );
+
+    let written = std::fs::read_to_string(&report_path).expect("--out FILE is written");
+    let report = CampaignReport::from_json(&written).unwrap();
+    let seeds: Vec<u64> = report.scenarios.iter().map(|s| s.seed).collect();
+    assert_eq!(seeds, [1, 3]);
+    let expected = run_campaign(&spec, 1).unwrap().report();
+    assert_eq!(written, format!("{}\n", expected.to_json_pretty().unwrap()));
+    std::fs::remove_file(&spec_path).unwrap();
+    std::fs::remove_file(&report_path).unwrap();
 }
 
 /// A reader that closes stdout early (`figures tables REPORT | head`)

@@ -12,13 +12,7 @@
 //! * [`run_campaign`] — a multi-threaded runner that fans scenarios out
 //!   over `std::thread` workers, each with a private per-scenario
 //!   `ChaCha8` RNG;
-//! * [`CampaignReport`] — the stable, sorted, timing-free JSON report;
-//! * [`run_campaign_store`] — the store-backed runner: scenarios whose
-//!   content-addressed blob exists in a persistent
-//!   [`incdes_store::Store`] are served from cache, the rest execute
-//!   and are written back; [`Shard`] partitions a campaign across
-//!   processes and [`merge_reports`] joins the shard reports into the
-//!   canonical one (see [`cache`]).
+//! * [`CampaignReport`] — the stable, sorted, timing-free JSON report.
 //!
 //! # Determinism guarantee
 //!
@@ -70,15 +64,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod report;
 pub mod runner;
 pub mod spec;
 
-pub use cache::{
-    live_keys, merge_reports, run_campaign_store, scenario_store_key, CacheStats, MergeError,
-    ScenarioProfile, Shard, StoreOptions, StoredCampaign, CODE_EPOCH,
-};
 pub use report::{
     CampaignReport, CampaignTotals, CostReport, ScenarioReport, ScheduleReport, StepReport,
 };

@@ -39,10 +39,7 @@ pub struct CampaignTotals {
 }
 
 impl CampaignTotals {
-    /// Tallies a set of scenario reports. This is the one definition of
-    /// the totals — the runner, the cached runner and `merge` all use
-    /// it, so a merged report's totals match the unsharded run's
-    /// byte-for-byte.
+    /// Tallies a set of scenario reports.
     #[must_use]
     pub fn from_scenarios(scenarios: &[ScenarioReport]) -> CampaignTotals {
         CampaignTotals {

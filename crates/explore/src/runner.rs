@@ -101,8 +101,8 @@ pub struct CompletedScenario {
 }
 
 impl CompletedScenario {
-    /// The deterministic, serializable view of this scenario (the blob
-    /// the campaign store persists — wall-clock timings stay here).
+    /// The deterministic, serializable view of this scenario (wall-clock
+    /// timings and counters stay here).
     #[must_use]
     pub fn report(&self) -> ScenarioReport {
         ScenarioReport {
@@ -134,26 +134,22 @@ impl CompletedScenario {
 
 /// One scenario's result: a completed trace, or a quarantined panic.
 ///
-/// A panicking scenario never takes the campaign down — every attempt
-/// runs under `catch_unwind` on its worker, retries restart from the
-/// scenario's own seed (a fresh RNG stream, so a completed retry is
-/// byte-identical to a first-attempt success), and exhausted retries
-/// quarantine the scenario as [`ScenarioOutcome::Failed`] while its
-/// siblings keep running.
+/// A panicking scenario never takes the campaign down: it runs under
+/// `catch_unwind` on its worker, and a panic quarantines it as
+/// [`ScenarioOutcome::Failed`] while its siblings keep running. A
+/// scenario is a pure function of the spec, so it is not retried.
 #[derive(Debug, Clone)]
 pub enum ScenarioOutcome {
-    /// The scenario ran to completion (possibly after retries). Boxed:
-    /// a full trace dwarfs the failure record.
+    /// The scenario ran to completion. Boxed: a full trace dwarfs the
+    /// failure record.
     Completed(Box<CompletedScenario>),
-    /// Every attempt panicked; the campaign continues without it.
+    /// The scenario panicked; the campaign continues without it.
     Failed {
         /// The grid point that failed.
         key: ScenarioKey,
-        /// Panic payload of the final attempt, prefixed with the
-        /// scenario identity (`scenario #<index>: ...`).
+        /// Panic payload, prefixed with the scenario identity
+        /// (`scenario #<index>: ...`).
         panic_message: String,
-        /// Attempts spent (1 + retries).
-        attempts: usize,
     },
 }
 
@@ -206,10 +202,8 @@ impl ScenarioOutcome {
 pub struct ScenarioFailure {
     /// Scenario index in the spec grid.
     pub index: usize,
-    /// Panic message of the final attempt (names the scenario).
+    /// Panic message (names the scenario).
     pub panic_message: String,
-    /// Attempts spent before quarantining.
-    pub attempts: usize,
 }
 
 /// A completed campaign: every scenario's outcome, in spec order.
@@ -252,14 +246,9 @@ impl CampaignRun {
             .iter()
             .filter_map(|outcome| match outcome {
                 ScenarioOutcome::Completed(_) => None,
-                ScenarioOutcome::Failed {
-                    key,
-                    panic_message,
-                    attempts,
-                } => Some(ScenarioFailure {
+                ScenarioOutcome::Failed { key, panic_message } => Some(ScenarioFailure {
                     index: key.index,
                     panic_message: panic_message.clone(),
-                    attempts: *attempts,
                 }),
             })
             .collect()
@@ -270,15 +259,15 @@ impl CampaignRun {
 /// campaign: the resolved generator configuration, its future-WCET
 /// variant, the architecture and the demand-scaled future profile. All
 /// of it is a pure function of the spec.
-pub(crate) struct CampaignEnv {
-    pub(crate) cfg: SynthConfig,
-    pub(crate) future_cfg: SynthConfig,
-    pub(crate) arch: Architecture,
-    pub(crate) future: FutureProfile,
+struct CampaignEnv {
+    cfg: SynthConfig,
+    future_cfg: SynthConfig,
+    arch: Architecture,
+    future: FutureProfile,
 }
 
 /// Resolves the shared campaign environment of a *validated* spec.
-pub(crate) fn prepare_env(spec: &CampaignSpec) -> Result<CampaignEnv, SpecError> {
+fn prepare_env(spec: &CampaignSpec) -> Result<CampaignEnv, SpecError> {
     let cfg = spec.resolve_config()?;
     let arch = generate_architecture(&cfg)?;
     let future_cfg = SynthConfig {
@@ -321,27 +310,15 @@ pub fn run_campaign(spec: &CampaignSpec, workers: usize) -> Result<CampaignRun, 
     })
 }
 
-/// How many times a panicked scenario is re-attempted before being
-/// quarantined: `INCDES_SCENARIO_RETRIES` when set (validated through
-/// `incdes_obs::diag::env_usize`), 1 otherwise.
-fn scenario_retry_budget() -> usize {
-    incdes_obs::diag::env_usize(
-        "INCDES_SCENARIO_RETRIES",
-        "re-attempts per panicked scenario",
-    )
-    .unwrap_or(1)
-}
-
 /// Executes the given scenarios over a pool of `workers` threads and
-/// returns their outcomes in arbitrary order. Shared by the plain and
-/// the store-backed runner.
+/// returns their outcomes in arbitrary order.
 ///
 /// Each worker accumulates outcomes in a thread-local vector handed
 /// back through its join handle — there is no shared mutex to poison —
 /// and every scenario runs isolated under [`run_scenario_isolated`], so
 /// one panicking scenario can never take a sibling (or the campaign)
 /// down.
-pub(crate) fn run_scenarios(
+fn run_scenarios(
     spec: &CampaignSpec,
     env: &CampaignEnv,
     keys: &[ScenarioKey],
@@ -398,37 +375,22 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
-/// Runs one scenario with unwind isolation and a bounded retry budget.
-///
-/// Every attempt restarts the scenario from scratch — the RNG stream is
-/// re-derived from the scenario's seed, so a retry that completes is
-/// byte-identical to a first-attempt success (retries help against
-/// environmental or attempt-dependent panics, never change results).
-/// The last attempt's panic message, prefixed with the scenario index,
-/// is quarantined into [`ScenarioOutcome::Failed`].
-pub(crate) fn run_scenario_isolated(
+/// Runs one scenario with unwind isolation: a panic, prefixed with the
+/// scenario index, is quarantined into [`ScenarioOutcome::Failed`].
+fn run_scenario_isolated(
     spec: &CampaignSpec,
     env: &CampaignEnv,
     key: &ScenarioKey,
 ) -> ScenarioOutcome {
-    let attempts_allowed = 1 + scenario_retry_budget();
-    let mut last_panic = String::new();
-    for attempt in 1..=attempts_allowed {
-        if attempt > 1 {
-            counters::bump(Counter::ScenarioRetries);
-        }
-        match std::panic::catch_unwind(AssertUnwindSafe(|| run_scenario(spec, env, key, attempt))) {
-            Ok(outcome) => return ScenarioOutcome::Completed(Box::new(outcome)),
-            Err(payload) => {
-                counters::bump(Counter::ScenarioPanics);
-                last_panic = format!("scenario #{}: {}", key.index, panic_text(payload.as_ref()));
+    match std::panic::catch_unwind(AssertUnwindSafe(|| run_scenario(spec, env, key))) {
+        Ok(outcome) => ScenarioOutcome::Completed(Box::new(outcome)),
+        Err(payload) => {
+            counters::bump(Counter::ScenarioPanics);
+            ScenarioOutcome::Failed {
+                key: key.clone(),
+                panic_message: format!("scenario #{}: {}", key.index, panic_text(payload.as_ref())),
             }
         }
-    }
-    ScenarioOutcome::Failed {
-        key: key.clone(),
-        panic_message: last_panic,
-        attempts: attempts_allowed,
     }
 }
 
@@ -492,12 +454,7 @@ fn invariant_violation(system: &System) -> Option<String> {
         .map(|e| e.to_string())
 }
 
-pub(crate) fn run_scenario(
-    spec: &CampaignSpec,
-    env: &CampaignEnv,
-    key: &ScenarioKey,
-    attempt: usize,
-) -> CompletedScenario {
+fn run_scenario(spec: &CampaignSpec, env: &CampaignEnv, key: &ScenarioKey) -> CompletedScenario {
     let CampaignEnv {
         cfg,
         future_cfg,
@@ -602,17 +559,10 @@ pub(crate) fn run_scenario(
                 }
                 true
             }
-            ScriptStep::InjectPanic {
-                fail_attempts,
-                only_seed,
-            } => {
+            ScriptStep::InjectPanic { only_seed } => {
                 outcome.action = StepAction::InjectPanic;
-                let targeted = only_seed.is_none_or(|seed| seed == key.seed);
-                if targeted && attempt <= *fail_attempts {
-                    panic!(
-                        "injected panic at script step {index} \
-                         (attempt {attempt}, fails through attempt {fail_attempts})"
-                    );
+                if only_seed.is_none_or(|seed| seed == key.seed) {
+                    panic!("injected panic at script step {index}");
                 }
                 outcome.feasible = true;
                 false
@@ -819,7 +769,7 @@ mod tests {
         assert!(outcome.invariant_violations.is_empty());
     }
 
-    /// Satellite: a panicking scenario must be quarantined under its own
+    /// A panicking scenario must be quarantined under its own
     /// index while every sibling completes — no campaign abort, no
     /// poisoned-lock collateral.
     #[test]
@@ -832,10 +782,7 @@ mod tests {
                 strategy: None,
                 future: false,
             },
-            ScriptStep::InjectPanic {
-                fail_attempts: usize::MAX,
-                only_seed: Some(3),
-            },
+            ScriptStep::InjectPanic { only_seed: Some(3) },
         ];
         let run = run_campaign(&spec, 4).expect("spec is valid");
         assert_eq!(run.outcomes.len(), 4, "every scenario has an outcome");
@@ -855,46 +802,8 @@ mod tests {
             "panic identity names the scenario: {}",
             failures[0].panic_message
         );
-        assert!(failures[0].attempts >= 2, "the default budget retries once");
         assert_eq!(run.completed().count(), 3);
         // The report carries exactly the completed scenarios.
         assert_eq!(run.report().scenarios.len(), 3);
-    }
-
-    /// A panic on the first attempt only: the retry restarts from the
-    /// scenario seed and must reproduce a clean run's bytes exactly.
-    #[test]
-    fn retried_scenario_reproduces_clean_bytes() {
-        let mut spec = tiny_spec();
-        spec.seeds = vec![1, 2];
-        spec.script = vec![
-            ScriptStep::Add {
-                processes: Count::Fixed(4),
-                strategy: None,
-                future: false,
-            },
-            ScriptStep::InjectPanic {
-                fail_attempts: 1,
-                only_seed: None,
-            },
-            ScriptStep::Probe {
-                processes: Count::Fixed(4),
-                strategy: None,
-                future: false,
-            },
-        ];
-        let mut clean_spec = spec.clone();
-        clean_spec.script[1] = ScriptStep::InjectPanic {
-            fail_attempts: 0,
-            only_seed: None,
-        };
-        let flaky = run_campaign(&spec, 2).expect("spec is valid");
-        assert!(flaky.failures().is_empty(), "one retry clears the panic");
-        let clean = run_campaign(&clean_spec, 2).expect("spec is valid");
-        assert_eq!(
-            flaky.report().to_json_pretty().unwrap(),
-            clean.report().to_json_pretty().unwrap(),
-            "retried scenarios must be byte-identical to never-panicked ones"
-        );
     }
 }

@@ -78,16 +78,10 @@ pub enum ScriptStep {
     },
     /// Deterministic chaos step: panic inside the scenario on purpose.
     ///
-    /// The fault-tolerance harness's poison pill — the runner isolates
-    /// and retries panicking scenarios, and this step makes those paths
-    /// reproducibly testable from a plain spec. Once the scenario's
-    /// attempt number exceeds `fail_attempts` the step is a feasible
-    /// no-op, so `fail_attempts: 0` never fires and a huge bound
-    /// quarantines the scenario.
+    /// The runner quarantines a panicking scenario, and this step makes
+    /// that path reproducibly testable from a plain spec. In a scenario
+    /// it does not target, it is a feasible no-op.
     InjectPanic {
-        /// Panic while the attempt number (1-based) is ≤ this bound.
-        #[serde(default)]
-        fail_attempts: usize,
         /// Only panic in scenarios with this seed; `None` targets every
         /// scenario.
         #[serde(default)]

@@ -90,18 +90,9 @@ counters! {
     BusProbes => "bus_probes",
     /// `FrozenBase` bakes (frozen schedule replayed + validated).
     BaseBakes => "base_bakes",
-    /// Store-backend faults injected by a `FaultyBackend` (soak runs).
-    FaultInjected => "fault_injected",
-    /// Store puts retried after a transient I/O error.
-    StoreRetries => "store_retries",
-    /// Store puts abandoned after exhausting their retry budget.
-    StorePutFailures => "store_put_failures",
-    /// Scenario attempts that panicked (isolated, never campaign-fatal).
+    /// Scenarios that panicked and were quarantined (isolated, never
+    /// campaign-fatal).
     ScenarioPanics => "scenario_panics",
-    /// Scenario re-attempts after a panicked attempt.
-    ScenarioRetries => "scenario_retries",
-    /// Campaigns that entered store-degraded (compute-through) mode.
-    DegradedMode => "degraded_mode",
     /// Runs whose scheduler found the design changed and patched its
     /// job arena in place.
     ArenaPatched => "arena_patched",

@@ -19,13 +19,9 @@
 //!   default build pays nothing and a feature build pays one relaxed
 //!   atomic load per scope while disabled.
 //!
-//! [`diag`] carries the shared warn-once stderr channel and the checked
-//! env-var parsing the `INCDES_*` overrides use.
-//!
 //! Nothing in this crate writes to stdout: all output goes to stderr or
 //! to side files chosen by the caller, which is what keeps the
 //! byte-identical report guarantee intact under profiling.
 
 pub mod counters;
-pub mod diag;
 pub mod phase;

@@ -6,9 +6,8 @@
 //! [`incdes_mapping`] for the mapping strategies (IM/AH/MH/SA),
 //! [`incdes_metrics`] for the C1/C2 design metrics,
 //! [`incdes_synth`] for the synthetic benchmark generator,
-//! [`incdes_explore`] for deterministic scenario campaigns over all of
-//! the above, and [`incdes_store`] for the content-addressed persistent
-//! campaign store that makes those campaigns resumable and shardable.
+//! and [`incdes_explore`] for deterministic scenario campaigns over all
+//! of the above.
 
 pub use incdes_core as core;
 pub use incdes_explore as explore;
@@ -18,7 +17,6 @@ pub use incdes_metrics as metrics;
 pub use incdes_model as model;
 pub use incdes_obs as obs;
 pub use incdes_sched as sched;
-pub use incdes_store as store;
 pub use incdes_synth as synth;
 pub use incdes_tdma as tdma;
 
